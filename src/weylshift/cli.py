@@ -15,6 +15,7 @@ from . import problemfile as pf
 from .consistency import (
     CheckReport,
     check_binary,
+    check_factored,
     check_nonsymmetric,
     check_ternary,
     symmetrize,
@@ -63,11 +64,13 @@ def cmd_verify(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
     form = args.form or ("nonsym" if entry.form == "nonsym" else "sym")
-    sol = entry.as_solution()
-    if form == "sym":
-        report = check_binary(sol).merged(check_ternary(sol))
+    if form == "nonsym":
+        report = check_nonsymmetric(entry.as_solution())
+    elif entry.factored is not None:
+        report = check_factored(entry.factored.sys, entry.factored.entries)
     else:
-        report = check_nonsymmetric(sol)
+        sol = entry.solution
+        report = check_binary(sol).merged(check_ternary(sol))
     verdict = "PASS" if report.passed else "FAIL"
     print(f"tuple {name} ({form} form): {verdict}")
     _print_failures(report)

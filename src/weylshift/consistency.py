@@ -9,8 +9,9 @@ entry translates between the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .poly import Poly
+from .poly import Poly, merge_factors
 from .shifts import ShiftSystem, half_shift
 
 
@@ -63,18 +64,56 @@ class SolutionTuple:
         return all(p.is_monic for p in self.polys)
 
 
+def _pairs(n: int):
+    return ((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def _triples(n: int):
+    """(i, j, k) with i < j and k outside {i, j}, grouped by k."""
+    return (
+        (i, j, k)
+        for k in range(n)
+        for i in range(n)
+        if i != k
+        for j in range(i + 1, n)
+        if j != k
+    )
+
+
+def _ternary_vectors(sys: ShiftSystem, i: int, j: int):
+    plus = tuple((a + b) / 2 for a, b in zip(sys.column(i), sys.column(j)))
+    minus = tuple((a - b) / 2 for a, b in zip(sys.column(i), sys.column(j)))
+    return plus, minus
+
+
+def _negated(vec):
+    return tuple(-v for v in vec)
+
+
+def _binary_diff(sys: ShiftSystem, i: int, j: int, pi: Poly, pj: Poly) -> Poly:
+    """lhs - rhs of the binary identity (i, j) on the expanded entries."""
+    lhs = half_shift(sys, j, +1, pi) * half_shift(sys, i, +1, pj)
+    rhs = half_shift(sys, j, -1, pi) * half_shift(sys, i, -1, pj)
+    return lhs - rhs
+
+
+def _ternary_diff(sys: ShiftSystem, i: int, j: int, pk: Poly) -> Poly:
+    """lhs - rhs of the ternary identity (i, j, k) on the expanded entry p_k."""
+    plus, minus = _ternary_vectors(sys, i, j)
+    lhs = pk.shift(plus) * pk.shift(_negated(plus))
+    rhs = pk.shift(minus) * pk.shift(_negated(minus))
+    return lhs - rhs
+
+
 def check_binary(sol: SolutionTuple) -> CheckReport:
     """Pairwise identity: for i != j the product of the two entries agrees
     after shifting each by plus or minus half the other's direction."""
     sys, p = sol.sys, sol.polys
     failures = []
-    for i in range(sys.nshifts):
-        for j in range(i + 1, sys.nshifts):
-            lhs = half_shift(sys, j, +1, p[i]) * half_shift(sys, i, +1, p[j])
-            rhs = half_shift(sys, j, -1, p[i]) * half_shift(sys, i, -1, p[j])
-            diff = lhs - rhs
-            if not diff.is_zero:
-                failures.append(CheckFailure("binary", (i, j), diff))
+    for i, j in _pairs(sys.nshifts):
+        diff = _binary_diff(sys, i, j, p[i], p[j])
+        if not diff.is_zero:
+            failures.append(CheckFailure("binary", (i, j), diff))
     return CheckReport(tuple(failures))
 
 
@@ -85,22 +124,64 @@ def check_ternary(sol: SolutionTuple) -> CheckReport:
     """
     sys, p = sol.sys, sol.polys
     failures = []
-    for k in range(sys.nshifts):
+    for i, j, k in _triples(sys.nshifts):
         if p[k].is_constant:  # both sides are p_k squared
             continue
-        for i in range(sys.nshifts):
-            if i == k:
-                continue
-            for j in range(i + 1, sys.nshifts):
-                if j == k:
-                    continue
-                plus = [(a + b) / 2 for a, b in zip(sys.column(i), sys.column(j))]
-                minus = [(a - b) / 2 for a, b in zip(sys.column(i), sys.column(j))]
-                lhs = p[k].shift(plus) * p[k].shift([-v for v in plus])
-                rhs = p[k].shift(minus) * p[k].shift([-v for v in minus])
-                diff = lhs - rhs
-                if not diff.is_zero:
-                    failures.append(CheckFailure("ternary", (i, j, k), diff))
+        diff = _ternary_diff(sys, i, j, p[k])
+        if not diff.is_zero:
+            failures.append(CheckFailure("ternary", (i, j, k), diff))
+    return CheckReport(tuple(failures))
+
+
+def check_factored(sys: ShiftSystem, entries: Sequence) -> CheckReport:
+    """The binary and then the ternary identities of a factored tuple,
+    decided on factors where they can be; the same report as
+    check_binary followed by check_ternary on the expanded tuple.
+
+    Each entry needs `factors`, pairs of a nonconstant polynomial and a
+    positive multiplicity whose product times a nonzero unit is the entry,
+    and `expand()`, which returns the entry.  Both sides of an identity
+    carry the same units, so equal multisets of shifted factors prove it
+    exactly.  Factors need not be irreducible, so a mismatch is confirmed
+    by expanding that one identity, which also gives the witness.
+    """
+    halves = [tuple(a / 2 for a in sys.column(i)) for i in range(sys.nshifts)]
+    shifted: dict[tuple, list[tuple[Poly, int]]] = {}
+    expanded: dict[int, Poly] = {}
+
+    def moved(k: int, vec: tuple) -> list[tuple[Poly, int]]:
+        key = (k, vec)
+        got = shifted.get(key)
+        if got is None:
+            got = shifted[key] = [(q.shift(vec), m) for q, m in entries[k].factors]
+        return got
+
+    def entry(k: int) -> Poly:
+        if k not in expanded:
+            expanded[k] = entries[k].expand()
+        return expanded[k]
+
+    failures = []
+    for i, j in _pairs(sys.nshifts):
+        hi, hj = halves[i], halves[j]
+        lhs = moved(i, hj) + moved(j, hi)
+        rhs = moved(i, _negated(hj)) + moved(j, _negated(hi))
+        if merge_factors(lhs) == merge_factors(rhs):
+            continue
+        diff = _binary_diff(sys, i, j, entry(i), entry(j))
+        if not diff.is_zero:
+            failures.append(CheckFailure("binary", (i, j), diff))
+    for i, j, k in _triples(sys.nshifts):
+        if not entries[k].factors:  # a constant entry: both sides are its square
+            continue
+        plus, minus = _ternary_vectors(sys, i, j)
+        lhs = moved(k, plus) + moved(k, _negated(plus))
+        rhs = moved(k, minus) + moved(k, _negated(minus))
+        if merge_factors(lhs) == merge_factors(rhs):
+            continue
+        diff = _ternary_diff(sys, i, j, entry(k))
+        if not diff.is_zero:
+            failures.append(CheckFailure("ternary", (i, j, k), diff))
     return CheckReport(tuple(failures))
 
 

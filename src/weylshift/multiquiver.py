@@ -15,7 +15,7 @@ from math import gcd
 
 from .consistency import CheckFailure, CheckReport, SolutionTuple
 from .orbital import FactoredPoly, FactoredSolution, OrbitalPiece
-from .poly import Poly
+from .poly import Poly, merge_factors
 from .shifts import OrbitId, ShiftSystem, stabilizer_lattice
 
 
@@ -95,19 +95,8 @@ def symmetrized_solution(beta) -> FactoredSolution:
         for j in range(m):
             for lin in _run_factors(m, j, beta[j][i]):
                 factors.append((lin, 1))
-        entries.append(FactoredPoly.from_factors(m, _collapse(factors)))
+        entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items()))
     return FactoredSolution(sys, tuple(entries))
-
-
-def _collapse(factors):
-    merged: dict[Poly, int] = {}
-    order = []
-    for q, mult in factors:
-        if q not in merged:
-            merged[q] = 0
-            order.append(q)
-        merged[q] += mult
-    return [(q, merged[q]) for q in order]
 
 
 @dataclass(frozen=True)
@@ -171,7 +160,7 @@ def residue_families(beta, allow_single: bool = False) -> list[ResidueFamily]:
             anchor: Poly | None = None
             for i in range(n):
                 factors = [(q, 1) for q in bucket.get(i, [])]
-                entries.append(FactoredPoly.from_factors(m, _collapse(factors)))
+                entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items()))
                 if anchor is None and i in bucket:
                     root = -bucket[i][0].coefficient((0,) * m)
                     anchor = Poly.variable(m, j) - (root - Fraction(beta[j][i], 2))

@@ -16,10 +16,9 @@ from .consistency import (
     CheckFailure,
     CheckReport,
     SolutionTuple,
-    check_binary,
-    check_ternary,
+    check_factored,
 )
-from .poly import Poly, exact_div
+from .poly import Poly, exact_div, merge_factors
 from .shifts import (
     OrbitId,
     ShiftSystem,
@@ -139,7 +138,7 @@ def decompose(sol: FactoredSolution, radius: int = 64) -> list[OrbitalPiece]:
 
 def verify_orbital(piece: OrbitalPiece, radius: int = 64) -> CheckReport:
     """Membership of every factor in the piece's orbit, then the full
-    binary and ternary checks on the expanded entries."""
+    binary and ternary checks, decided on the factors."""
     sys = piece.solution.sys
     indices = piece.orbit.index_set
     gen_monic = piece.orbit.generator.make_monic()[1]
@@ -150,8 +149,7 @@ def verify_orbital(piece: OrbitalPiece, radius: int = 64) -> CheckReport:
             if same_orbit(sys, gen_monic, base, indices, radius) is None:
                 failures.append(CheckFailure("membership", (i,), base - gen_monic))
     report = CheckReport(tuple(failures))
-    expanded = piece.solution.expand()
-    return report.merged(check_binary(expanded)).merged(check_ternary(expanded))
+    return report.merged(check_factored(sys, piece.solution.entries))
 
 
 def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
@@ -226,26 +224,15 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
             factors.append((lin, mult))
     if p.is_constant:
         unit = unit * p.constant_value()
-        return _merge_factors(p.nvars, unit, factors)
-    used = p.used_variables()
-    if len(used) == 1 and p.degree() <= 4:
+    else:
+        used = p.used_variables()
+        if len(used) != 1 or p.degree() > 4:
+            return None
         sub = _factor_univariate(p, next(iter(used)))
         if sub is None:
             return None
         factors.extend(sub)
-        return _merge_factors(p.nvars, unit, factors)
-    return None
-
-
-def _merge_factors(nvars, unit, factors) -> FactoredPoly:
-    merged: dict[Poly, int] = {}
-    order: list[Poly] = []
-    for q, m in factors:
-        if q not in merged:
-            merged[q] = 0
-            order.append(q)
-        merged[q] += m
-    return FactoredPoly(nvars, Fraction(unit), tuple((q, merged[q]) for q in order))
+    return FactoredPoly.from_factors(p.nvars, merge_factors(factors).items(), unit)
 
 
 def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
@@ -266,16 +253,15 @@ def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
     scale = lcm(*[c.denominator for c in coeffs.values()])
     ints = {k: int(c * scale) for k, c in coeffs.items()}
     low = min(ints)
-    candidates: list[Fraction] = []
+    candidates: dict[Fraction, None] = {}  # an insertion-ordered set
     if low > 0:
-        candidates.append(Fraction(0))
+        candidates[Fraction(0)] = None
     lead = ints[deg]
     const = ints[low]
     for num in _slice_divisors(abs(const)):
         for den in _slice_divisors(abs(lead)):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in candidates:
-                    candidates.append(cand)
+            candidates[Fraction(num, den)] = None
+            candidates[Fraction(-num, den)] = None
     lin_template = Poly.variable(p.nvars, j)
     for cand in candidates:
         if exact_div(p, lin_template - Poly.constant(p.nvars, cand)) is not None:
@@ -299,7 +285,8 @@ def _slice_divisors(n: int) -> list[int]:
 
 def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
     """Factor a monic univariate polynomial of degree <= 4 with no rational
-    roots into irreducibles; only the quartic case can split further."""
+    roots into irreducibles; only the quartic case can split further.  A
+    square comes back as the same quadratic twice."""
     deg = p.degree()
     if deg <= 3:
         return [(p, 1)]
@@ -340,22 +327,8 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
         qa = var * var + var * a + one * b
         qb = var * var + var * c + one * d
         if qa * qb == p:
-            out = []
-            for quad in (qa, qb):
-                out.append((quad, 1))
-            return _collapse_repeats(out)
+            return [(qa, 1), (qb, 1)]
     return [(p, 1)]
-
-
-def _collapse_repeats(factors: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
-    merged: dict[Poly, int] = {}
-    order = []
-    for q, m in factors:
-        if q not in merged:
-            merged[q] = 0
-            order.append(q)
-        merged[q] += m
-    return [(q, merged[q]) for q in order]
 
 
 def _cubic_rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
@@ -367,9 +340,9 @@ def _cubic_rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     if not ints:
         return []
     lead, const = ints[0], ints[-1]
-    roots = []
+    roots: dict[Fraction, None] = {}  # an insertion-ordered set
     if const == 0:
-        roots.append(Fraction(0))
+        roots[Fraction(0)] = None
         while ints[-1] == 0:
             ints = ints[:-1]
         const = ints[-1]
@@ -381,8 +354,8 @@ def _cubic_rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
                 n = len(ints)
                 val = sum(c * cand ** (n - 1 - k) for k, c in enumerate(ints))
                 if val == 0:
-                    roots.append(cand)
-    return roots
+                    roots[cand] = None
+    return list(roots)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

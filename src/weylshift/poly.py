@@ -402,3 +402,12 @@ def exact_div(a: Poly, b: Poly) -> Poly | None:
 
 def divides(b: Poly, a: Poly) -> bool:
     return exact_div(a, b) is not None
+
+
+def merge_factors(factors: Iterable[tuple[Poly, int]]) -> dict[Poly, int]:
+    """The multiset of (factor, multiplicity) pairs: multiplicities of a
+    repeated factor are summed, and factors keep their first-seen order."""
+    merged: dict[Poly, int] = {}
+    for q, mult in factors:
+        merged[q] = merged.get(q, 0) + mult
+    return merged

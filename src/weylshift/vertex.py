@@ -29,12 +29,13 @@ from .orbital import (
     decompose,
     support_pair,
 )
-from .poly import Poly
+from .poly import Poly, merge_factors
 from .shifts import (
     OrbitId,
     ShiftSystem,
     StabilizerLattice,
     half_shift,
+    is_fixed_by_shift,
     same_orbit,
     stabilizer_lattice,
 )
@@ -120,9 +121,27 @@ class VertexConfig:
         return not self.edges
 
 
+def _moving_directions(sys: ShiftSystem, generator: Poly, pair: Sequence[int]) -> list[int]:
+    """Directions outside the pair that move the generator.
+
+    The decoded entries outside the pair are 1, and the binary identity
+    between such an entry k and a nonconstant entry of the pair holds only
+    when direction k fixes the generator.
+    """
+    return [
+        k
+        for k in range(sys.nshifts)
+        if k not in pair and not is_fixed_by_shift(generator, sys.column(k))
+    ]
+
+
 def validate(config: VertexConfig) -> CheckReport:
-    """Key parity, canonical form, and the corner conservation law."""
-    failures: list[CheckFailure] = []
+    """Directions outside the pair, key parity, canonical form, and the
+    corner conservation law."""
+    failures = [
+        CheckFailure("off-pair-fixed", (k,), None)
+        for k in _moving_directions(config.sys, config.generator, config.pair)
+    ]
     mults = config.multiplicities
     for (x, y), _ in mults.items():
         if (x + y) % 2 == 0:
@@ -227,28 +246,43 @@ class ClassificationRecord:
     items: tuple[ClassifiedOrbit, ...]
 
 
+def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
+    """Whether the product of `parts` equals `whole`.
+
+    Equal units and equal factor multisets decide it without expanding;
+    factors need not be irreducible, so only a mismatch is expanded.
+    """
+    unit = Fraction(1)
+    for part in parts:
+        unit *= part.unit
+    joined = merge_factors(f for part in parts for f in part.factors)
+    if unit == whole.unit and joined == merge_factors(whole.factors):
+        return True
+    product = Poly.one(whole.nvars)
+    for part in parts:
+        product = product * part.expand()
+    return product == whole.expand()
+
+
 def classify(sol: FactoredSolution, radius: int = 64) -> ClassificationRecord:
     """Decompose a monic factored solution and encode every piece.
 
-    The pieces are re-expanded and multiplied back as a final audit; a
-    piece with trivial support is rejected since it has no grid picture.
+    As a final audit each piece must decode back to itself and the pieces
+    must multiply back to the input, entry by entry; a piece with trivial
+    support is rejected since it has no grid picture.
     """
     pieces = decompose(sol, radius)
     items = []
-    audit = [Poly.one(sol.sys.nvars) for _ in range(sol.sys.nshifts)]
     for piece in pieces:
         config = encode(piece, radius)
         roundtrip = decode(config)
-        got = roundtrip.solution.expand().polys
-        want = piece.solution.expand().polys
-        if got != want:
+        pairs = zip(roundtrip.solution.entries, piece.solution.entries)
+        if not all(_same_product([got], want) for got, want in pairs):
             raise StructureError("decode(encode(piece)) changed the piece")
-        for k, p in enumerate(want):
-            audit[k] = audit[k] * p
         items.append(ClassifiedOrbit(config.orbit, config.pair, config))
-    original = sol.expand().polys
-    if tuple(audit) != original:
-        raise StructureError("pieces do not multiply back to the input")
+    for k, entry in enumerate(sol.entries):
+        if not _same_product([piece.solution.entries[k] for piece in pieces], entry):
+            raise StructureError("pieces do not multiply back to the input")
     return ClassificationRecord(tuple(items))
 
 
@@ -270,6 +304,11 @@ def random_config(
     i, j = pair
     if not 0 <= i < j < sys.nshifts:
         raise ValueError("pair must be two distinct direction indices in order")
+    moving = _moving_directions(sys, generator, (i, j))
+    if moving:
+        raise ValueError(
+            f"direction {moving[0] + 1} lies outside the pair and moves the generator"
+        )
     lattice = stabilizer_lattice(sys, generator, (i, j))
     if lattice.rank != 1:
         raise ValueError("random staircases need a rank-1 restricted stabilizer")

@@ -211,6 +211,25 @@ def test_gen_random_bad_pair(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_generator_moved_off_the_pair(tmp_path, capsys):
+    # directions 3 and 4 of the staircase system move this generator
+    orbit = ["--orbit", "u1 + u2 + 2*u3", "--pair", "1", "2"]
+    args = ["gen-random", STAIR, *orbit, "--loops", "1", "--seed", "5"]
+    assert main(args) == 2
+    assert "direction 3 lies outside the pair" in capsys.readouterr().err
+    doc = json.load(open(STAIR))
+    doc["configs"] = {
+        "c": {"generator": "u1 + u2 + 2*u3", "pair": [1, 2], "edges": [[2, 1, 1], [4, 1, 1], [5, 2, 1]]}
+    }
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decode", str(path)]) == 2
+    assert "off-pair-fixed fails at (3)" in capsys.readouterr().err
+    assert main(["render", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "  off-pair-fixed fails at (3)\n  off-pair-fixed fails at (4)\n" in out
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main([])

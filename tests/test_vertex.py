@@ -17,6 +17,7 @@ from weylshift.vertex import (
     classify,
     decode,
     encode,
+    _same_product,
     random_config,
     same_config,
     validate,
@@ -107,6 +108,23 @@ def test_validate_conservation_failure(staircase_config):
     assert not report.passed
     assert all(f.relation == "conservation" for f in report.failures)
     assert (1, 1) in {f.indices for f in report.failures}
+
+
+def test_validate_off_pair_directions():
+    # directions 3 and 4 move this generator, whose decoded entries there
+    # would be constant 1 and so fail the binary identities with the pair
+    gen = parse_poly("u1 + u2 + 2*u3", 3)
+    cfg = VertexConfig.build(STAIR, gen, (0, 1), [(2, 1, 1), (4, 1, 1), (5, 2, 1)])
+    report = validate(cfg)
+    assert [(f.relation, f.indices) for f in report.failures] == [
+        ("off-pair-fixed", (2,)),
+        ("off-pair-fixed", (3,)),
+    ]
+    assert report.describe() == "off-pair-fixed fails at (3)\noff-pair-fixed fails at (4)"
+    with pytest.raises(ValueError, match="off-pair-fixed fails at"):
+        decode(cfg)
+    with pytest.raises(ValueError, match="direction 3 lies outside the pair"):
+        random_config(STAIR, gen, (0, 1), loops=1, seed=5)
 
 
 def test_decode_gl3_pair(gl3_file):
@@ -201,6 +219,59 @@ def test_classify_staircase_matches_figure(staircase_file, staircase_config):
         STAIR, F.make_monic()[1], (0, 1), staircase_config.edges
     )
     assert same_config(item.config, fig_monic)
+
+
+def _regroup_decode(decode_fn):
+    """decode, with the first two factors of every entry that has two
+    multiplied into one reducible factor: the same products, other
+    multisets of factors."""
+
+    def regrouping(config):
+        piece = decode_fn(config)
+        entries = []
+        for e in piece.solution.entries:
+            if len(e.factors) >= 2:
+                (q1, m1), (q2, m2), *rest = e.factors
+                factors = [(q1 * q2, 1), (q1, m1 - 1), (q2, m2 - 1), *rest]
+                e = FactoredPoly.from_factors(e.nvars, [f for f in factors if f[1]], e.unit)
+            entries.append(e)
+        return OrbitalPiece(piece.orbit, FactoredSolution(piece.solution.sys, tuple(entries)))
+
+    return regrouping
+
+
+def test_classify_audit_expands_only_on_a_mismatch(monkeypatch, staircase_file):
+    import weylshift.vertex as vertex
+
+    fs = staircase_file.tuples["main_monic"].as_factored()
+    want = classify(fs)
+    monkeypatch.setattr(vertex, "decode", _regroup_decode(decode))
+    assert classify(fs) == want  # the multisets differ, the products agree
+
+
+def test_classify_audit_rejects_a_changed_piece(monkeypatch, gl3_file):
+    import weylshift.vertex as vertex
+
+    def dropping(config):
+        piece = decode(config)
+        first, *rest = piece.solution.entries
+        smaller = FactoredPoly.from_factors(first.nvars, first.factors[1:], first.unit)
+        return OrbitalPiece(
+            piece.orbit, FactoredSolution(piece.solution.sys, (smaller, *rest))
+        )
+
+    monkeypatch.setattr(vertex, "decode", dropping)
+    with pytest.raises(StructureError, match="changed the piece"):
+        classify(gl3_file.tuples["gl3_sym"].as_factored())
+
+
+def test_same_product_on_several_parts():
+    whole = _fp("u1^2 - 1")
+    assert _same_product([_fp("u1 - 1"), _fp("u1 + 1")], whole)
+    assert _same_product([_fp("u1 + 1", "u1 - 1")], whole)
+    assert not _same_product([_fp("u1 - 1"), _fp("u1 + 2")], whole)
+    assert not _same_product([_fp("u1 - 1"), _fp("u1 + 1")], FactoredPoly.from_factors(2, whole.factors, -1))
+    assert _same_product([], FactoredPoly.one(2))
 
 
 def test_random_config_is_reproducible():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import problemfile as pf
@@ -225,7 +226,11 @@ def cmd_gen_random(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a
+    cyclic object graph, so one built per call to main is garbage that
+    only the cyclic collector frees."""
     parser = argparse.ArgumentParser(
         prog="weylshift",
         description="Consistency equations over shifted polynomial rings: "

@@ -206,3 +206,19 @@ def row_gcd(values: Sequence[int]) -> int:
     for v in values:
         g = gcd(g, v)
     return g
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 0 in ascending order, and [1] for 0:
+    the numerators and denominators of rational-root candidates."""
+    if n == 0:
+        return [1]
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)

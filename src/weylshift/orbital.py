@@ -18,6 +18,7 @@ from .consistency import (
     SolutionTuple,
     check_factored,
 )
+from .intlinalg import divisors
 from .poly import Poly, exact_div, merge_factors
 from .shifts import (
     OrbitId,
@@ -258,8 +259,8 @@ def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
         candidates[Fraction(0)] = None
     lead = ints[deg]
     const = ints[low]
-    for num in _slice_divisors(abs(const)):
-        for den in _slice_divisors(abs(lead)):
+    for num in divisors(abs(const)):
+        for den in divisors(abs(lead)):
             candidates[Fraction(num, den)] = None
             candidates[Fraction(-num, den)] = None
     lin_template = Poly.variable(p.nvars, j)
@@ -267,20 +268,6 @@ def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
         if exact_div(p, lin_template - Poly.constant(p.nvars, cand)) is not None:
             return cand
     return None
-
-
-def _slice_divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
@@ -346,8 +333,8 @@ def _cubic_rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         while ints[-1] == 0:
             ints = ints[:-1]
         const = ints[-1]
-    for num in _slice_divisors(abs(const)):
-        for den in _slice_divisors(abs(lead)):
+    for num in divisors(abs(const)):
+        for den in divisors(abs(lead)):
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if cand in roots:
                     continue

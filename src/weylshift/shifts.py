@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .intlinalg import IntVec, integer_kernel, lattice_contains, solve_integer
-from .poly import Poly, Scalar
+from .intlinalg import IntVec, divisors, integer_kernel, lattice_contains, solve_integer
+from .poly import Poly, Scalar, coefficient_rows
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,7 @@ def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> Sta
     """Lattice of integer vectors k (over the given directions) whose
     combined shift fixes q, computed via the gradient criterion."""
     indices = list(indices)
-    pairings = _pairing_polys(sys, q, indices)
-    monos = sorted(set(itertools.chain.from_iterable(
-        (e for e, _ in g.items()) for g in pairings
-    )))
-    matrix = [[g.coefficient(e) for g in pairings] for e in monos]
+    matrix = coefficient_rows(_pairing_polys(sys, q, indices))
     basis = integer_kernel(matrix, len(indices))
     return StabilizerLattice(len(indices), basis)
 
@@ -169,11 +165,9 @@ def same_orbit(
     #   sum_i k_i <grad(top), column(i)> = (d-1 part of q) - (d-1 part of q2)
     pairings = _pairing_polys(sys, top, indices)
     target = q.homogeneous_part(d - 1) - q2.homogeneous_part(d - 1)
-    monos = sorted(set(itertools.chain.from_iterable(
-        [(e for e, _ in g.items()) for g in pairings] + [(e for e, _ in target.items())]
-    )))
-    matrix = [[g.coefficient(e) for g in pairings] for e in monos]
-    rhs = [target.coefficient(e) for e in monos]
+    rows = coefficient_rows(pairings + [target])
+    matrix = [row[:-1] for row in rows]
+    rhs = [row[-1] for row in rows]
     particular, kernel = solve_integer(matrix, rhs, s)
     if particular is None:
         return None
@@ -283,8 +277,8 @@ def _univariate_rational_roots(q: Poly, j: int) -> list[Fraction]:
     # factor out u^low first; 0 is a root when low > 0
     roots: list[Fraction] = []
     const = ints.get(low, 0)
-    for p in _divisors(abs(const)):
-        for qd in _divisors(abs(lead)):
+    for p in divisors(abs(const)):
+        for qd in divisors(abs(lead)):
             for cand in (Fraction(p, qd), Fraction(-p, qd)):
                 if cand in roots:
                     continue
@@ -294,17 +288,3 @@ def _univariate_rational_roots(q: Poly, j: int) -> list[Fraction]:
     if low > 0:
         roots.append(Fraction(0))
     return roots
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

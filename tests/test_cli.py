@@ -237,3 +237,15 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["verify", GL3, "--no-such-flag"])
     assert info.value.code == 2
+
+
+def test_exponent_past_the_slot_limit_exits_two(tmp_path, capsys):
+    with open(GL3, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["tuples"] = {"huge": {"form": "sym", "polys": ["u1^4294967296", "1", "u2"]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4294967296" in err
+    assert "Traceback" not in err

@@ -6,7 +6,7 @@ from hypothesis import given
 
 import strategies
 from weylshift.parser import parse_poly
-from weylshift.poly import Poly, divides, exact_div, format_poly
+from weylshift.poly import EXPONENT_LIMIT, Poly, divides, exact_div, format_poly
 
 P2 = strategies.polys(2)
 P3 = strategies.polys(3, max_terms=4, max_degree=3)
@@ -191,3 +191,52 @@ def test_parse_format_roundtrip(a):
 def test_evaluate_is_a_homomorphism(a, b, point):
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+def test_exponent_at_the_slot_limit_is_rejected():
+    top = EXPONENT_LIMIT - 1
+    assert Poly(2, {(top, 0): 1}).leading_monomial() == (top, 0)
+    with pytest.raises(ValueError):
+        Poly(2, {(EXPONENT_LIMIT, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(2, {(0, EXPONENT_LIMIT): 1})
+    assert Poly(2, {(0, top): 1}).coefficient((0, EXPONENT_LIMIT)) == 0
+
+
+def test_products_never_carry_into_the_next_slot():
+    top = EXPONENT_LIMIT - 1
+    u1, u2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    high = Poly(2, {(0, top): 1})
+    assert (high * Poly.constant(2, 3)).leading_coefficient() == 3
+    # u2^(limit-1) * u2 would wrap to u1 if the slot carried
+    with pytest.raises(ValueError):
+        high * u2
+    with pytest.raises(ValueError):
+        Poly(2, {(top, 0): 1}) * (u1 + u2)
+    half = Poly(2, {(EXPONENT_LIMIT // 2, 0): 1})
+    with pytest.raises(ValueError):
+        half * half
+    with pytest.raises(ValueError):
+        u1 ** EXPONENT_LIMIT
+    with pytest.raises(ValueError):
+        (u1 + 1) ** EXPONENT_LIMIT
+    with pytest.raises(ValueError):
+        parse_poly("u1^4294967296", 2)
+    assert u2 ** top == high
+    assert high.partial(1).leading_monomial() == (0, top - 1)
+
+
+def test_exact_div_near_the_slot_limit():
+    top = EXPONENT_LIMIT - 1
+    a = Poly(2, {(1, top): 1})
+    # the first quotient term times u2^5 would pass the limit: b cannot divide a
+    assert exact_div(a, p("u1 + u2^5")) is None
+    assert exact_div(a, p("u1")) == Poly(2, {(0, top): 1})
+
+
+def test_exact_div_needs_the_coefficients_to_divide():
+    # the leading monomials divide at every step, the coefficients do not
+    assert exact_div(p("4*u1^2 + 2*u1*u2"), p("3*u1 + 2*u2")) is None
+    assert exact_div(p("3*u1^2 + 2*u1*u2"), p("3*u1 + 2*u2")) == p("u1")
+    assert exact_div(p("u1^2 - 1/4"), p("2*u1 - 1")) == p("1/2*u1 + 1/4")
+    assert exact_div(p("6*u1 + 4*u2"), p("3/2*u1 + u2")) == p("4")

@@ -49,14 +49,12 @@ from .parser import ParseError, parse_poly, parse_rational
 from .poly import Poly, divides, exact_div, format_poly
 from .shifts import (
     OrbitId,
-    OrbitUndecided,
     ShiftSystem,
     StabilizerLattice,
     half_shift,
     is_fixed_by_shift,
     same_orbit,
     stabilizer_lattice,
-    validate_generator,
     zn_action,
 )
 from .svg import RenderOptions, render_svg
@@ -85,7 +83,6 @@ __all__ = [
     "FactoredPoly",
     "FactoredSolution",
     "OrbitId",
-    "OrbitUndecided",
     "OrbitalPiece",
     "ParseError",
     "Poly",
@@ -135,7 +132,6 @@ __all__ = [
     "unsymmetrize",
     "validate",
     "validate_beta",
-    "validate_generator",
     "verify_orbital",
     "zn_action",
 ]

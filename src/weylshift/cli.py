@@ -32,11 +32,10 @@ from .multiquiver import (
 from .orbital import FactoredPoly, decompose, support_pair
 from .parser import ParseError, parse_poly
 from .poly import format_poly
-from .shifts import OrbitUndecided
 from .svg import render_svg
 from .vertex import classify, decode, random_config, validate
 
-USER_ERRORS = (pf.ProblemFileError, ParseError, OrbitUndecided, ValueError, OSError)
+USER_ERRORS = (pf.ProblemFileError, ParseError, ValueError, OSError)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -93,7 +92,7 @@ def cmd_decompose(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
     factored = entry.as_factored()
-    pieces = decompose(factored, radius=args.radius)
+    pieces = decompose(factored)
     print(f"tuple {name}: {len(pieces)} orbital piece(s)")
     for k, piece in enumerate(pieces, start=1):
         pair = support_pair(piece)
@@ -115,7 +114,7 @@ def cmd_decompose(args) -> int:
 def cmd_encode(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
-    record = classify(entry.as_factored(), radius=args.radius)
+    record = classify(entry.as_factored())
     configs = {
         f"{name}.piece{k + 1}": pf.config_obj(item.config)
         for k, item in enumerate(record.items)
@@ -146,7 +145,7 @@ def cmd_decode(args) -> int:
 def cmd_classify(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
-    record = classify(entry.as_factored(), radius=args.radius)
+    record = classify(entry.as_factored())
     obj = {
         "tuple": name,
         "pieces": [pf.config_obj(item.config) for item in record.items],
@@ -256,12 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decompose", cmd_decompose, "split a tuple into orbital pieces")
     p.add_argument("file")
     p.add_argument("--tuple", default=None)
-    p.add_argument("--radius", type=int, default=64)
 
     p = add("encode", cmd_encode, "turn a tuple into grid configurations")
     p.add_argument("file")
     p.add_argument("--tuple", default=None)
-    p.add_argument("--radius", type=int, default=64)
     p.add_argument("-o", "--output", default=None)
 
     p = add("decode", cmd_decode, "expand grid configurations into tuples")
@@ -272,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, "full orbit-and-configuration record")
     p.add_argument("file")
     p.add_argument("--tuple", default=None)
-    p.add_argument("--radius", type=int, default=64)
     p.add_argument("-o", "--output", default=None)
 
     p = add("multiquiver", cmd_multiquiver, "build solutions from an integer matrix")

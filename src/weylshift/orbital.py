@@ -101,12 +101,11 @@ class OrbitalPiece:
     solution: FactoredSolution
 
 
-def decompose(sol: FactoredSolution, radius: int = 64) -> list[OrbitalPiece]:
+def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
     """Split a monic factored solution into its orbital pieces.
 
     The anchor of each piece is the pulled-back first factor of its lowest
     nonconstant entry, so the output order and anchors are deterministic.
-    Raises OrbitUndecided if an orbit comparison exhausts the search radius.
     """
     if not sol.is_monic:
         raise ValueError("decompose expects a monic solution (all units 1)")
@@ -119,7 +118,7 @@ def decompose(sol: FactoredSolution, radius: int = 64) -> list[OrbitalPiece]:
             base = half_shift(sys, i, -1, q)
             home = None
             for g, anchor in enumerate(anchors):
-                if same_orbit(sys, anchor, base, full, radius) is not None:
+                if same_orbit(sys, anchor, base, full) is not None:
                     home = g
                     break
             if home is None:
@@ -137,7 +136,7 @@ def decompose(sol: FactoredSolution, radius: int = 64) -> list[OrbitalPiece]:
     return pieces
 
 
-def verify_orbital(piece: OrbitalPiece, radius: int = 64) -> CheckReport:
+def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     """Membership of every factor in the piece's orbit, then the full
     binary and ternary checks, decided on the factors."""
     sys = piece.solution.sys
@@ -147,7 +146,7 @@ def verify_orbital(piece: OrbitalPiece, radius: int = 64) -> CheckReport:
     for i, entry in enumerate(piece.solution.entries):
         for q, _ in entry.factors:
             base = half_shift(sys, i, -1, q)
-            if same_orbit(sys, gen_monic, base, indices, radius) is None:
+            if same_orbit(sys, gen_monic, base, indices) is None:
                 failures.append(CheckFailure("membership", (i,), base - gen_monic))
     report = CheckReport(tuple(failures))
     return report.merged(check_factored(sys, piece.solution.entries))
@@ -254,15 +253,8 @@ def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
     scale = lcm(*[c.denominator for c in coeffs.values()])
     ints = {k: int(c * scale) for k, c in coeffs.items()}
     low = min(ints)
-    candidates: dict[Fraction, None] = {}  # an insertion-ordered set
-    if low > 0:
-        candidates[Fraction(0)] = None
-    lead = ints[deg]
-    const = ints[low]
-    for num in divisors(abs(const)):
-        for den in divisors(abs(lead)):
-            candidates[Fraction(num, den)] = None
-            candidates[Fraction(-num, den)] = None
+    candidates = [Fraction(0)] if low > 0 else []
+    candidates += _root_candidates(ints[deg], ints[low])
     lin_template = Poly.variable(p.nvars, j)
     for cand in candidates:
         if exact_div(p, lin_template - Poly.constant(p.nvars, cand)) is not None:
@@ -326,23 +318,29 @@ def _cubic_rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         ints = ints[1:]
     if not ints:
         return []
-    lead, const = ints[0], ints[-1]
-    roots: dict[Fraction, None] = {}  # an insertion-ordered set
-    if const == 0:
-        roots[Fraction(0)] = None
+    roots = []
+    if ints[-1] == 0:
+        roots.append(Fraction(0))
         while ints[-1] == 0:
             ints = ints[:-1]
-        const = ints[-1]
-    for num in divisors(abs(const)):
-        for den in divisors(abs(lead)):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in roots:
-                    continue
-                n = len(ints)
-                val = sum(c * cand ** (n - 1 - k) for k, c in enumerate(ints))
-                if val == 0:
-                    roots[cand] = None
-    return list(roots)
+    n = len(ints)
+    for cand in _root_candidates(ints[0], ints[-1]):
+        if sum(c * cand ** (n - 1 - k) for k, c in enumerate(ints)) == 0:
+            roots.append(cand)
+    return roots
+
+
+def _root_candidates(lead: int, const: int) -> list[Fraction]:
+    """By the rational root theorem, every rational root of an integer
+    polynomial with leading coefficient lead and lowest nonzero coefficient
+    const is some +-num/den with num dividing const and den dividing lead.
+    These come without repeats, ordered by num, then den, then sign."""
+    return list(dict.fromkeys(
+        Fraction(sign * num, den)
+        for num in divisors(abs(const))
+        for den in divisors(abs(lead))
+        for sign in (1, -1)
+    ))
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

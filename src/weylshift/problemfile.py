@@ -101,28 +101,26 @@ class ProblemFile:
 
     def only_tuple(self, name: str | None) -> tuple[str, TupleEntry]:
         """The named tuple, or the unique one when no name is given."""
-        if name is not None:
-            if name not in self.tuples:
-                raise ProblemFileError(f"no tuple named {name!r} in the file")
-            return name, self.tuples[name]
-        if len(self.tuples) == 1:
-            return next(iter(self.tuples.items()))
-        if not self.tuples:
-            raise ProblemFileError("the file defines no tuples")
-        names = ", ".join(sorted(self.tuples))
-        raise ProblemFileError(f"several tuples ({names}); pick one with --tuple")
+        return _only("tuple", self.tuples, name)
 
     def only_config(self, name: str | None) -> tuple[str, VertexConfig]:
-        if name is not None:
-            if name not in self.configs:
-                raise ProblemFileError(f"no config named {name!r} in the file")
-            return name, self.configs[name]
-        if len(self.configs) == 1:
-            return next(iter(self.configs.items()))
-        if not self.configs:
-            raise ProblemFileError("the file defines no configs")
-        names = ", ".join(sorted(self.configs))
-        raise ProblemFileError(f"several configs ({names}); pick one with --config")
+        """The named config, or the unique one when no name is given."""
+        return _only("config", self.configs, name)
+
+
+def _only(kind: str, items: dict[str, Any], name: str | None) -> tuple[str, Any]:
+    """The item called name, or the only item when name is None; `kind` is
+    both the noun in the messages and the CLI option that picks one."""
+    if name is not None:
+        if name not in items:
+            raise ProblemFileError(f"no {kind} named {name!r} in the file")
+        return name, items[name]
+    if len(items) == 1:
+        return next(iter(items.items()))
+    if not items:
+        raise ProblemFileError(f"the file defines no {kind}s")
+    names = ", ".join(sorted(items))
+    raise ProblemFileError(f"several {kind}s ({names}); pick one with --{kind}")
 
 
 def _load_alpha(obj: Any, m: int, n: int, where: str) -> ShiftSystem:

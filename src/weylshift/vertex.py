@@ -200,7 +200,7 @@ def decode(config: VertexConfig) -> OrbitalPiece:
     return OrbitalPiece(orbit, FactoredSolution(sys, tuple(entries)))
 
 
-def encode(piece: OrbitalPiece, radius: int = 64) -> VertexConfig:
+def encode(piece: OrbitalPiece) -> VertexConfig:
     """Locate every factor of an orbital piece on the doubled grid.
 
     The factor q of entry i sits at (2a+1, 2b) where (a, b) shifts the
@@ -219,7 +219,7 @@ def encode(piece: OrbitalPiece, radius: int = 64) -> VertexConfig:
     for idx, odd_first in ((i, True), (j, False)):
         for q, mult in piece.solution.entries[idx].factors:
             base = half_shift(sys, idx, -1, q)
-            k = same_orbit(sys, q0_monic, base, (i, j), radius)
+            k = same_orbit(sys, q0_monic, base, (i, j))
             if k is None:
                 raise StructureError(
                     f"factor of entry {idx + 1} does not sit on the orbit over the pair"
@@ -264,17 +264,17 @@ def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
     return product == whole.expand()
 
 
-def classify(sol: FactoredSolution, radius: int = 64) -> ClassificationRecord:
+def classify(sol: FactoredSolution) -> ClassificationRecord:
     """Decompose a monic factored solution and encode every piece.
 
     As a final audit each piece must decode back to itself and the pieces
     must multiply back to the input, entry by entry; a piece with trivial
     support is rejected since it has no grid picture.
     """
-    pieces = decompose(sol, radius)
+    pieces = decompose(sol)
     items = []
     for piece in pieces:
-        config = encode(piece, radius)
+        config = encode(piece)
         roundtrip = decode(config)
         pairs = zip(roundtrip.solution.entries, piece.solution.entries)
         if not all(_same_product([got], want) for got, want in pairs):
@@ -344,7 +344,7 @@ def add_configs(a: VertexConfig, b: VertexConfig) -> VertexConfig:
     return VertexConfig.build(a.sys, a.generator, a.pair, merged, a.lattice)
 
 
-def same_config(a: VertexConfig, b: VertexConfig, radius: int = 64) -> bool:
+def same_config(a: VertexConfig, b: VertexConfig) -> bool:
     """Equality after aligning the base generators along the orbit."""
     if a.sys != b.sys or a.pair != b.pair:
         return False
@@ -352,7 +352,7 @@ def same_config(a: VertexConfig, b: VertexConfig, radius: int = 64) -> bool:
     lead_b, gen_b = b.generator.make_monic()
     if lead_a != lead_b:
         return False
-    k = same_orbit(a.sys, gen_a, gen_b, a.pair, radius)
+    k = same_orbit(a.sys, gen_a, gen_b, a.pair)
     if k is None:
         return False
     if a.lattice != b.lattice:

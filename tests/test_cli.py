@@ -239,6 +239,16 @@ def test_usage_errors_exit_two():
     assert info.value.code == 2
 
 
+def test_radius_flag_is_gone(capsys):
+    # orbit membership is decided exactly, so there is no search radius to set
+    with pytest.raises(SystemExit) as info:
+        main(["classify", STAIR, "--tuple", "main", "--radius", "3"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --radius 3" in err
+    assert "Traceback" not in err
+
+
 def test_exponent_past_the_slot_limit_exits_two(tmp_path, capsys):
     with open(GL3, encoding="utf-8") as handle:
         doc = json.load(handle)

@@ -1,19 +1,27 @@
+"""Shift systems, stabilizers and orbit membership.
+
+Orbit membership is checked against a bounded walk kept here as the
+reference: it tries every k in a box and shares no code with the
+degree-by-degree decision it checks.
+"""
+
+import itertools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given
 
+import strategies
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
 from weylshift.shifts import (
     OrbitId,
-    OrbitUndecided,
     ShiftSystem,
-    StabilizerLattice,
     half_shift,
     is_fixed_by_shift,
     same_orbit,
     stabilizer_lattice,
-    validate_generator,
     zn_action,
 )
 
@@ -84,14 +92,6 @@ def test_stabilizer_full_index_set():
     assert lat.basis == ((3, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def test_lattice_reduce_is_canonical():
-    lat = StabilizerLattice(2, ((3, 2),))
-    assert lat.reduce((5, 4)) == (2, 2)
-    assert lat.reduce((2, 2)) == (2, 2)
-    assert lat.reduce((-1, 0)) == (2, 2)
-    assert lat.reduce((0, 7)) == (0, 7)
-
-
 def test_same_orbit_translation():
     u1 = Poly.variable(2, 0)
     target = parse_poly("u1 - 3", 2)
@@ -125,13 +125,38 @@ def test_same_orbit_on_the_cubic():
 
 def test_same_orbit_degenerate_fallback():
     # direction (0, 1) is invisible to the leading form of u1^2 + u2, so
-    # membership has to fall back to the bounded walk
+    # the degree-1 condition decides it one step below the top
     sys = ShiftSystem.from_rows([[0], [1]])
     q = parse_poly("u1^2 + u2", 2)
     far = q.shift([0, 5])
     assert same_orbit(sys, q, far, (0,)) == (5,)
-    with pytest.raises(OrbitUndecided):
-        same_orbit(sys, q, far, (0,), radius=2)
+
+
+def test_same_orbit_lower_degrees_keep_the_top_fixed():
+    # both directions move u1 + u2, but direction 2 also moves the leading
+    # form u1^2, so only direction 1 may be used one degree down
+    sys = ShiftSystem.from_rows([[0, 1], [1, 0]])
+    q = parse_poly("u1^2 + u1 + u2", 2)
+    assert same_orbit(sys, q, q.shift([0, 5]), (0, 1)) == (5, 0)
+
+
+# directions 2 and 3 fix the leading form u1^2, and direction 1 moves
+# only the constant term
+DEGENERATE = ShiftSystem.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+DEGENERATE_Q = parse_poly("u1^2 + u2 + 2*u3 + 3*u4", 4)
+
+
+def test_same_orbit_degenerate_no():
+    # every shift moves the constant term by an integer, never by 1/2
+    q2 = DEGENERATE_Q + Poly.constant(4, Fraction(1, 2))
+    assert same_orbit(DEGENERATE, DEGENERATE_Q, q2, (0, 1, 2)) is None
+
+
+def test_same_orbit_far_yes():
+    q2 = DEGENERATE_Q.shift([0, 1000, 0, 0])
+    k = same_orbit(DEGENERATE, DEGENERATE_Q, q2, (0, 1, 2))
+    assert k is not None
+    assert DEGENERATE_Q.shift(DEGENERATE.combo(k, (0, 1, 2))) == q2
 
 
 def test_same_orbit_linear_stage_proves_absence():
@@ -153,17 +178,65 @@ def test_orbit_id_build():
         OrbitId.build(GL3, parse_poly("-u1", 2), (0, 1))
 
 
-def test_validate_generator():
-    validate_generator(Poly.variable(2, 0))
-    validate_generator(parse_poly("u1^2 + 1", 2))
-    validate_generator((-F).make_monic()[1])
-    with pytest.raises(ValueError):
-        validate_generator(Poly.one(2))
-    with pytest.raises(ValueError):
-        validate_generator(parse_poly("u1*u2", 2))
-    with pytest.raises(ValueError):
-        validate_generator(parse_poly("u1^2", 2))
-    with pytest.raises(ValueError):
-        validate_generator(parse_poly("u1^2 - 1", 2))
-    with pytest.raises(ValueError):
-        validate_generator(parse_poly("u1^2 - 1/4", 2))
+# ----------------------------------------------------------------------
+# the reference: a bounded walk over every k in a box
+
+WALK = 2
+
+
+def walk_orbit(sys, q, q2, indices):
+    """Some k with every |k_i| <= WALK and q shifted by k equal to q2, or None."""
+    for k in itertools.product(range(-WALK, WALK + 1), repeat=len(indices)):
+        if q.shift(sys.combo(k, indices)) == q2:
+            return k
+    return None
+
+
+SMALL = st.sampled_from([Fraction(x, 2) for x in range(-4, 5)])
+
+
+@st.composite
+def orbit_queries(draw):
+    """A system of 1-3 directions on 2-3 variables and two polynomials.
+
+    The leading form uses u1, and a random set of directions leaves u1
+    alone, so that the top degree cannot see some directions that move q,
+    while the others can.  q2 is
+    a shift of q by a lattice point, by one outside the walk, by a
+    rational vector, or such a shift plus a small perturbation."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    rows = [[draw(SMALL) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[0][i] = Fraction(0)
+    sys = ShiftSystem.from_rows(rows)
+    indices = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    top = draw(st.sampled_from(["u1^2", "u1^3", "u1*u2", "u1^2 + u2^2", "u1"]))
+    lower = draw(
+        st.dictionaries(strategies.exponents(m, 1), strategies.nonzero_rationals, min_size=1, max_size=4)
+    )
+    top = parse_poly(top, m)
+    q = top + Poly(m, {e: c for e, c in lower.items() if sum(e) < top.degree()})
+    reach = draw(st.sampled_from([WALK, 3 * WALK]))
+    k = [draw(st.integers(-reach, reach)) for _ in indices]
+    if draw(st.booleans()):
+        q2 = q.shift(sys.combo(k, indices))
+    else:
+        q2 = q.shift(draw(strategies.shift_vectors(m)))
+    if draw(st.booleans()):
+        q2 = q2 + Poly(m, {draw(strategies.exponents(m, 1)): draw(strategies.nonzero_rationals)})
+    assume(not q2.is_zero)
+    return sys, q, q2, indices
+
+
+@given(orbit_queries())
+def test_same_orbit_matches_bounded_walk(query):
+    sys, q, q2, indices = query
+    found = same_orbit(sys, q, q2, indices)
+    walked = walk_orbit(sys, q, q2, indices)
+    if found is None:
+        assert walked is None
+    else:
+        assert q.shift(sys.combo(found, indices)) == q2
+    if walked is not None:
+        assert found is not None

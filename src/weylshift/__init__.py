@@ -55,7 +55,6 @@ from .shifts import (
     is_fixed_by_shift,
     same_orbit,
     stabilizer_lattice,
-    zn_action,
 )
 from .svg import RenderOptions, render_svg
 from .vertex import (
@@ -133,5 +132,4 @@ __all__ = [
     "validate",
     "validate_beta",
     "verify_orbital",
-    "zn_action",
 ]

@@ -102,73 +102,72 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
     return not any(v)
 
 
-def _clear_denominators(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction] | None = None
-) -> tuple[list[list[int]], list[int] | None]:
-    """Scale each equation row by the lcm of its denominators."""
-    out_m: list[list[int]] = []
-    out_b: list[int] | None = [] if rhs is not None else None
-    for idx, row in enumerate(matrix):
-        entries = [Fraction(x) for x in row]
-        dens = [x.denominator for x in entries]
-        if rhs is not None:
-            dens.append(Fraction(rhs[idx]).denominator)
-        scale = lcm(*dens) if dens else 1
-        out_m.append([int(x * scale) for x in entries])
-        if out_b is not None:
-            out_b.append(int(Fraction(rhs[idx]) * scale))
-    return out_m, out_b
+class IntegerSystem:
+    """All integer solutions of matrix @ x = rhs, for one matrix and any
+    number of right-hand sides (Cohen, GTM 138, section 2.4).
+
+    The matrix holds ints or Fractions.  Each equation is scaled once by
+    the lcm of its matrix denominators; the echelon form of [A^T | I] and
+    the kernel's HNF are computed once; `solve` back-substitutes.  A
+    right-hand side that is not integral after the scaling has no integer
+    solution, and one that is needs no further scaling, so the solution
+    is the one a solver scaling by the right-hand side too would find.
+    """
+
+    def __init__(self, matrix: Sequence[Sequence[Fraction]], ncols: int):
+        self.ncols = ncols
+        self._scales = [lcm(*[x.denominator for x in row]) for row in matrix]
+        nrows = len(self._scales)
+        # rows of the working matrix: (column i of the scaled A | e_i)
+        work = [
+            [row[i].numerator * (s // row[i].denominator) for row, s in zip(matrix, self._scales)]
+            + [int(k == i) for k in range(ncols)]
+            for i in range(ncols)
+        ]
+        ech = _echelon(work, nrows)
+        self.kernel: tuple[IntVec, ...] = hnf([row[nrows:] for row in ech if not any(row[:nrows])])
+        # (pivot, image row in the scaled A, combination of columns giving it)
+        self._span = [
+            (next(j for j, v in enumerate(row[:nrows]) if v), row[:nrows], row[nrows:])
+            for row in ech
+            if any(row[:nrows])
+        ]
+
+    def solve(self, rhs: Sequence[Fraction | int], den: int = 1) -> IntVec | None:
+        """One integer x with matrix @ x = rhs / den, or None when there is
+        none; every solution is x plus an integer combination of `kernel`."""
+        residual = []
+        for x, scale in zip(rhs, self._scales, strict=True):
+            q, r = divmod(x * scale, den)
+            if r:
+                return None
+            residual.append(int(q))
+        combo = [0] * self.ncols
+        for lead, image, columns in self._span:
+            q, r = divmod(residual[lead], image[lead])
+            if r:
+                return None
+            if q:
+                residual = [a - q * b for a, b in zip(residual, image)]
+                combo = [a + q * b for a, b in zip(combo, columns)]
+        if any(residual):
+            return None
+        return tuple(combo)
 
 
 def integer_kernel(matrix: Sequence[Sequence[Fraction]], ncols: int) -> tuple[IntVec, ...]:
-    """HNF basis of { x in Z^ncols : matrix @ x = 0 }.
-
-    The matrix may be rational; row scaling does not change the kernel.
-    The resulting lattice is automatically saturated.
-    """
-    int_rows, _ = _clear_denominators(matrix)
-    nrows = len(int_rows)
-    # rows of the working matrix: (column i of A | e_i)
-    work = [
-        [int_rows[r][i] for r in range(nrows)] + [1 if k == i else 0 for k in range(ncols)]
-        for i in range(ncols)
-    ]
-    ech = _echelon(work, nrows)
-    kernel = [row[nrows:] for row in ech if not any(row[:nrows])]
-    return hnf(kernel)
+    """HNF basis of { x in Z^ncols : matrix @ x = 0 }, a saturated lattice;
+    the matrix may be rational."""
+    return IntegerSystem(matrix, ncols).kernel
 
 
 def solve_integer(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: int
 ) -> tuple[IntVec | None, tuple[IntVec, ...]]:
-    """All integer solutions of matrix @ x = rhs as (particular, kernel basis).
-
-    Returns (None, kernel) when no integer solution exists.  The matrix and
-    right-hand side may be rational.
-    """
-    int_rows, int_b = _clear_denominators(matrix, rhs)
-    assert int_b is not None
-    nrows = len(int_rows)
-    work = [
-        [int_rows[r][i] for r in range(nrows)] + [1 if k == i else 0 for k in range(ncols)]
-        for i in range(ncols)
-    ]
-    ech = _echelon(work, nrows)
-    kernel = hnf([row[nrows:] for row in ech if not any(row[:nrows])])
-    span = [row for row in ech if any(row[:nrows])]
-    residual = list(int_b)
-    combo = [0] * ncols
-    for row in span:
-        lead = next(j for j, v in enumerate(row[:nrows]) if v)
-        if residual[lead] % row[lead]:
-            return None, kernel
-        q = residual[lead] // row[lead]
-        if q:
-            residual = [a - q * b for a, b in zip(residual, row[:nrows])]
-            combo = [a + q * b for a, b in zip(combo, row[nrows:])]
-    if any(residual):
-        return None, kernel
-    return tuple(combo), kernel
+    """All integer solutions of matrix @ x = rhs as (particular, kernel
+    basis), with None for the particular one when there is none."""
+    system = IntegerSystem(matrix, ncols)
+    return system.solve(rhs), system.kernel
 
 
 def rational_inverse(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...] | None:

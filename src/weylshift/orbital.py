@@ -1,9 +1,11 @@
-"""Factor monic solutions into pieces supported on single shift orbits.
+"""Factor solutions into pieces supported on single shift orbits.
 
 Every factor of entry i is pulled back by half of direction i; grouping
 the pulled-back factors by orbit splits the solution into entrywise
 divisors that are again solutions, one per orbit, and the grouping is
-recoverable from the factor lists alone.
+recoverable from the factor lists alone.  Entry units play no part: a
+nonzero unit on an entry cancels on both sides of both identities, so the
+pieces are monic.
 """
 
 from __future__ import annotations
@@ -102,23 +104,23 @@ class OrbitalPiece:
 
 
 def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
-    """Split a monic factored solution into its orbital pieces.
+    """Split the monic factors of a factored solution into its orbital
+    pieces; the entries' units are dropped.
 
     The anchor of each piece is the pulled-back first factor of its lowest
     nonconstant entry, so the output order and anchors are deterministic.
     """
-    if not sol.is_monic:
-        raise ValueError("decompose expects a monic solution (all units 1)")
     sys = sol.sys
     full = tuple(range(sys.nshifts))
     anchors: list[Poly] = []
     groups: list[list[list[tuple[Poly, int]]]] = []
+    memo: dict = {}
     for i, entry in enumerate(sol.entries):
         for q, mult in entry.factors:
             base = half_shift(sys, i, -1, q)
             home = None
             for g, anchor in enumerate(anchors):
-                if same_orbit(sys, anchor, base, full) is not None:
+                if same_orbit(sys, anchor, base, full, memo) is not None:
                     home = g
                     break
             if home is None:
@@ -143,10 +145,11 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     indices = piece.orbit.index_set
     gen_monic = piece.orbit.generator.make_monic()[1]
     failures: list[CheckFailure] = []
+    memo: dict = {}
     for i, entry in enumerate(piece.solution.entries):
         for q, _ in entry.factors:
             base = half_shift(sys, i, -1, q)
-            if same_orbit(sys, gen_monic, base, indices) is None:
+            if same_orbit(sys, gen_monic, base, indices, memo) is None:
                 failures.append(CheckFailure("membership", (i,), base - gen_monic))
     report = CheckReport(tuple(failures))
     return report.merged(check_factored(sys, piece.solution.entries))

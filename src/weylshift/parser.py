@@ -31,6 +31,10 @@ class ParseError(ValueError):
 
 _OPS = set("+-*^()/")
 
+# Each level of parentheses costs four Python frames; this keeps a parse
+# far inside the interpreter's recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -70,6 +74,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nvars = nvars
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -146,8 +151,12 @@ class _Parser:
                 )
             return Poly.variable(self.nvars, index - 1)
         if kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, variable, or parenthesized group", at)
 

@@ -345,6 +345,26 @@ class Poly:
                 out[k - step] = v * e
         return Poly._raw(self.nvars, *_reduced(out, self._den))
 
+    def directional(self, vec: Sequence[Scalar]) -> "Poly":
+        """The directional derivative <grad p, vec>, in one pass over the
+        terms, with vec's entries brought over one denominator."""
+        if len(vec) != self.nvars:
+            raise ValueError("direction length mismatch")
+        scale = lcm(*(b.denominator for b in vec))
+        steps = [
+            (_SLOT * (self.nvars - 1 - j), b.numerator * (scale // b.denominator))
+            for j, b in enumerate(vec)
+            if b
+        ]
+        out: dict[int, int] = {}
+        for k, v in self._terms.items():
+            for s, b in steps:
+                e = (k >> s) & _MASK
+                if e:
+                    key = k - (1 << s)
+                    out[key] = out.get(key, 0) + v * e * b
+        return Poly._normal(self.nvars, out, self._den * scale)
+
     def gradient(self) -> tuple["Poly", ...]:
         return tuple(self.partial(j) for j in range(self.nvars))
 
@@ -481,16 +501,34 @@ def format_poly(p: Poly) -> str:
     return "".join(pieces)
 
 
+def monomial_index(polys: Sequence[Poly]) -> dict[int, int]:
+    """The row of each monomial that any of polys uses, in ascending lex
+    order: the rows of `coefficient_rows(polys)`."""
+    return {k: r for r, k in enumerate(sorted(set().union(*(p._terms for p in polys))))}
+
+
 def coefficient_rows(polys: Sequence[Poly]) -> list[list[Fraction]]:
     """The coefficients of polys over their joint monomials: one row per
     monomial that any of them uses, in ascending lex order, and one column
     per polynomial."""
-    keys = sorted(set().union(*(p._terms for p in polys)))
     cols = [(p._terms, p._den) for p in polys]
     return [
         [_ZERO if k not in terms else Fraction(terms[k], den) for terms, den in cols]
-        for k in keys
+        for k in monomial_index(polys)
     ]
+
+
+def numerators_on(p: Poly, index: Mapping[int, int]) -> tuple[list[int], int] | None:
+    """p's coefficients on the rows of a `monomial_index`, as integer
+    numerators over p's denominator; None when p uses a monomial that the
+    index has no row for."""
+    out = [0] * len(index)
+    for k, num in p._terms.items():
+        row = index.get(k)
+        if row is None:
+            return None
+        out[row] = num
+    return out, p._den
 
 
 def exact_div(a: Poly, b: Poly) -> Poly | None:

@@ -2,8 +2,9 @@
 
 A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
-to a polynomial p yields p shifted by the column vector.  The Z^n action,
-stabilizer lattices, and orbit membership queries all live here.
+to a polynomial p yields p shifted by the column vector, and the integer
+point k of Z^n acts by the shift `combo(k)`.  Stabilizer lattices and orbit
+membership queries live here.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import IntVec, integer_kernel, lattice_contains, solve_integer
-from .poly import Poly, Scalar, coefficient_rows
+from .intlinalg import IntegerSystem, IntVec, integer_kernel, lattice_contains
+from .poly import Poly, Scalar, coefficient_rows, monomial_index, numerators_on
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,9 @@ class ShiftSystem:
         vec = [Fraction(0)] * self.nvars
         for c, i in zip(coeffs, idx, strict=True):
             if c:
-                col = self.column(i)
-                for j in range(self.nvars):
-                    vec[j] += Fraction(c) * col[j]
+                c = Fraction(c)
+                for j, row in enumerate(self.alpha):
+                    vec[j] += c * row[i]
         return tuple(vec)
 
 
@@ -60,26 +61,10 @@ def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:
     return p.shift([sign * a / 2 for a in sys.column(i)])
 
 
-def zn_action(sys: ShiftSystem, k: Sequence[int], p: Poly) -> Poly:
-    """Apply the integer point k of Z^n: shift p by sum_i k_i * column(i)."""
-    return p.shift(sys.combo(k))
-
-
-def _directional(q: Poly, vec: Sequence[Scalar]) -> Poly:
-    """The directional derivative <grad q, vec>."""
-    acc = Poly.zero(q.nvars)
-    for j, b in enumerate(vec):
-        if b:
-            acc = acc + q.partial(j) * Fraction(b)
-    return acc
-
-
 def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
     """Gradient criterion: q is invariant under every multiple of the shift
     beta exactly when <grad q, beta> is the zero polynomial."""
-    if len(beta) != q.nvars:
-        raise ValueError("direction length mismatch")
-    return _directional(q, beta).is_zero
+    return q.directional(beta).is_zero
 
 
 @dataclass(frozen=True)
@@ -105,12 +90,24 @@ def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> Sta
     """Lattice of integer vectors k (over the given directions) whose
     combined shift fixes q, computed via the gradient criterion."""
     indices = list(indices)
-    matrix = coefficient_rows([_directional(q, sys.column(i)) for i in indices])
+    matrix = coefficient_rows([q.directional(sys.column(i)) for i in indices])
     basis = integer_kernel(matrix, len(indices))
     return StabilizerLattice(len(indices), basis)
 
 
-def same_orbit(sys: ShiftSystem, q: Poly, q2: Poly, indices: Sequence[int]) -> IntVec | None:
+# One step of an orbit query, for a top form over some free directions:
+# the monomial rows of the degree d-1 conditions, their integer system, and
+# the directions still free after the step.
+_Step = tuple[dict[int, int], IntegerSystem, tuple[IntVec, ...]]
+
+
+def same_orbit(
+    sys: ShiftSystem,
+    q: Poly,
+    q2: Poly,
+    indices: Sequence[int],
+    memo: dict[tuple, _Step] | None = None,
+) -> IntVec | None:
     """Find integer k over the given directions with q shifted by k equal to q2.
 
     Returns one such k, or None when there is none.  The solutions form a
@@ -119,13 +116,22 @@ def same_orbit(sys: ShiftSystem, q: Poly, q2: Poly, indices: Sequence[int]) -> I
     direction left free by it fixes the top form of degree d, so the common
     top form is dropped from both sides and the free directions are tried
     on the rest, one degree lower.
+
+    The condition's matrix depends only on the top form, the index set and
+    the free directions, so it is factored once into an `IntegerSystem`
+    and each query back-substitutes its own right-hand side.  `memo` keeps
+    those factored steps for the queries of one call on one shift system:
+    a caller that asks many queries about the same anchors, such as
+    `decompose`, passes the same dict to each of them.  Without it the
+    steps live for this query only.
     """
-    indices = list(indices)
+    indices = tuple(indices)
     if q.is_zero or q2.is_zero:
         raise ValueError("orbit queries need nonzero polynomials")
+    memo = {} if memo is None else memo
     s = len(indices)
     k = (0,) * s
-    free = [tuple(int(a == b) for b in range(s)) for a in range(s)]
+    free = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
     while q != q2:
         d = q.degree()
         if q2.degree() != d:
@@ -133,20 +139,30 @@ def same_orbit(sys: ShiftSystem, q: Poly, q2: Poly, indices: Sequence[int]) -> I
         top = q.homogeneous_part(d)
         if q2.homogeneous_part(d) != top:
             return None
+        key = (top, indices, free)
+        step = memo.get(key)
+        if step is None:
+            step = memo[key] = _orbit_step(sys, top, indices, free)
+        rows, system, next_free = step
         # shifting by sum_j t_j free[j] must match the degree d-1 parts:
         #   sum_j t_j <grad(top), shift of free[j]> = (d-1 part of q) - (d-1 part of q2)
-        pairings = [_directional(top, sys.combo(w, indices)) for w in free]
-        target = q.homogeneous_part(d - 1) - q2.homogeneous_part(d - 1)
-        rows = coefficient_rows(pairings + [target])
-        t, kernel = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], len(free))
+        rhs = numerators_on(q.homogeneous_part(d - 1) - q2.homogeneous_part(d - 1), rows)
+        t = None if rhs is None else system.solve(*rhs)
         if t is None:
             return None
-        step = _combine(t, free, s)
-        k = tuple(a + b for a, b in zip(k, step))
-        q = q.shift(sys.combo(step, indices)) - top
+        shift = _combine(t, free, s)
+        k = tuple(a + b for a, b in zip(k, shift))
+        q = q.shift(sys.combo(shift, indices)) - top
         q2 = q2 - top
-        free = [_combine(c, free, s) for c in kernel]
+        free = next_free
     return k
+
+
+def _orbit_step(sys: ShiftSystem, top: Poly, indices: tuple[int, ...], free: tuple[IntVec, ...]) -> _Step:
+    """The factored degree d-1 condition of `same_orbit` for a top form."""
+    pairings = [top.directional(sys.combo(w, indices)) for w in free]
+    system = IntegerSystem(coefficient_rows(pairings), len(free))
+    return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[IntVec], width: int) -> IntVec:
@@ -166,10 +182,3 @@ class OrbitId:
     generator: Poly
     index_set: tuple[int, ...]
     stabilizer: StabilizerLattice
-
-    @classmethod
-    def build(cls, sys: ShiftSystem, generator: Poly, indices: Sequence[int]) -> "OrbitId":
-        idx = tuple(sorted(indices))
-        if not generator.is_monic:
-            raise ValueError("orbit generator must be monic")
-        return cls(generator, idx, stabilizer_lattice(sys, generator, idx))

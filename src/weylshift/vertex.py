@@ -216,10 +216,11 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
     q0_monic = q0.make_monic()[1]
     i, j = pair
     edges: dict[Key, int] = {}
+    memo: dict = {}
     for idx, odd_first in ((i, True), (j, False)):
         for q, mult in piece.solution.entries[idx].factors:
             base = half_shift(sys, idx, -1, q)
-            k = same_orbit(sys, q0_monic, base, (i, j))
+            k = same_orbit(sys, q0_monic, base, (i, j), memo)
             if k is None:
                 raise StructureError(
                     f"factor of entry {idx + 1} does not sit on the orbit over the pair"
@@ -265,11 +266,12 @@ def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
 
 
 def classify(sol: FactoredSolution) -> ClassificationRecord:
-    """Decompose a monic factored solution and encode every piece.
+    """Decompose a factored solution and encode every piece.
 
     As a final audit each piece must decode back to itself and the pieces
-    must multiply back to the input, entry by entry; a piece with trivial
-    support is rejected since it has no grid picture.
+    must multiply back to the monic part of the input, entry by entry (the
+    entries' units cancel in both identities and are dropped); a piece with
+    trivial support is rejected since it has no grid picture.
     """
     pieces = decompose(sol)
     items = []
@@ -281,7 +283,8 @@ def classify(sol: FactoredSolution) -> ClassificationRecord:
             raise StructureError("decode(encode(piece)) changed the piece")
         items.append(ClassifiedOrbit(config.orbit, config.pair, config))
     for k, entry in enumerate(sol.entries):
-        if not _same_product([piece.solution.entries[k] for piece in pieces], entry):
+        monic = FactoredPoly(entry.nvars, Fraction(1), entry.factors)
+        if not _same_product([piece.solution.entries[k] for piece in pieces], monic):
             raise StructureError("pieces do not multiply back to the input")
     return ClassificationRecord(tuple(items))
 

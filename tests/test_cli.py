@@ -259,3 +259,40 @@ def test_exponent_past_the_slot_limit_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "4294967296" in err
     assert "Traceback" not in err
+
+
+def test_deep_nesting_exits_two(tmp_path, capsys):
+    with open(GL3, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    deep = "(" * 5000 + "u1" + ")" * 5000
+    doc["tuples"] = {"deep": {"form": "sym", "polys": [deep, "1", "u2"]}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper than 100" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("generator,loops", [("2*u1", 2), ("-u1", 3)])
+def test_classify_ignores_units_of_decoded_tuples(tmp_path, capsys, generator, loops):
+    # decode puts lead^multiplicity into each entry's unit; classify works
+    # on the monic factors, so the units change nothing
+    cfg, dec, monic = (str(tmp_path / f) for f in ("r.json", "d.json", "m.json"))
+    argv = ["gen-random", GL3, f"--orbit={generator}", "--pair", "1", "2"]
+    assert main(argv + ["--loops", str(loops), "--seed", "1", "-o", cfg]) == 0
+    assert main(["decode", cfg, "-o", dec]) == 0
+    with open(dec, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    entries = doc["tuples"]["random"]["entries"]
+    assert any(e["unit"] != 1 for e in entries)
+    for e in entries:
+        e["unit"] = 1
+    with open(monic, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    capsys.readouterr()
+    assert main(["classify", dec]) == 0
+    got = capsys.readouterr()
+    assert main(["classify", monic]) == 0
+    assert got == capsys.readouterr()
+    assert got.err == ""

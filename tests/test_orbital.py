@@ -14,9 +14,13 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
-from weylshift.shifts import OrbitId, ShiftSystem, same_orbit
+from weylshift.shifts import OrbitId, ShiftSystem, same_orbit, stabilizer_lattice
 
 GL3 = ShiftSystem.from_rows([[-1, 1, 0], [0, -1, 1]])
+
+
+def orbit_of(sys, generator, indices):
+    return OrbitId(generator, indices, stabilizer_lattice(sys, generator, indices))
 
 
 def fp(nvars, *factors, unit=1):
@@ -74,10 +78,11 @@ def test_decompose_gl3(gl3_file):
     assert same_orbit(GL3, a.orbit.generator, b.orbit.generator, full) is None
 
 
-def test_decompose_requires_monic(staircase_file):
+def test_decompose_drops_units(staircase_file):
+    # "main" is "main_monic" with a unit of -1 on entry 2
     fs = staircase_file.tuples["main"].as_factored()
-    with pytest.raises(ValueError):
-        decompose(fs)
+    assert not fs.is_monic
+    assert decompose(fs) == decompose(staircase_file.tuples["main_monic"].as_factored())
 
 
 def test_decompose_staircase_single_piece(staircase_file):
@@ -93,7 +98,7 @@ def test_decompose_staircase_single_piece(staircase_file):
 
 def test_verify_orbital_flags_off_orbit_factors():
     sys = ShiftSystem.from_rows([[1]])
-    orbit = OrbitId.build(sys, Poly.variable(1, 0), (0,))
+    orbit = orbit_of(sys, Poly.variable(1, 0), (0,))
     piece = OrbitalPiece(
         orbit, FactoredSolution(sys, (fp(1, ("u1 + 1/4", 1)),))
     )
@@ -104,13 +109,13 @@ def test_verify_orbital_flags_off_orbit_factors():
 
 def test_support_pair_single_direction():
     sys = ShiftSystem.from_rows([[1]])
-    orbit = OrbitId.build(sys, Poly.variable(1, 0), (0,))
+    orbit = orbit_of(sys, Poly.variable(1, 0), (0,))
     piece = OrbitalPiece(orbit, FactoredSolution(sys, (fp(1, ("u1 - 1/2", 1)),)))
     assert support_pair(piece) is None
 
 
 def test_support_pair_rejects_three_entries():
-    orbit = OrbitId.build(GL3, Poly.variable(2, 0), (0, 1, 2))
+    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1, 2))
     entries = (fp(2, ("u1 - 1/2", 1)),) * 3
     piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="at most two"):
@@ -118,7 +123,7 @@ def test_support_pair_rejects_three_entries():
 
 
 def test_support_pair_rejects_moving_direction_with_constant_entry():
-    orbit = OrbitId.build(GL3, Poly.variable(2, 0), (0, 1, 2))
+    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1, 2))
     entries = (fp(2, ("u1 - 1/2", 1)), FactoredPoly.one(2), FactoredPoly.one(2))
     piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="moves the generator"):
@@ -127,7 +132,7 @@ def test_support_pair_rejects_moving_direction_with_constant_entry():
 
 def test_support_pair_rejects_fixing_support_direction():
     sys = ShiftSystem.from_rows([[0, 1], [1, 0]])
-    orbit = OrbitId.build(sys, Poly.variable(2, 0), (0, 1))
+    orbit = orbit_of(sys, Poly.variable(2, 0), (0, 1))
     entries = (fp(2, ("u1 + 5", 1)), fp(2, ("u1 - 1/2", 1)))
     piece = OrbitalPiece(orbit, FactoredSolution(sys, entries))
     with pytest.raises(StructureError, match="fixes the generator"):

@@ -95,6 +95,13 @@ def test_unbalanced_parens():
         p("()")
 
 
+def test_nesting_depth_is_bounded():
+    assert p("(" * 100 + "u1" + ")" * 100) == p("u1")
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        p("(" * 5000 + "u1" + ")" * 5000)
+    assert info.value.position == 100
+
+
 def test_whitespace_is_free():
     assert p(" u1+ u2 * 3 ") == p("u1 + 3*u2")
 

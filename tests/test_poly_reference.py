@@ -161,6 +161,21 @@ def test_shift_and_partial_match_reference(a, t):
         assert agrees(pa.partial(j), ref_partial(ra, j))
 
 
+def ref_directional(a, vec):
+    out = {}
+    for j, b in enumerate(vec):
+        for e, c in ref_partial(a, j).items():
+            out[e] = out.get(e, 0) + c * b
+    return ref_clean(out)
+
+
+@given(a=TERMS, vec=strategies.shift_vectors(M), ints=st.lists(st.integers(-3, 3), min_size=M, max_size=M))
+def test_directional_matches_reference(a, vec, ints):
+    pa, ra = both(a)
+    assert agrees(pa.directional(vec), ref_directional(ra, vec))
+    assert agrees(pa.directional(ints), ref_directional(ra, ints))
+
+
 @given(a=TERMS, b=TERMS)
 def test_exact_div_matches_reference(a, b):
     (pa, ra), (pb, rb) = both(a), both(b)

@@ -22,7 +22,6 @@ from weylshift.shifts import (
     is_fixed_by_shift,
     same_orbit,
     stabilizer_lattice,
-    zn_action,
 )
 
 GL3 = ShiftSystem.from_rows([[-1, 1, 0], [0, -1, 1]])
@@ -55,9 +54,9 @@ def test_half_shift_matches_column():
 
 def test_zn_action_composes():
     p = parse_poly("u1^2 + u2", 2)
-    once = zn_action(GL3, (1, 0, 0), p)
+    once = p.shift(GL3.combo((1, 0, 0)))
     assert once == p.shift([-1, 0])
-    assert zn_action(GL3, (1, 1, 1), p) == p  # columns sum to zero
+    assert p.shift(GL3.combo((1, 1, 1))) == p  # columns sum to zero
 
 
 def test_is_fixed_by_shift_examples():
@@ -97,7 +96,7 @@ def test_same_orbit_translation():
     target = parse_poly("u1 - 3", 2)
     k = same_orbit(GL3, u1, target, (0, 1))
     assert k is not None
-    assert zn_action(GL3, (k[0], k[1], 0), u1) == target
+    assert u1.shift(GL3.combo((k[0], k[1], 0))) == target
     # stabilizer coset freedom: the offset -k1 + k2 is pinned to 3
     assert -k[0] + k[1] == 3
 
@@ -115,10 +114,10 @@ def test_same_orbit_rejects_different_leading_forms():
 
 
 def test_same_orbit_on_the_cubic():
-    shifted = zn_action(STAIR, (2, -1, 0, 0), F)
+    shifted = F.shift(STAIR.combo((2, -1, 0, 0)))
     k = same_orbit(STAIR, F, shifted, (0, 1))
     assert k is not None
-    assert zn_action(STAIR, (k[0], k[1], 0, 0), F) == shifted
+    assert F.shift(STAIR.combo((k[0], k[1], 0, 0))) == shifted
     # anything fixing F is absorbed: k is unique mod (3, 2)
     assert (k[0] - 2) * 2 == (k[1] + 1) * 3
 
@@ -165,17 +164,39 @@ def test_same_orbit_linear_stage_proves_absence():
     assert same_orbit(sys, q, parse_poly("u1^2 + 2*u2", 2), (0,)) is None
 
 
+def test_same_orbit_half_integer_shifts():
+    # the degree-0 condition is 1/2 * k = 3/2 over a right-hand side with
+    # denominator 2
+    sys = ShiftSystem.from_rows([[Fraction(1, 2)]])
+    u1 = Poly.variable(1, 0)
+    assert same_orbit(sys, u1, parse_poly("u1 - 3/2", 1), (0,)) == (3,)
+    assert same_orbit(sys, u1, parse_poly("u1 - 3/4", 1), (0,)) is None
+
+
+def test_same_orbit_memo_keeps_free_directions_apart():
+    # the first query leaves u2 as the top form one degree down, with only
+    # the directions that fix u1^2 free; the second query starts from the
+    # top form u2 with every direction free, and must not reuse that step
+    sys = ShiftSystem.from_rows([[0, 1, 1], [1, 0, 1]])
+    q = parse_poly("u1^2 + u2", 2)
+    u2 = Poly.variable(2, 1)
+    queries = [(q, q.shift([0, 5])), (u2, u2.shift([0, 3])), (u2 + q, q.shift([1, 2]))]
+    memo = {}
+    for a, b in queries:
+        assert same_orbit(sys, a, b, (0, 1, 2), memo) == same_orbit(sys, a, b, (0, 1, 2))
+    k = same_orbit(sys, u2, u2.shift([0, 3]), (0, 1, 2), memo)
+    assert u2.shift(sys.combo(k)) == u2.shift([0, 3])
+
+
 def test_same_orbit_rejects_zero():
     with pytest.raises(ValueError):
         same_orbit(GL3, Poly.zero(2), Poly.one(2), (0, 1))
 
 
 def test_orbit_id_build():
-    orbit = OrbitId.build(GL3, Poly.variable(2, 0), (1, 0))
-    assert orbit.index_set == (0, 1)
+    u1 = Poly.variable(2, 0)
+    orbit = OrbitId(u1, (0, 1), stabilizer_lattice(GL3, u1, (0, 1)))
     assert orbit.stabilizer.basis == ((1, 1),)
-    with pytest.raises(ValueError):
-        OrbitId.build(GL3, parse_poly("-u1", 2), (0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -196,14 +217,10 @@ SMALL = st.sampled_from([Fraction(x, 2) for x in range(-4, 5)])
 
 
 @st.composite
-def orbit_queries(draw):
-    """A system of 1-3 directions on 2-3 variables and two polynomials.
-
-    The leading form uses u1, and a random set of directions leaves u1
-    alone, so that the top degree cannot see some directions that move q,
-    while the others can.  q2 is
-    a shift of q by a lattice point, by one outside the walk, by a
-    rational vector, or such a shift plus a small perturbation."""
+def orbit_systems(draw):
+    """A system of 1-3 directions on 2-3 variables and an index set.  A
+    random set of directions leaves u1 alone, so that a top form in u1
+    cannot see some directions that move lower terms, while the others can."""
     m = draw(st.integers(2, 3))
     n = draw(st.integers(1, 3))
     rows = [[draw(SMALL) for _ in range(n)] for _ in range(m)]
@@ -211,12 +228,24 @@ def orbit_queries(draw):
         rows[0][i] = Fraction(0)
     sys = ShiftSystem.from_rows(rows)
     indices = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
-    top = draw(st.sampled_from(["u1^2", "u1^3", "u1*u2", "u1^2 + u2^2", "u1"]))
+    return sys, indices
+
+
+@st.composite
+def anchors(draw, m):
+    """A polynomial whose leading form uses u1."""
+    top = parse_poly(draw(st.sampled_from(["u1^2", "u1^3", "u1*u2", "u1^2 + u2^2", "u1"])), m)
     lower = draw(
         st.dictionaries(strategies.exponents(m, 1), strategies.nonzero_rationals, min_size=1, max_size=4)
     )
-    top = parse_poly(top, m)
-    q = top + Poly(m, {e: c for e, c in lower.items() if sum(e) < top.degree()})
+    return top + Poly(m, {e: c for e, c in lower.items() if sum(e) < top.degree()})
+
+
+@st.composite
+def targets(draw, sys, indices, q):
+    """A shift of q by a lattice point, by one outside the walk, or by a
+    rational vector, or such a shift plus a small perturbation."""
+    m = sys.nvars
     reach = draw(st.sampled_from([WALK, 3 * WALK]))
     k = [draw(st.integers(-reach, reach)) for _ in indices]
     if draw(st.booleans()):
@@ -226,7 +255,15 @@ def orbit_queries(draw):
     if draw(st.booleans()):
         q2 = q2 + Poly(m, {draw(strategies.exponents(m, 1)): draw(strategies.nonzero_rationals)})
     assume(not q2.is_zero)
-    return sys, q, q2, indices
+    return q2
+
+
+@st.composite
+def orbit_queries(draw):
+    """One query: a system, an anchor q and a target q2."""
+    sys, indices = draw(orbit_systems())
+    q = draw(anchors(sys.nvars))
+    return sys, q, draw(targets(sys, indices, q)), indices
 
 
 @given(orbit_queries())
@@ -240,3 +277,28 @@ def test_same_orbit_matches_bounded_walk(query):
         assert q.shift(sys.combo(found, indices)) == q2
     if walked is not None:
         assert found is not None
+
+
+@st.composite
+def query_sequences(draw):
+    """Interleaved queries over 2-5 anchors of one system and index set,
+    as decompose asks them; anchors often share their top form, and a
+    target may come from another anchor than the one it is asked against."""
+    sys, indices = draw(orbit_systems())
+    pool = [draw(anchors(sys.nvars)) for _ in range(draw(st.integers(1, 3)))]
+    qs = [q.shift(draw(strategies.shift_vectors(sys.nvars))) if draw(st.booleans()) else q for q in pool]
+    qs += [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 2)))]
+    queries = []
+    for _ in range(draw(st.integers(2, 8))):
+        a = draw(st.integers(0, len(qs) - 1))
+        source = qs[draw(st.integers(0, len(qs) - 1))]
+        queries.append((qs[a], draw(targets(sys, indices, source))))
+    return sys, indices, queries
+
+
+@given(query_sequences())
+def test_same_orbit_shared_memo_matches_fresh_queries(case):
+    sys, indices, queries = case
+    memo = {}
+    for q, q2 in queries:
+        assert same_orbit(sys, q, q2, indices, memo) == same_orbit(sys, q, q2, indices)

@@ -9,7 +9,7 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
-from weylshift.shifts import OrbitId, ShiftSystem, StabilizerLattice, zn_action
+from weylshift.shifts import OrbitId, ShiftSystem, StabilizerLattice, stabilizer_lattice
 from weylshift.vertex import (
     VertexConfig,
     add_configs,
@@ -36,6 +36,10 @@ def gl3_config(edges):
 
 def _fp(*exprs):
     return FactoredPoly.from_factors(2, [(parse_poly(s, 2), 1) for s in exprs])
+
+
+def orbit_of(sys, generator, indices):
+    return OrbitId(generator, indices, stabilizer_lattice(sys, generator, indices))
 
 
 def test_canonical_key():
@@ -164,7 +168,7 @@ def test_encode_needs_two_supported_directions():
     # direction 2 never moves anything, so a single-entry piece is legal
     # but has no two-direction grid picture
     sys = ShiftSystem.from_rows([[1, 0]])
-    orbit = OrbitId.build(sys, Poly.variable(1, 0), (0, 1))
+    orbit = orbit_of(sys, Poly.variable(1, 0), (0, 1))
     entries = (
         FactoredPoly.from_factors(1, [(parse_poly("u1 - 1/2", 1), 1)]),
         FactoredPoly.one(1),
@@ -175,7 +179,7 @@ def test_encode_needs_two_supported_directions():
 
 
 def test_encode_rejects_off_orbit_factors():
-    orbit = OrbitId.build(GL3, Poly.variable(2, 0), (0, 1))
+    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1))
     entries = (
         _fp("u1 - 1/2"),
         _fp("u2 + 1/2"),
@@ -187,7 +191,7 @@ def test_encode_rejects_off_orbit_factors():
 
 
 def test_encode_rejects_nonsolutions():
-    orbit = OrbitId.build(GL3, Poly.variable(2, 0), (0, 1))
+    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1))
     entries = (
         _fp("u1 - 1/2", "u1 - 3/2"),
         _fp("u1 - 1/2"),

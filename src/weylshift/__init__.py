@@ -46,7 +46,7 @@ from .orbital import (
     verify_orbital,
 )
 from .parser import ParseError, parse_poly, parse_rational
-from .poly import Poly, divides, exact_div, format_poly
+from .poly import Poly, exact_div, format_poly
 from .shifts import (
     OrbitId,
     ShiftSystem,
@@ -61,7 +61,6 @@ from .vertex import (
     ClassificationRecord,
     ClassifiedOrbit,
     VertexConfig,
-    add_configs,
     canonical_key,
     classify,
     decode,
@@ -92,7 +91,6 @@ __all__ = [
     "StabilizerLattice",
     "StructureError",
     "VertexConfig",
-    "add_configs",
     "apply_linear",
     "apply_substitution",
     "build_solution",
@@ -105,7 +103,6 @@ __all__ = [
     "classify",
     "decode",
     "decompose",
-    "divides",
     "encode",
     "exact_div",
     "expected_piece_count",

@@ -3,13 +3,18 @@
 A tuple (p_1, ..., p_n) is checked against a ShiftSystem either in the
 symmetric form (binary + ternary product identities) or in the
 non-symmetric form; applying the half-step of each direction to its own
-entry translates between the two.
+entry translates between the two.  Every check runs one engine on entries
+given as a unit and factors: an expanded entry is its own single factor,
+and the non-symmetric form is the symmetric one on the symmetrized tuple,
+with each witness shifted back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from math import prod
+from typing import NamedTuple, Sequence
 
 from .poly import Poly, merge_factors
 from .shifts import ShiftSystem, half_shift
@@ -59,159 +64,138 @@ class SolutionTuple:
         if any(p.is_zero for p in self.polys):
             raise ValueError("entries must be nonzero")
 
-    @property
-    def is_monic(self) -> bool:
-        return all(p.is_monic for p in self.polys)
-
-
-def _pairs(n: int):
-    return ((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-def _triples(n: int):
-    """(i, j, k) with i < j and k outside {i, j}, grouped by k."""
-    return (
-        (i, j, k)
-        for k in range(n)
-        for i in range(n)
-        if i != k
-        for j in range(i + 1, n)
-        if j != k
-    )
-
-
-def _ternary_vectors(sys: ShiftSystem, i: int, j: int):
-    plus = tuple((a + b) / 2 for a, b in zip(sys.column(i), sys.column(j)))
-    minus = tuple((a - b) / 2 for a, b in zip(sys.column(i), sys.column(j)))
-    return plus, minus
-
 
 def _negated(vec):
     return tuple(-v for v in vec)
 
 
-def _binary_diff(sys: ShiftSystem, i: int, j: int, pi: Poly, pj: Poly) -> Poly:
-    """lhs - rhs of the binary identity (i, j) on the expanded entries."""
-    lhs = half_shift(sys, j, +1, pi) * half_shift(sys, i, +1, pj)
-    rhs = half_shift(sys, j, -1, pi) * half_shift(sys, i, -1, pj)
-    return lhs - rhs
+def _halves(sys: ShiftSystem) -> list[tuple]:
+    return [tuple(a / 2 for a in sys.column(i)) for i in range(sys.nshifts)]
 
 
-def _ternary_diff(sys: ShiftSystem, i: int, j: int, pk: Poly) -> Poly:
-    """lhs - rhs of the ternary identity (i, j, k) on the expanded entry p_k."""
-    plus, minus = _ternary_vectors(sys, i, j)
-    lhs = pk.shift(plus) * pk.shift(_negated(plus))
-    rhs = pk.shift(minus) * pk.shift(_negated(minus))
-    return lhs - rhs
+class _Entry(NamedTuple):
+    unit: Fraction
+    factors: tuple[tuple[Poly, int], ...]
+
+
+def _entries(sol: SolutionTuple) -> list[_Entry]:
+    """Each expanded entry as its own single factor, or as its value when
+    it is constant."""
+    return [
+        _Entry(p.constant_value(), ()) if p.is_constant else _Entry(Fraction(1), ((p, 1),))
+        for p in sol.polys
+    ]
+
+
+# An identity is (relation, indices, lhs, rhs); a side is a list of
+# (entry, shift vector) pairs and stands for the product of those entries
+# shifted by those vectors.
+
+
+def _binary(sys: ShiftSystem, entries):
+    """Pairwise identity: for i != j the product of the two entries agrees
+    after shifting each by plus or minus half the other's direction."""
+    halves = _halves(sys)
+    n = sys.nshifts
+    for i in range(n):
+        for j in range(i + 1, n):
+            hi, hj = halves[i], halves[j]
+            yield "binary", (i, j), [(i, hj), (j, hi)], [(i, _negated(hj)), (j, _negated(hi))]
+
+
+def _ternary(sys: ShiftSystem, entries):
+    """Triple identity on p_k over the half-sums of two other directions
+    i < j, grouped by k."""
+    halves = _halves(sys)
+    n = sys.nshifts
+    for k in range(n):
+        if not entries[k].factors:  # a constant entry: both sides are its square
+            continue
+        for i in range(n):
+            for j in range(i + 1, n):
+                if k in (i, j):
+                    continue
+                plus = tuple(a + b for a, b in zip(halves[i], halves[j]))
+                minus = tuple(a - b for a, b in zip(halves[i], halves[j]))
+                lhs = [(k, plus), (k, _negated(plus))]
+                yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
+
+
+def _decide(sys: ShiftSystem, entries: Sequence, *kinds) -> list[CheckFailure]:
+    """The failing identities of each kind, in report order.
+
+    Each entry needs `unit` and `factors`, pairs of a nonconstant polynomial
+    and a positive multiplicity whose product times the nonzero unit is the
+    entry.  Equal multisets of shifted factors on the two sides prove an
+    identity; factors need not be irreducible, so otherwise the witness,
+    unit times the product of the shifted factors on the left minus the
+    same on the right, decides it.
+    """
+    shifted: dict[tuple, list[tuple[Poly, int]]] = {}
+
+    def moved(side) -> list[tuple[Poly, int]]:
+        out = []
+        for k, vec in side:
+            got = shifted.get((k, vec))
+            if got is None:
+                got = shifted[k, vec] = [(q.shift(vec), m) for q, m in entries[k].factors]
+            out += got
+        return out
+
+    def product(side, factors) -> Poly:
+        acc = None
+        for q, m in factors:
+            if m > 1:
+                q = q**m
+            acc = q if acc is None else acc * q
+        unit = prod(entries[k].unit for k, _ in side)
+        if acc is None:
+            return Poly.constant(sys.nvars, unit)
+        return acc if unit == 1 else acc * unit
+
+    failures = []
+    for kind in kinds:
+        for relation, indices, lhs, rhs in kind(sys, entries):
+            left, right = moved(lhs), moved(rhs)
+            if merge_factors(left) == merge_factors(right):
+                continue
+            diff = product(lhs, left) - product(rhs, right)
+            if not diff.is_zero:
+                failures.append(CheckFailure(relation, indices, diff))
+    return failures
 
 
 def check_binary(sol: SolutionTuple) -> CheckReport:
-    """Pairwise identity: for i != j the product of the two entries agrees
-    after shifting each by plus or minus half the other's direction."""
-    sys, p = sol.sys, sol.polys
-    failures = []
-    for i, j in _pairs(sys.nshifts):
-        diff = _binary_diff(sys, i, j, p[i], p[j])
-        if not diff.is_zero:
-            failures.append(CheckFailure("binary", (i, j), diff))
-    return CheckReport(tuple(failures))
+    """The binary identity of every pair of directions."""
+    return CheckReport(tuple(_decide(sol.sys, _entries(sol), _binary)))
 
 
 def check_ternary(sol: SolutionTuple) -> CheckReport:
-    """Triple identity on p_k over the half-sums of two other directions.
-
-    Vacuously true when the system has fewer than three directions.
-    """
-    sys, p = sol.sys, sol.polys
-    failures = []
-    for i, j, k in _triples(sys.nshifts):
-        if p[k].is_constant:  # both sides are p_k squared
-            continue
-        diff = _ternary_diff(sys, i, j, p[k])
-        if not diff.is_zero:
-            failures.append(CheckFailure("ternary", (i, j, k), diff))
-    return CheckReport(tuple(failures))
+    """The ternary identity of every triple; vacuously true when the system
+    has fewer than three directions."""
+    return CheckReport(tuple(_decide(sol.sys, _entries(sol), _ternary)))
 
 
 def check_factored(sys: ShiftSystem, entries: Sequence) -> CheckReport:
-    """The binary and then the ternary identities of a factored tuple,
-    decided on factors where they can be; the same report as
-    check_binary followed by check_ternary on the expanded tuple.
-
-    Each entry needs `factors`, pairs of a nonconstant polynomial and a
-    positive multiplicity whose product times a nonzero unit is the entry,
-    and `expand()`, which returns the entry.  Both sides of an identity
-    carry the same units, so equal multisets of shifted factors prove it
-    exactly.  Factors need not be irreducible, so a mismatch is confirmed
-    by expanding that one identity, which also gives the witness.
-    """
-    halves = [tuple(a / 2 for a in sys.column(i)) for i in range(sys.nshifts)]
-    shifted: dict[tuple, list[tuple[Poly, int]]] = {}
-    expanded: dict[int, Poly] = {}
-
-    def moved(k: int, vec: tuple) -> list[tuple[Poly, int]]:
-        key = (k, vec)
-        got = shifted.get(key)
-        if got is None:
-            got = shifted[key] = [(q.shift(vec), m) for q, m in entries[k].factors]
-        return got
-
-    def entry(k: int) -> Poly:
-        if k not in expanded:
-            expanded[k] = entries[k].expand()
-        return expanded[k]
-
-    failures = []
-    for i, j in _pairs(sys.nshifts):
-        hi, hj = halves[i], halves[j]
-        lhs = moved(i, hj) + moved(j, hi)
-        rhs = moved(i, _negated(hj)) + moved(j, _negated(hi))
-        if merge_factors(lhs) == merge_factors(rhs):
-            continue
-        diff = _binary_diff(sys, i, j, entry(i), entry(j))
-        if not diff.is_zero:
-            failures.append(CheckFailure("binary", (i, j), diff))
-    for i, j, k in _triples(sys.nshifts):
-        if not entries[k].factors:  # a constant entry: both sides are its square
-            continue
-        plus, minus = _ternary_vectors(sys, i, j)
-        lhs = moved(k, plus) + moved(k, _negated(plus))
-        rhs = moved(k, minus) + moved(k, _negated(minus))
-        if merge_factors(lhs) == merge_factors(rhs):
-            continue
-        diff = _ternary_diff(sys, i, j, entry(k))
-        if not diff.is_zero:
-            failures.append(CheckFailure("ternary", (i, j, k), diff))
-    return CheckReport(tuple(failures))
+    """The binary and then the ternary identities of a factored tuple, each
+    entry read through its `unit` and `factors`; the same report as
+    check_binary followed by check_ternary on the expanded tuple."""
+    return CheckReport(tuple(_decide(sys, entries, _binary, _ternary)))
 
 
 def check_nonsymmetric(sol: SolutionTuple) -> CheckReport:
-    """The non-symmetric form of the equations, checked by direct expansion."""
-    sys, p = sol.sys, sol.polys
+    """The non-symmetric form of the equations: the symmetric identities of
+    the symmetrized tuple, each witness shifted back.  Binary (i, j) is
+    moved by (a_i + a_j)/2 and ternary (i, j, k) by (a_i + a_j)/2 - a_k/2."""
+    sys = sol.sys
+    halves = _halves(sys)
     failures = []
-    for i in range(sys.nshifts):
-        for j in range(i + 1, sys.nshifts):
-            both = [a + b for a, b in zip(sys.column(i), sys.column(j))]
-            lhs = (p[i] * p[j]).shift(both)
-            rhs = p[i].shift(sys.column(i)) * p[j].shift(sys.column(j))
-            diff = lhs - rhs
-            if not diff.is_zero:
-                failures.append(CheckFailure("nonsym-binary", (i, j), diff))
-    for j in range(sys.nshifts):
-        if p[j].is_constant:  # both sides are p_j squared
-            continue
-        for i in range(sys.nshifts):
-            if i == j:
-                continue
-            for k in range(i + 1, sys.nshifts):
-                if k == j:
-                    continue
-                both = [a + b for a, b in zip(sys.column(i), sys.column(k))]
-                lhs = p[j].shift(both) * p[j]
-                rhs = p[j].shift(sys.column(i)) * p[j].shift(sys.column(k))
-                diff = lhs - rhs
-                if not diff.is_zero:
-                    failures.append(CheckFailure("nonsym-ternary", (i, k, j), diff))
+    for f in _decide(sys, _entries(symmetrize(sol)), _binary, _ternary):
+        i, j = f.indices[:2]
+        vec = [a + b for a, b in zip(halves[i], halves[j])]
+        if f.relation == "ternary":
+            vec = [v - c for v, c in zip(vec, halves[f.indices[2]])]
+        failures.append(CheckFailure("nonsym-" + f.relation, f.indices, f.witness.shift(vec)))
     return CheckReport(tuple(failures))
 
 

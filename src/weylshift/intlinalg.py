@@ -8,7 +8,7 @@ above each pivot reduced into [0, pivot), rows ordered by pivot column.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -198,13 +198,6 @@ def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> 
         tuple(sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
         for row in a
     )
-
-
-def row_gcd(values: Sequence[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 def divisors(n: int) -> list[int]:

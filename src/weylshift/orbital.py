@@ -89,10 +89,6 @@ class FactoredSolution:
         if any(e.nvars != self.sys.nvars for e in self.entries):
             raise ValueError("variable count mismatch")
 
-    @property
-    def is_monic(self) -> bool:
-        return all(e.unit == 1 for e in self.entries)
-
     def expand(self) -> SolutionTuple:
         return SolutionTuple(self.sys, tuple(e.expand() for e in self.entries))
 

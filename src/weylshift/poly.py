@@ -595,10 +595,6 @@ def exact_div(a: Poly, b: Poly) -> Poly | None:
     return Poly._raw(m, *_reduced({k: v * db for k, v in quot.items()}, a._den * content))
 
 
-def divides(b: Poly, a: Poly) -> bool:
-    return exact_div(a, b) is not None
-
-
 def merge_factors(factors: Iterable[tuple[Poly, int]]) -> dict[Poly, int]:
     """The multiset of (factor, multiplicity) pairs: multiplicities of a
     repeated factor are summed, and factors keep their first-seen order."""

@@ -275,6 +275,8 @@ def loads(text: str) -> ProblemFile:
         doc = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProblemFileError("JSON nested too deeply") from None
     return load_obj(doc)
 
 

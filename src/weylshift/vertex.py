@@ -337,16 +337,6 @@ def random_config(
     return VertexConfig.build(sys, generator, (i, j), edges, lattice)
 
 
-def add_configs(a: VertexConfig, b: VertexConfig) -> VertexConfig:
-    """Pointwise multiplicity sum of two configurations on the same anchor."""
-    if (a.sys, a.generator, a.pair) != (b.sys, b.generator, b.pair):
-        raise ValueError("configurations live on different orbits")
-    merged = a.multiplicities
-    for key, mult in b.multiplicities.items():
-        merged[key] = merged.get(key, 0) + mult
-    return VertexConfig.build(a.sys, a.generator, a.pair, merged, a.lattice)
-
-
 def same_config(a: VertexConfig, b: VertexConfig) -> bool:
     """Equality after aligning the base generators along the orbit."""
     if a.sys != b.sys or a.pair != b.pair:

@@ -33,3 +33,18 @@ def nonzero_polys(nvars: int, max_terms: int = 5, max_degree: int = 4):
 
 def shift_vectors(nvars: int):
     return st.lists(rationals, min_size=nvars, max_size=nvars)
+
+
+@st.composite
+def betas(draw):
+    """Matrices whose rows carry at most one positive and one negative entry."""
+    cols = draw(st.integers(min_value=2, max_value=4))
+    rows = draw(st.integers(min_value=1, max_value=3))
+    beta = []
+    for _ in range(rows):
+        row = [0] * cols
+        i, j = draw(st.permutations(range(cols)))[:2]
+        row[i] = draw(st.integers(min_value=0, max_value=3))
+        row[j] = -draw(st.integers(min_value=0, max_value=3))
+        beta.append(row)
+    return beta

@@ -261,6 +261,17 @@ def test_exponent_past_the_slot_limit_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    with open(GL3, encoding="utf-8") as handle:
+        text = handle.read().rstrip()
+    path = tmp_path / "deep.json"
+    path.write_text(text[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_deep_nesting_exits_two(tmp_path, capsys):
     with open(GL3, encoding="utf-8") as handle:
         doc = json.load(handle)

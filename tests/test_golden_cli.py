@@ -1,8 +1,9 @@
 """Byte-for-byte CLI outputs against files under tests/golden/cli/.
 
 Each case records the exit code, stdout and stderr of one `main(argv)` call:
-`decompose`, `encode` and `classify` of every tuple and `decode` of every
-config in tests/data/, plus `gen-random -> decode -> classify` round trips
+`decompose`, `encode` and `classify` of every tuple, `verify` of every tuple
+in its own form and forced into `--form sym` and `--form nonsym` (a forced
+form fails with witnesses), and `decode` of every config in tests/data/, plus `gen-random -> decode -> classify` round trips
 at fixed seeds.  Regenerate the files (only for an intended change of
 output) with `PYTHONPATH=src python tests/test_golden_cli.py`.
 """
@@ -35,6 +36,9 @@ def _data_cases():
         for tname in doc.tuples:
             for verb in ("decompose", "encode", "classify"):
                 yield f"{stem}.{tname}.{verb}", [verb, path, "--tuple", tname]
+            yield f"{stem}.{tname}.verify", ["verify", path, "--tuple", tname]
+            for form in ("sym", "nonsym"):
+                yield f"{stem}.{tname}.verify-{form}", ["verify", path, "--tuple", tname, "--form", form]
         for cname in doc.configs:
             yield f"{stem}.{cname}.decode", ["decode", path, "--config", cname]
 

@@ -12,7 +12,6 @@ from weylshift.intlinalg import (
     lattice_contains,
     matmul,
     rational_inverse,
-    row_gcd,
     solve_integer,
 )
 
@@ -101,12 +100,6 @@ def test_matmul():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     b = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert matmul(a, b) == ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3)))
-
-
-def test_row_gcd():
-    assert row_gcd([6, -4, 10]) == 2
-    assert row_gcd([0, 0]) == 0
-    assert row_gcd([7]) == 7
 
 
 @given(rows=matrices(2, 3))

@@ -70,6 +70,13 @@ def test_not_json():
         loads("{nope")
 
 
+def test_deeply_nested_json():
+    # deeper than the interpreter's recursion limit
+    text = doc_text()[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ProblemFileError, match="nested too deeply"):
+        loads(text)
+
+
 def test_top_level_must_be_object():
     with pytest.raises(ProblemFileError, match="top level"):
         loads("[1, 2]")

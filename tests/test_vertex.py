@@ -12,7 +12,6 @@ from weylshift.poly import Poly
 from weylshift.shifts import OrbitId, ShiftSystem, StabilizerLattice, stabilizer_lattice
 from weylshift.vertex import (
     VertexConfig,
-    add_configs,
     canonical_key,
     classify,
     decode,
@@ -311,18 +310,12 @@ def test_random_config_needs_positive_rank_one_stabilizer():
         random_config(grid, Poly.variable(2, 0), (0, 1), loops=1, seed=0)
 
 
-def test_add_configs():
-    a = gl3_config([(1, 0, 1), (0, 1, 2)])
-    b = gl3_config([(1, 0, 4)])
-    both = add_configs(a, b)
-    assert both.multiplicities == {(1, 0): 5, (0, 1): 2}
-    other = VertexConfig.build(GL3, Poly.variable(2, 1), (1, 2), [])
-    with pytest.raises(ValueError, match="different orbits"):
-        add_configs(a, other)
-
-
 def test_add_configs_preserves_solutions(staircase_config):
-    doubled = add_configs(staircase_config, staircase_config)
+    # the configuration with every multiplicity doubled
+    c = staircase_config
+    doubled = VertexConfig.build(
+        c.sys, c.generator, c.pair, {k: 2 * m for k, m in c.multiplicities.items()}, c.lattice
+    )
     assert validate(doubled).passed
     got = decode(doubled).solution.expand()
     base = decode(staircase_config).solution.expand()

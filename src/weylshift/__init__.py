@@ -20,9 +20,7 @@ from .consistency import (
 from .equivalence import (
     AutomorphismSpec,
     apply_linear,
-    apply_substitution,
     check_equivalence,
-    find_signed_permutation,
     linear_automorphism,
 )
 from .multiquiver import (
@@ -56,10 +54,8 @@ from .shifts import (
     same_orbit,
     stabilizer_lattice,
 )
-from .svg import RenderOptions, render_svg
+from .svg import render_svg
 from .vertex import (
-    ClassificationRecord,
-    ClassifiedOrbit,
     VertexConfig,
     canonical_key,
     classify,
@@ -76,15 +72,12 @@ __all__ = [
     "AutomorphismSpec",
     "CheckFailure",
     "CheckReport",
-    "ClassificationRecord",
-    "ClassifiedOrbit",
     "FactoredPoly",
     "FactoredSolution",
     "OrbitId",
     "OrbitalPiece",
     "ParseError",
     "Poly",
-    "RenderOptions",
     "ResidueFamily",
     "ShiftSystem",
     "SolutionTuple",
@@ -92,7 +85,6 @@ __all__ = [
     "StructureError",
     "VertexConfig",
     "apply_linear",
-    "apply_substitution",
     "build_solution",
     "canonical_key",
     "check_binary",
@@ -108,7 +100,6 @@ __all__ = [
     "expected_piece_count",
     "factor_by_residue",
     "factor_entry",
-    "find_signed_permutation",
     "format_poly",
     "half_shift",
     "is_fixed_by_shift",

@@ -114,10 +114,9 @@ def cmd_decompose(args) -> int:
 def cmd_encode(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
-    record = classify(entry.as_factored())
     configs = {
-        f"{name}.piece{k + 1}": pf.config_obj(item.config)
-        for k, item in enumerate(record.items)
+        f"{name}.piece{k + 1}": pf.config_obj(config)
+        for k, config in enumerate(classify(entry.as_factored()))
     }
     out = pf.file_obj(doc.sys, configs=configs)
     _emit(pf.dumps(out), args.output)
@@ -145,10 +144,9 @@ def cmd_decode(args) -> int:
 def cmd_classify(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
-    record = classify(entry.as_factored())
     obj = {
         "tuple": name,
-        "pieces": [pf.config_obj(item.config) for item in record.items],
+        "pieces": [pf.config_obj(config) for config in classify(entry.as_factored())],
     }
     _emit(pf.dumps(obj), args.output)
     return 0

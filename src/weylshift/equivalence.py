@@ -38,6 +38,15 @@ def _substitution_images(matrix: Sequence[Sequence[Fraction]]) -> tuple[Poly, ..
     return tuple(images)
 
 
+def _with_inverse(g: Matrix) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """g with Fraction entries, and its inverse."""
+    rows = [[Fraction(c) for c in row] for row in g]
+    ginv = rational_inverse(rows)
+    if ginv is None:
+        raise ValueError("matrix is singular")
+    return rows, ginv
+
+
 @dataclass(frozen=True)
 class AutomorphismSpec:
     """Variable images of a polynomial ring automorphism and of its inverse.
@@ -66,36 +75,10 @@ class AutomorphismSpec:
     def nvars(self) -> int:
         return len(self.forward)
 
-    @classmethod
-    def identity(cls, m: int) -> "AutomorphismSpec":
-        images = tuple(Poly.variable(m, j) for j in range(m))
-        return cls(images, images)
-
-    @classmethod
-    def from_matrix(cls, matrix: Matrix) -> "AutomorphismSpec":
-        """Substitution u_j -> sum_k matrix[j][k] u_k, for invertible matrix."""
-        rows = [[Fraction(c) for c in row] for row in matrix]
-        inv = rational_inverse(rows)
-        if inv is None:
-            raise ValueError("matrix is singular")
-        return cls(_substitution_images(rows), _substitution_images(inv))
-
-    def inverted(self) -> "AutomorphismSpec":
-        return AutomorphismSpec(self.inverse, self.forward)
-
-
-def apply_substitution(psi: AutomorphismSpec, p: Poly) -> Poly:
-    if p.nvars != psi.nvars:
-        raise ValueError("variable count mismatch")
-    return p.compose(psi.forward)
-
 
 def linear_automorphism(g: Matrix) -> AutomorphismSpec:
     """The automorphism witnessing the action of g: substitution by g^{-1}."""
-    rows = [[Fraction(c) for c in row] for row in g]
-    ginv = rational_inverse(rows)
-    if ginv is None:
-        raise ValueError("matrix is singular")
+    rows, ginv = _with_inverse(g)
     return AutomorphismSpec(_substitution_images(ginv), _substitution_images(rows))
 
 
@@ -123,16 +106,10 @@ def check_equivalence(
             if lhs != rhs:
                 failures.append(CheckFailure("intertwine", (i, j), lhs - rhs))
     for i in range(n):
-        image = apply_substitution(psi, a.polys[i])
+        # entries are nonzero, and so are their images under an automorphism
+        image = a.polys[i].compose(psi.forward)
         target = b.polys[i]
-        if image.is_zero or target.is_zero:
-            if image.is_zero != target.is_zero:
-                failures.append(CheckFailure("scalar-multiple", (i,), image - target))
-            continue
-        c = image.coefficient(image.leading_monomial()) / target.coefficient(
-            target.leading_monomial()
-        )
-        diff = image - target * c
+        diff = image - target * (image.leading_coefficient() / target.leading_coefficient())
         if not diff.is_zero:
             failures.append(CheckFailure("scalar-multiple", (i,), diff))
     return CheckReport(tuple(failures))
@@ -141,13 +118,10 @@ def check_equivalence(
 def apply_linear(g: Matrix, sol: SolutionTuple) -> SolutionTuple:
     """Image of the pair under g: alpha becomes g alpha, entries compose
     with the substitution by g^{-1}."""
-    rows = [[Fraction(c) for c in row] for row in g]
     m = sol.sys.nvars
-    if len(rows) != m or any(len(r) != m for r in rows):
+    if len(g) != m or any(len(r) != m for r in g):
         raise ValueError("matrix must be square of the variable count")
-    ginv = rational_inverse(rows)
-    if ginv is None:
-        raise ValueError("matrix is singular")
+    rows, ginv = _with_inverse(g)
     alpha2 = [
         [sum((rows[j][k] * sol.sys.alpha[k][i] for k in range(m)), Fraction(0))
          for i in range(sol.sys.nshifts)]
@@ -157,25 +131,3 @@ def apply_linear(g: Matrix, sol: SolutionTuple) -> SolutionTuple:
     images = _substitution_images(ginv)
     polys2 = tuple(p.compose(images) for p in sol.polys)
     return SolutionTuple(sys2, polys2)
-
-
-def find_signed_permutation(
-    a: SolutionTuple, b: SolutionTuple, max_vars: int = 8
-) -> tuple[tuple[tuple[Fraction, ...], ...], AutomorphismSpec] | None:
-    """Search signed permutation matrices g with apply_linear-style action
-    carrying a onto b; returns (g, witnessing automorphism) or None."""
-    m = a.sys.nvars
-    if m != b.sys.nvars or a.sys.nshifts != b.sys.nshifts:
-        return None
-    if m > max_vars:
-        raise ValueError("search space too large; raise max_vars explicitly")
-    for perm in itertools.permutations(range(m)):
-        for signs in itertools.product((1, -1), repeat=m):
-            g = [
-                [Fraction(signs[j]) if perm[j] == k else Fraction(0) for k in range(m)]
-                for j in range(m)
-            ]
-            psi = linear_automorphism(g)
-            if check_equivalence(psi, a, b).passed:
-                return tuple(tuple(row) for row in g), psi
-    return None

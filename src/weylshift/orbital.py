@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import Sequence
 
 from .consistency import (
     CheckFailure,
@@ -58,10 +59,6 @@ class FactoredPoly:
             if q in seen:
                 raise ValueError("factors must be pairwise distinct")
             seen.add(q)
-
-    @classmethod
-    def one(cls, nvars: int) -> "FactoredPoly":
-        return cls(nvars, Fraction(1), ())
 
     @classmethod
     def from_factors(cls, nvars, factors, unit=Fraction(1)) -> "FactoredPoly":
@@ -151,6 +148,20 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     return report.merged(check_factored(sys, piece.solution.entries))
 
 
+def moving_directions(sys: ShiftSystem, generator: Poly, exclude: Sequence[int]) -> list[int]:
+    """Directions outside `exclude` that move the generator, in increasing order.
+
+    An entry outside the support of an orbital piece is constant, and the
+    binary identity between such an entry k and a nonconstant entry of the
+    piece holds only when direction k fixes the generator.
+    """
+    return [
+        k
+        for k in range(sys.nshifts)
+        if k not in exclude and not is_fixed_by_shift(generator, sys.column(k))
+    ]
+
+
 def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
     """The two indices carrying nonconstant entries, or None for a piece
     with at most one nonconstant entry.
@@ -167,13 +178,12 @@ def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
         raise StructureError(
             f"{len(support)} nonconstant entries; an orbital piece supports at most two"
         )
-    for k in range(sys.nshifts):
-        if k in support:
-            continue
-        if not is_fixed_by_shift(q0, sys.column(k)):
-            raise StructureError(
-                f"entry {k + 1} is constant but direction {k + 1} moves the generator"
-            )
+    moving = moving_directions(sys, q0, support)
+    if moving:
+        k = moving[0]
+        raise StructureError(
+            f"entry {k + 1} is constant but direction {k + 1} moves the generator"
+        )
     if len(support) < 2:
         return None
     for k in support:
@@ -209,18 +219,9 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
                 factors.append((Poly.variable(p.nvars, j), c))
         p = Poly(p.nvars, shifted)
     for j in sorted(p.used_variables()):
-        while True:
-            root = _linear_shift_root(p, j)
-            if root is None:
-                break
-            lin = Poly.variable(p.nvars, j) - Poly.constant(p.nvars, root)
-            mult = 0
-            while True:
-                q = exact_div(p, lin)
-                if q is None:
-                    break
-                p, mult = q, mult + 1
-            factors.append((lin, mult))
+        roots, p = _rational_roots(p, j)
+        var = Poly.variable(p.nvars, j)
+        factors.extend((var - Poly.constant(p.nvars, c), mult) for c, mult in roots)
     if p.is_constant:
         unit = unit * p.constant_value()
     else:
@@ -232,6 +233,28 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
             return None
         factors.extend(sub)
     return FactoredPoly.from_factors(p.nvars, merge_factors(factors).items(), unit)
+
+
+def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
+    """Divide every factor (u_j - c) with rational c out of p.
+
+    Returns each root c with its multiplicity, in the order of
+    `_root_candidates` (0 first), and the cofactor.
+    """
+    roots = []
+    var = Poly.variable(p.nvars, j)
+    while True:
+        root = _linear_shift_root(p, j)
+        if root is None:
+            return roots, p
+        lin = var - Poly.constant(p.nvars, root)
+        mult = 0
+        while True:
+            q = exact_div(p, lin)
+            if q is None:
+                break
+            p, mult = q, mult + 1
+        roots.append((root, mult))
 
 
 def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
@@ -276,13 +299,14 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
     b3, b2, b1, b0 = coeff[3], coeff[2], coeff[1], coeff[0]
     # resolvent cubic for a monic quartic split into two monic quadratics
     # (x^2 + a x + b)(x^2 + c x + d) with y = b + d
-    resolvent = [
-        Fraction(1),
-        -b2,
-        b3 * b1 - 4 * b0,
-        -(b3 * b3 * b0 - 4 * b2 * b0 + b1 * b1),
-    ]
-    for y in _cubic_rational_roots(resolvent):
+    var = Poly.variable(p.nvars, j)
+    resolvent = (
+        var ** 3
+        - var * var * b2
+        + var * (b3 * b1 - 4 * b0)
+        - (b3 * b3 * b0 - 4 * b2 * b0 + b1 * b1)
+    )
+    for y, _ in _rational_roots(resolvent, j)[0]:
         # a + c = b3, ac = b2 - y: roots of z^2 - b3 z + (b2 - y)
         disc = b3 * b3 - 4 * (b2 - y)
         root = _fraction_sqrt(disc)
@@ -300,7 +324,6 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
                 continue
             b = (y + half) / 2
             d = y - b
-        var = Poly.variable(p.nvars, j)
         one = Poly.one(p.nvars)
         qa = var * var + var * a + one * b
         qb = var * var + var * c + one * d
@@ -309,35 +332,16 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
     return [(p, 1)]
 
 
-def _cubic_rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """Rational roots of a cubic given by [lead, ..., const]."""
-    scale = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * scale) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return []
-    roots = []
-    if ints[-1] == 0:
-        roots.append(Fraction(0))
-        while ints[-1] == 0:
-            ints = ints[:-1]
-    n = len(ints)
-    for cand in _root_candidates(ints[0], ints[-1]):
-        if sum(c * cand ** (n - 1 - k) for k, c in enumerate(ints)) == 0:
-            roots.append(cand)
-    return roots
-
-
 def _root_candidates(lead: int, const: int) -> list[Fraction]:
     """By the rational root theorem, every rational root of an integer
     polynomial with leading coefficient lead and lowest nonzero coefficient
     const is some +-num/den with num dividing const and den dividing lead.
     These come without repeats, ordered by num, then den, then sign."""
+    dens = divisors(abs(lead))
     return list(dict.fromkeys(
         Fraction(sign * num, den)
         for num in divisors(abs(const))
-        for den in divisors(abs(lead))
+        for den in dens
         for sign in (1, -1)
     ))
 

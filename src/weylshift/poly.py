@@ -331,20 +331,6 @@ class Poly:
     # ------------------------------------------------------------------
     # calculus and substitution
 
-    def partial(self, index: int) -> "Poly":
-        """Formal partial derivative with respect to u_{index+1} (0-based)."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range for {self.nvars} variables")
-        s = _SLOT * (self.nvars - 1 - index)
-        step = 1 << s
-        # lowering one exponent is injective on the terms it keeps
-        out = {}
-        for k, v in self._terms.items():
-            e = (k >> s) & _MASK
-            if e:
-                out[k - step] = v * e
-        return Poly._raw(self.nvars, *_reduced(out, self._den))
-
     def directional(self, vec: Sequence[Scalar]) -> "Poly":
         """The directional derivative <grad p, vec>, in one pass over the
         terms, with vec's entries brought over one denominator."""
@@ -364,9 +350,6 @@ class Poly:
                     key = k - (1 << s)
                     out[key] = out.get(key, 0) + v * e * b
         return Poly._normal(self.nvars, out, self._den * scale)
-
-    def gradient(self) -> tuple["Poly", ...]:
-        return tuple(self.partial(j) for j in range(self.nvars))
 
     def shift(self, offsets: Sequence[Scalar]) -> "Poly":
         """Return p(u1 - t1, ..., um - tm) for t = offsets, expanded exactly."""
@@ -432,19 +415,6 @@ class Poly:
                     term = term * power(j, k)
             result = result + term
         return result
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        pt = [Fraction(x) for x in point]
-        total = _ZERO
-        for exp, c in self.items():
-            v = c
-            for j, e in enumerate(exp):
-                if e:
-                    v *= pt[j] ** e
-            total += v
-        return total
 
     # ------------------------------------------------------------------
     # printing

@@ -50,6 +50,18 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def _object(value: Any, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ProblemFileError(f"{where}: expected an object")
+    return value
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemFileError(f"{where}: expected a list")
+    return value
+
+
 def _poly(value: Any, m: int, where: str) -> Poly:
     if not isinstance(value, str):
         raise ProblemFileError(f"{where}: polynomials must be expression strings")
@@ -142,8 +154,7 @@ def _load_polys(obj: Any, sys: ShiftSystem, where: str) -> SolutionTuple:
 
 
 def _load_tuple(obj: Any, sys: ShiftSystem, where: str) -> TupleEntry:
-    if not isinstance(obj, Mapping):
-        raise ProblemFileError(f"{where}: expected an object")
+    obj = _object(obj, where)
     form = obj.get("form", "sym")
     if form not in FORMS:
         raise ProblemFileError(f"{where}: form must be one of {', '.join(FORMS)}")
@@ -154,11 +165,10 @@ def _load_tuple(obj: Any, sys: ShiftSystem, where: str) -> TupleEntry:
         entries = []
         for i, e in enumerate(entries_obj):
             ew = f"{where}.entries[{i + 1}]"
-            if not isinstance(e, Mapping):
-                raise ProblemFileError(f"{ew}: expected an object")
+            e = _object(e, ew)
             unit = _rational(e.get("unit", 1), f"{ew}.unit")
             factors = []
-            for k, item in enumerate(e.get("factors", [])):
+            for k, item in enumerate(_list(e.get("factors", []), f"{ew}.factors")):
                 fw = f"{ew}.factors[{k + 1}]"
                 if not isinstance(item, list) or len(item) != 2:
                     raise ProblemFileError(f"{fw}: expected [expression, multiplicity]")
@@ -174,8 +184,7 @@ def _load_tuple(obj: Any, sys: ShiftSystem, where: str) -> TupleEntry:
 
 
 def _load_config(obj: Any, sys: ShiftSystem, where: str) -> VertexConfig:
-    if not isinstance(obj, Mapping):
-        raise ProblemFileError(f"{where}: expected an object")
+    obj = _object(obj, where)
     generator = _poly(obj.get("generator"), sys.nvars, f"{where}.generator")
     pair_obj = obj.get("pair")
     if not isinstance(pair_obj, list) or len(pair_obj) != 2:
@@ -183,7 +192,7 @@ def _load_config(obj: Any, sys: ShiftSystem, where: str) -> VertexConfig:
     i = _integer(pair_obj[0], f"{where}.pair") - 1
     j = _integer(pair_obj[1], f"{where}.pair") - 1
     edges = []
-    for k, item in enumerate(obj.get("edges", [])):
+    for k, item in enumerate(_list(obj.get("edges", []), f"{where}.edges")):
         ew = f"{where}.edges[{k + 1}]"
         if not isinstance(item, list) or len(item) != 3:
             raise ProblemFileError(f"{ew}: expected [x, y, multiplicity]")
@@ -194,8 +203,9 @@ def _load_config(obj: Any, sys: ShiftSystem, where: str) -> VertexConfig:
         raise ProblemFileError(f"{where}: {exc}") from None
     lattice_obj = obj.get("lattice")
     if lattice_obj is not None:
+        lw = f"{where}.lattice"
         stated = tuple(
-            tuple(_integer(v, f"{where}.lattice") for v in row) for row in lattice_obj
+            tuple(_integer(v, lw) for v in _list(row, lw)) for row in _list(lattice_obj, lw)
         )
         if stated != config.lattice.basis:
             raise ProblemFileError(
@@ -217,7 +227,7 @@ def load_obj(doc: Any) -> ProblemFile:
     sys = _load_alpha(doc["alpha"], m, n, "alpha")
 
     tuples: dict[str, TupleEntry] = {}
-    for name, obj in (doc.get("tuples") or {}).items():
+    for name, obj in _object(doc.get("tuples") or {}, "tuples").items():
         tuples[name] = _load_tuple(obj, sys, f"tuples.{name}")
 
     beta = None
@@ -226,21 +236,19 @@ def load_obj(doc: Any) -> ProblemFile:
         if not isinstance(rows, list):
             raise ProblemFileError("beta must be a list of integer rows")
         beta = tuple(
-            tuple(_integer(x, f"beta row {j + 1}") for x in row)
+            tuple(_integer(x, f"beta row {j + 1}") for x in _list(row, f"beta row {j + 1}"))
             for j, row in enumerate(rows)
         )
 
     configs: dict[str, VertexConfig] = {}
-    for name, obj in (doc.get("configs") or {}).items():
+    for name, obj in _object(doc.get("configs") or {}, "configs").items():
         configs[name] = _load_config(obj, sys, f"configs.{name}")
 
     psi = None
     if doc.get("psi") is not None:
-        pobj = doc["psi"]
-        if not isinstance(pobj, Mapping):
-            raise ProblemFileError("psi: expected an object")
-        forward = [_poly(x, m, "psi.forward") for x in pobj.get("forward", [])]
-        inverse = [_poly(x, m, "psi.inverse") for x in pobj.get("inverse", [])]
+        pobj = _object(doc["psi"], "psi")
+        forward = [_poly(x, m, "psi.forward") for x in _list(pobj.get("forward", []), "psi.forward")]
+        inverse = [_poly(x, m, "psi.inverse") for x in _list(pobj.get("inverse", []), "psi.inverse")]
         try:
             psi = AutomorphismSpec(tuple(forward), tuple(inverse))
         except ValueError as exc:
@@ -249,9 +257,7 @@ def load_obj(doc: Any) -> ProblemFile:
     pairs: dict[str, SolutionTuple] = {}
     for key in ("pair_a", "pair_b"):
         if doc.get(key) is not None:
-            pobj = doc[key]
-            if not isinstance(pobj, Mapping):
-                raise ProblemFileError(f"{key}: expected an object")
+            pobj = _object(doc[key], key)
             psys = (
                 _load_alpha(pobj["alpha"], m, n, f"{key}.alpha")
                 if "alpha" in pobj

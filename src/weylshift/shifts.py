@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import IntegerSystem, IntVec, integer_kernel, lattice_contains
+from .intlinalg import IntegerSystem, IntVec, integer_kernel
 from .poly import Poly, Scalar, coefficient_rows, monomial_index, numerators_on
 
 
@@ -77,13 +77,6 @@ class StabilizerLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.ambient_rank:
-            raise ValueError("vector length mismatch")
-        if not self.basis:
-            return not any(vec)
-        return lattice_contains(self.basis, vec)
 
 
 def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> StabilizerLattice:

@@ -9,22 +9,20 @@ byte for byte for a given configuration and option set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .poly import format_poly
 from .vertex import VertexConfig
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    cell: int = 40
-    margin: int = 30
-    grid_color: str = "#cccccc"
-    edge_color: str = "#2060c0"
-    boundary_color: str = "#666666"
-    label_color: str = "#000000"
-    font_size: int = 12
+# grid cell and margin in pixels, colours, and the label font size
+CELL = 40
+MARGIN = 30
+GRID_COLOR = "#cccccc"
+EDGE_COLOR = "#2060c0"
+BOUNDARY_COLOR = "#666666"
+LABEL_COLOR = "#000000"
+FONT_SIZE = 12
 
 
 def _odd_below(v: int) -> int:
@@ -35,9 +33,8 @@ def _odd_above(v: int) -> int:
     return v if v % 2 else v + 1
 
 
-def render_svg(config: VertexConfig, opts: RenderOptions | None = None) -> str:
-    opts = opts or RenderOptions()
-    half = opts.cell // 2
+def render_svg(config: VertexConfig) -> str:
+    half = CELL // 2
     xs = {0}
     ys = {0}
     for x, y, _ in config.edges:
@@ -60,15 +57,15 @@ def render_svg(config: VertexConfig, opts: RenderOptions | None = None) -> str:
     y_hi = _odd_above(max(ys) + 1)
 
     def px(x: int) -> int:
-        return opts.margin + (x - x_lo) * half
+        return MARGIN + (x - x_lo) * half
 
     def py(y: int) -> int:
-        return opts.margin + (y_hi - y) * half
+        return MARGIN + (y_hi - y) * half
 
     label = format_poly(config.generator)
-    grid_w = 2 * opts.margin + (x_hi - x_lo) * half
-    width = max(grid_w, px(0) + 14 + 7 * len(label) + opts.margin)
-    height = 2 * opts.margin + (y_hi - y_lo) * half
+    grid_w = 2 * MARGIN + (x_hi - x_lo) * half
+    width = max(grid_w, px(0) + 14 + 7 * len(label) + MARGIN)
+    height = 2 * MARGIN + (y_hi - y_lo) * half
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -79,25 +76,25 @@ def render_svg(config: VertexConfig, opts: RenderOptions | None = None) -> str:
     for x in range(x_lo, x_hi + 1, 2):
         lines.append(
             f'<line x1="{px(x)}" y1="{py(y_hi)}" x2="{px(x)}" y2="{py(y_lo)}" '
-            f'stroke="{opts.grid_color}" stroke-width="1"/>'
+            f'stroke="{GRID_COLOR}" stroke-width="1"/>'
         )
     for y in range(y_lo, y_hi + 1, 2):
         lines.append(
             f'<line x1="{px(x_lo)}" y1="{py(y)}" x2="{px(x_hi)}" y2="{py(y)}" '
-            f'stroke="{opts.grid_color}" stroke-width="1"/>'
+            f'stroke="{GRID_COLOR}" stroke-width="1"/>'
         )
     if boundaries is not None:
         for v in boundaries:
             if horizontal:
                 lines.append(
                     f'<line x1="{px(x_lo)}" y1="{py(v)}" x2="{px(x_hi)}" y2="{py(v)}" '
-                    f'stroke="{opts.boundary_color}" stroke-width="1" '
+                    f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
                     f'stroke-dasharray="6,4"/>'
                 )
             else:
                 lines.append(
                     f'<line x1="{px(v)}" y1="{py(y_hi)}" x2="{px(v)}" y2="{py(y_lo)}" '
-                    f'stroke="{opts.boundary_color}" stroke-width="1" '
+                    f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
                     f'stroke-dasharray="6,4"/>'
                 )
     labels = []
@@ -108,21 +105,21 @@ def render_svg(config: VertexConfig, opts: RenderOptions | None = None) -> str:
             x1, y1, x2, y2 = px(x - 1), py(y), px(x + 1), py(y)
         lines.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="{opts.edge_color}" stroke-width="{mult + 2}" '
+            f'stroke="{EDGE_COLOR}" stroke-width="{mult + 2}" '
             f'stroke-linecap="round"/>'
         )
         if mult > 1:
             labels.append(
                 f'<text x="{px(x) + 5}" y="{py(y) - 5}" font-family="monospace" '
-                f'font-size="{opts.font_size - 1}" fill="{opts.edge_color}">{mult}</text>'
+                f'font-size="{FONT_SIZE - 1}" fill="{EDGE_COLOR}">{mult}</text>'
             )
     lines.extend(labels)
     lines.append(
-        f'<circle cx="{px(0)}" cy="{py(0)}" r="3" fill="{opts.label_color}"/>'
+        f'<circle cx="{px(0)}" cy="{py(0)}" r="3" fill="{LABEL_COLOR}"/>'
     )
     lines.append(
         f'<text x="{px(0) + 8}" y="{py(0) + 4}" font-family="monospace" '
-        f'font-size="{opts.font_size}" fill="{opts.label_color}">{escape(label)}</text>'
+        f'font-size="{FONT_SIZE}" fill="{LABEL_COLOR}">{escape(label)}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

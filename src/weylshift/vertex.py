@@ -27,6 +27,7 @@ from .orbital import (
     OrbitalPiece,
     StructureError,
     decompose,
+    moving_directions,
     support_pair,
 )
 from .poly import Poly, merge_factors
@@ -35,7 +36,6 @@ from .shifts import (
     ShiftSystem,
     StabilizerLattice,
     half_shift,
-    is_fixed_by_shift,
     same_orbit,
     stabilizer_lattice,
 )
@@ -109,38 +109,13 @@ class VertexConfig:
     def orbit(self) -> OrbitId:
         return OrbitId(self.generator, self.pair, self.lattice)
 
-    def multiplicity(self, key: Key) -> int:
-        ck = canonical_key(self.lattice, key)
-        for x, y, m in self.edges:
-            if (x, y) == ck:
-                return m
-        return 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
-
-def _moving_directions(sys: ShiftSystem, generator: Poly, pair: Sequence[int]) -> list[int]:
-    """Directions outside the pair that move the generator.
-
-    The decoded entries outside the pair are 1, and the binary identity
-    between such an entry k and a nonconstant entry of the pair holds only
-    when direction k fixes the generator.
-    """
-    return [
-        k
-        for k in range(sys.nshifts)
-        if k not in pair and not is_fixed_by_shift(generator, sys.column(k))
-    ]
-
 
 def validate(config: VertexConfig) -> CheckReport:
     """Directions outside the pair, key parity, canonical form, and the
     corner conservation law."""
     failures = [
         CheckFailure("off-pair-fixed", (k,), None)
-        for k in _moving_directions(config.sys, config.generator, config.pair)
+        for k in moving_directions(config.sys, config.generator, config.pair)
     ]
     mults = config.multiplicities
     for (x, y), _ in mults.items():
@@ -196,8 +171,7 @@ def decode(config: VertexConfig) -> OrbitalPiece:
         placed = buckets.get(k, [])
         unit = lead ** sum(mult for _, mult in placed)
         entries.append(FactoredPoly.from_factors(sys.nvars, placed, unit))
-    orbit = OrbitId(config.generator, config.pair, config.lattice)
-    return OrbitalPiece(orbit, FactoredSolution(sys, tuple(entries)))
+    return OrbitalPiece(config.orbit, FactoredSolution(sys, tuple(entries)))
 
 
 def encode(piece: OrbitalPiece) -> VertexConfig:
@@ -235,18 +209,6 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
     return config
 
 
-@dataclass(frozen=True)
-class ClassifiedOrbit:
-    orbit: OrbitId
-    pair: tuple[int, int]
-    config: VertexConfig
-
-
-@dataclass(frozen=True)
-class ClassificationRecord:
-    items: tuple[ClassifiedOrbit, ...]
-
-
 def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
     """Whether the product of `parts` equals `whole`.
 
@@ -265,8 +227,9 @@ def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
     return product == whole.expand()
 
 
-def classify(sol: FactoredSolution) -> ClassificationRecord:
-    """Decompose a factored solution and encode every piece.
+def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
+    """Decompose a factored solution and encode every piece: one
+    configuration per piece, in the order of `decompose`.
 
     As a final audit each piece must decode back to itself and the pieces
     must multiply back to the monic part of the input, entry by entry (the
@@ -274,19 +237,24 @@ def classify(sol: FactoredSolution) -> ClassificationRecord:
     trivial support is rejected since it has no grid picture.
     """
     pieces = decompose(sol)
-    items = []
+    configs = []
     for piece in pieces:
         config = encode(piece)
         roundtrip = decode(config)
         pairs = zip(roundtrip.solution.entries, piece.solution.entries)
         if not all(_same_product([got], want) for got, want in pairs):
             raise StructureError("decode(encode(piece)) changed the piece")
-        items.append(ClassifiedOrbit(config.orbit, config.pair, config))
+        configs.append(config)
     for k, entry in enumerate(sol.entries):
         monic = FactoredPoly(entry.nvars, Fraction(1), entry.factors)
         if not _same_product([piece.solution.entries[k] for piece in pieces], monic):
             raise StructureError("pieces do not multiply back to the input")
-    return ClassificationRecord(tuple(items))
+    return tuple(configs)
+
+
+# random_config starts each staircase at a corner (2a+1, 2b+1) with a and b
+# drawn from [-SPREAD, SPREAD]
+SPREAD = 3
 
 
 def random_config(
@@ -295,7 +263,6 @@ def random_config(
     pair: Sequence[int],
     loops: int,
     seed: int,
-    spread: int = 3,
 ) -> VertexConfig:
     """Superpose `loops` random monotone staircases closed on the cylinder.
 
@@ -307,7 +274,7 @@ def random_config(
     i, j = pair
     if not 0 <= i < j < sys.nshifts:
         raise ValueError("pair must be two distinct direction indices in order")
-    moving = _moving_directions(sys, generator, (i, j))
+    moving = moving_directions(sys, generator, (i, j))
     if moving:
         raise ValueError(
             f"direction {moving[0] + 1} lies outside the pair and moves the generator"
@@ -323,8 +290,8 @@ def random_config(
     for _ in range(loops):
         word = ["up"] * s + ["right"] * r
         rng.shuffle(word)
-        x = 2 * rng.randint(-spread, spread) + 1
-        y = 2 * rng.randint(-spread, spread) + 1
+        x = 2 * rng.randint(-SPREAD, SPREAD) + 1
+        y = 2 * rng.randint(-SPREAD, SPREAD) + 1
         for step in word:
             if step == "up":
                 key = (x, y + 1)

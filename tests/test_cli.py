@@ -285,6 +285,32 @@ def test_deep_nesting_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_CONFIG = {"generator": "u1", "pair": [1, 2], "edges": [[1, 0, 1], [2, 1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("tuples", ["x"], "tuples"),
+        ("tuples", {"t": {"form": "factored", "entries": [{"factors": 5}, {}, {}]}}, "factors"),
+        ("configs", {"c": dict(_CONFIG, edges=3)}, "configs.c.edges"),
+        ("configs", {"c": dict(_CONFIG, lattice=7)}, "configs.c.lattice"),
+        ("psi", {"forward": 3, "inverse": []}, "psi.forward"),
+        ("beta", [3], "beta row 1"),
+    ],
+)
+def test_wrong_container_shapes_exit_two(tmp_path, capsys, key, value, named):
+    with open(GL3, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc[key] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("generator,loops", [("2*u1", 2), ("-u1", 3)])
 def test_classify_ignores_units_of_decoded_tuples(tmp_path, capsys, generator, loops):
     # decode puts lead^multiplicity into each entry's unit; classify works

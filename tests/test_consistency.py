@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -122,3 +125,63 @@ def test_run_products_solve_both_forms(b1, b2):
     assert check_binary(half).passed
     assert check_ternary(half).passed
     assert unsymmetrize(half).polys == t.polys
+
+
+# Binary => ternary on tuples that no decoding produced: entries are
+# products of up to three shifted linear factors, columns lie in (1/2)Z,
+# and the systems include zero columns, parallel columns and rank one.
+_HALVES = [Fraction(k, 2) for k in range(-2, 3)]
+_QUARTERS = [Fraction(k, 4) for k in range(-4, 5)]
+_SYSTEM_KINDS = ("generic", "zero", "parallel", "rank1")
+
+
+def _random_system(rng, kind, m, n):
+    base = [rng.choice(_HALVES) for _ in range(m)]
+    cols = []
+    for i in range(n):
+        if kind == "rank1" or (kind == "parallel" and i and rng.random() < 0.5):
+            ref = base if kind == "rank1" else cols[rng.randrange(i)]
+            scale = rng.choice((-2, -1, 1, 2))
+            cols.append([scale * x for x in ref])
+        elif kind == "zero" and rng.random() < 0.4:
+            cols.append([Fraction(0)] * m)
+        else:
+            cols.append([rng.choice(_HALVES) for _ in range(m)])
+    return ShiftSystem.from_rows([[cols[i][j] for i in range(n)] for j in range(m)])
+
+
+def _linear_forms(m):
+    if m == 1:
+        return [Poly.variable(1, 0)]
+    u1, u2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    return [u1, u2, u1 + u2, u1 - u2]
+
+
+def _random_entry(rng, m, forms):
+    if rng.random() < 0.3:
+        return Poly.constant(m, rng.choice((1, 2, Fraction(-1, 3))))
+    acc = Poly.one(m)
+    for _ in range(rng.randint(1, 3)):
+        acc = acc * (rng.choice(forms) - rng.choice(_QUARTERS))
+    return acc
+
+
+def test_binary_implies_ternary_on_undecoded_tuples():
+    rng = random.Random(2019)
+    nonconstant_passes = 0
+    kinds_seen = set()
+    for _ in range(2500):
+        m, n = rng.choice((1, 2)), rng.choice((3, 4))
+        kind = rng.choice(_SYSTEM_KINDS)
+        sys = _random_system(rng, kind, m, n)
+        forms = rng.sample(_linear_forms(m), min(2, len(_linear_forms(m))))
+        sol = SolutionTuple(sys, tuple(_random_entry(rng, m, forms) for _ in range(n)))
+        if not check_binary(sol).passed:
+            continue
+        assert check_ternary(sol).passed, (sys.alpha, [str(p) for p in sol.polys])
+        if any(not p.is_constant for p in sol.polys):
+            nonconstant_passes += 1
+            kinds_seen.add(kind)
+    # the loop must reach the claim, not only tuples of constants
+    assert nonconstant_passes >= 100
+    assert kinds_seen == set(_SYSTEM_KINDS)

@@ -45,8 +45,8 @@ def test_factored_poly_validation():
 def test_factored_poly_expand():
     e = fp(2, ("u1 - 1", 2), ("u2", 1), unit=-3)
     assert e.expand() == parse_poly("-3*(u1 - 1)^2*u2", 2)
-    assert FactoredPoly.one(2).is_one
-    assert FactoredPoly.one(2).expand() == Poly.one(2)
+    assert fp(2).is_one
+    assert fp(2).expand() == Poly.one(2)
     assert not fp(2, unit=-1).is_one
 
 
@@ -124,7 +124,7 @@ def test_support_pair_rejects_three_entries():
 
 def test_support_pair_rejects_moving_direction_with_constant_entry():
     orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1, 2))
-    entries = (fp(2, ("u1 - 1/2", 1)), FactoredPoly.one(2), FactoredPoly.one(2))
+    entries = (fp(2, ("u1 - 1/2", 1)), fp(2), fp(2))
     piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="moves the generator"):
         support_pair(piece)

@@ -158,7 +158,8 @@ def test_shift_and_partial_match_reference(a, t):
     pa, ra = both(a)
     assert agrees(pa.shift(t), ref_shift(ra, t))
     for j in range(M):
-        assert agrees(pa.partial(j), ref_partial(ra, j))
+        unit = tuple(int(k == j) for k in range(M))
+        assert agrees(pa.directional(unit), ref_partial(ra, j))
 
 
 def ref_directional(a, vec):

@@ -3,7 +3,7 @@
 from conftest import golden_path
 from weylshift.parser import parse_poly
 from weylshift.shifts import ShiftSystem
-from weylshift.svg import RenderOptions, render_svg
+from weylshift.svg import render_svg
 from weylshift.vertex import VertexConfig
 
 
@@ -61,8 +61,3 @@ def test_rank_zero_lattice_has_no_boundaries(gl3_file, staircase_config):
     assert "stroke-dasharray" not in render_svg(free)
     assert "stroke-dasharray" in render_svg(staircase_config)
 
-
-def test_options_change_output(staircase_config):
-    small = render_svg(staircase_config, RenderOptions(cell=20, margin=10))
-    assert small != render_svg(staircase_config)
-    assert 'width="1"' not in small.split("\n")[1]

@@ -55,9 +55,8 @@ def test_build_merges_and_canonicalizes():
     cfg = gl3_config([(1, 0, 1), (3, 2, 2), (2, 1, 0)])
     # (3, 2) is (1, 0) plus twice the stabilizer generator (1, 1)
     assert cfg.edges == ((1, 0, 3),)
-    assert cfg.multiplicity((5, 4)) == 3
-    assert cfg.multiplicity((0, 1)) == 0
-    assert not cfg.is_empty
+    assert cfg.multiplicities == {(1, 0): 3}
+    assert canonical_key(cfg.lattice, (5, 4)) == (1, 0)
 
 
 def test_build_validation():
@@ -170,7 +169,7 @@ def test_encode_needs_two_supported_directions():
     orbit = orbit_of(sys, Poly.variable(1, 0), (0, 1))
     entries = (
         FactoredPoly.from_factors(1, [(parse_poly("u1 - 1/2", 1), 1)]),
-        FactoredPoly.one(1),
+        FactoredPoly.from_factors(1, ()),
     )
     piece = OrbitalPiece(orbit, FactoredSolution(sys, entries))
     with pytest.raises(StructureError, match="nothing to encode"):
@@ -182,7 +181,7 @@ def test_encode_rejects_off_orbit_factors():
     entries = (
         _fp("u1 - 1/2"),
         _fp("u2 + 1/2"),
-        FactoredPoly.one(2),
+        FactoredPoly.from_factors(2, ()),
     )
     piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="does not sit on the orbit"):
@@ -194,7 +193,7 @@ def test_encode_rejects_nonsolutions():
     entries = (
         _fp("u1 - 1/2", "u1 - 3/2"),
         _fp("u1 - 1/2"),
-        FactoredPoly.one(2),
+        FactoredPoly.from_factors(2, ()),
     )
     piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="conservation fails"):
@@ -202,26 +201,23 @@ def test_encode_rejects_nonsolutions():
 
 
 def test_classify_gl3(gl3_file):
-    record = classify(gl3_file.tuples["gl3_sym"].as_factored())
-    assert len(record.items) == 2
-    assert [item.pair for item in record.items] == [(0, 1), (1, 2)]
-    for item in record.items:
-        assert validate(item.config).passed
-        assert item.config.lattice.basis == ((1, 1),)
-        assert not item.config.is_empty
+    configs = classify(gl3_file.tuples["gl3_sym"].as_factored())
+    assert [config.pair for config in configs] == [(0, 1), (1, 2)]
+    for config in configs:
+        assert validate(config).passed
+        assert config.lattice.basis == ((1, 1),)
+        assert config.edges
 
 
 def test_classify_staircase_matches_figure(staircase_file, staircase_config):
-    record = classify(staircase_file.tuples["main_monic"].as_factored())
-    assert len(record.items) == 1
-    item = record.items[0]
-    assert item.pair == (0, 1)
-    assert item.config.edges == staircase_config.edges
+    (config,) = classify(staircase_file.tuples["main_monic"].as_factored())
+    assert config.pair == (0, 1)
+    assert config.edges == staircase_config.edges
     # the classified anchor is the monic form of the figure's generator
     fig_monic = VertexConfig.build(
         STAIR, F.make_monic()[1], (0, 1), staircase_config.edges
     )
-    assert same_config(item.config, fig_monic)
+    assert same_config(config, fig_monic)
 
 
 def _regroup_decode(decode_fn):
@@ -274,7 +270,7 @@ def test_same_product_on_several_parts():
     assert _same_product([_fp("u1 + 1", "u1 - 1")], whole)
     assert not _same_product([_fp("u1 - 1"), _fp("u1 + 2")], whole)
     assert not _same_product([_fp("u1 - 1"), _fp("u1 + 1")], FactoredPoly.from_factors(2, whole.factors, -1))
-    assert _same_product([], FactoredPoly.one(2))
+    assert _same_product([], FactoredPoly.from_factors(2, ()))
 
 
 def test_random_config_is_reproducible():
@@ -291,7 +287,7 @@ def test_random_config_loops_conserve():
         assert validate(cfg).passed
         total = sum(m for _, _, m in cfg.edges)
         assert total == 5 * loops  # r + s = 5 edges per closed staircase
-    assert random_config(STAIR, F, (0, 1), loops=0, seed=1).is_empty
+    assert not random_config(STAIR, F, (0, 1), loops=0, seed=1).edges
 
 
 def test_random_config_decodes_to_solutions():

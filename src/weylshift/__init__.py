@@ -46,7 +46,6 @@ from .orbital import (
 from .parser import ParseError, parse_poly, parse_rational
 from .poly import Poly, exact_div, format_poly
 from .shifts import (
-    OrbitId,
     ShiftSystem,
     StabilizerLattice,
     half_shift,
@@ -74,7 +73,6 @@ __all__ = [
     "CheckReport",
     "FactoredPoly",
     "FactoredSolution",
-    "OrbitId",
     "OrbitalPiece",
     "ParseError",
     "Poly",

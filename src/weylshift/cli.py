@@ -32,6 +32,7 @@ from .multiquiver import (
 from .orbital import FactoredPoly, decompose, support_pair
 from .parser import ParseError, parse_poly
 from .poly import format_poly
+from .shifts import stabilizer_lattice
 from .svg import render_svg
 from .vertex import classify, decode, random_config, validate
 
@@ -99,12 +100,12 @@ def cmd_decompose(args) -> int:
         pair_text = (
             f"({pair[0] + 1},{pair[1] + 1})" if pair is not None else "trivial"
         )
-        stab = piece.orbit.stabilizer
+        stab = stabilizer_lattice(factored.sys, piece.generator, piece.indices)
         stab_text = (
             " ".join(str(tuple(v)) for v in stab.basis) if stab.basis else "trivial"
         )
         print(f"piece {k}: support pair {pair_text}")
-        print(f"  generator: {format_poly(piece.orbit.generator)}")
+        print(f"  generator: {format_poly(piece.generator)}")
         print(f"  stabilizer: {stab_text}")
         for i, e in enumerate(piece.solution.entries, start=1):
             print(f"  entry {i}: {format_factored(e)}")
@@ -172,7 +173,7 @@ def cmd_multiquiver(args) -> int:
     print("symmetrized solution:")
     for i, e in enumerate(sym.entries, start=1):
         print(f"  p{i} = {format_factored(e)}")
-    families = residue_families(beta, allow_single=True)
+    families = residue_families(beta)
     print(f"expected piece count: {expected_piece_count(beta)}")
     for fam in families:
         side = " (one-sided)" if fam.one_sided else ""
@@ -181,7 +182,7 @@ def cmd_multiquiver(args) -> int:
             f"{len(fam.pieces)} piece(s){side}"
         )
         for piece in fam.pieces:
-            print(f"  orbit of {format_poly(piece.orbit.generator)}:")
+            print(f"  orbit of {format_poly(piece.generator)}:")
             for i, e in enumerate(piece.solution.entries, start=1):
                 if not e.is_one:
                     print(f"    entry {i}: {format_factored(e)}")

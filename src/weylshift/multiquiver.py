@@ -16,7 +16,7 @@ from math import gcd
 from .consistency import CheckFailure, CheckReport, SolutionTuple
 from .orbital import FactoredPoly, FactoredSolution, OrbitalPiece
 from .poly import Poly, merge_factors
-from .shifts import OrbitId, ShiftSystem, stabilizer_lattice
+from .shifts import ShiftSystem
 
 
 def validate_beta(beta) -> CheckReport:
@@ -109,20 +109,19 @@ class ResidueFamily:
     one_sided: bool
 
 
-def factor_by_residue(beta, allow_single: bool = False) -> list[OrbitalPiece]:
+def factor_by_residue(beta) -> list[OrbitalPiece]:
     """Orbital pieces of the symmetrized solution, grouped arithmetically.
 
     For row j with nonzero entries the shifts of u_j generated by the
     columns are the multiples of gamma_j = gcd of the row; a linear factor
     (u_j - l) of entry i sits on the orbit labelled by (l - beta[j][i]/2)
     mod gamma_j.  Rows with a single nonzero entry yield one-sided
-    singleton pieces and are rejected unless allow_single is set; zero
-    rows are always rejected.
+    singleton pieces; zero rows are rejected.
     """
-    return [p for fam in residue_families(beta, allow_single) for p in fam.pieces]
+    return [p for fam in residue_families(beta) for p in fam.pieces]
 
 
-def residue_families(beta, allow_single: bool = False) -> list[ResidueFamily]:
+def residue_families(beta) -> list[ResidueFamily]:
     _require_valid(beta)
     sys = system_of(beta)
     m, n = sys.nvars, sys.nshifts
@@ -132,12 +131,6 @@ def residue_families(beta, allow_single: bool = False) -> list[ResidueFamily]:
         nonzero = [i for i in range(n) if beta[j][i]]
         if not nonzero:
             raise ValueError(f"row {j + 1} is zero; it contributes no solution data")
-        one_sided = len(nonzero) == 1
-        if one_sided and not allow_single:
-            raise ValueError(
-                f"row {j + 1} has a single nonzero entry; its pieces are one-sided "
-                "(pass allow_single=True to include them)"
-            )
         gamma = 0
         for i in nonzero:
             gamma = gcd(gamma, abs(beta[j][i]))
@@ -165,9 +158,8 @@ def residue_families(beta, allow_single: bool = False) -> list[ResidueFamily]:
                     root = -bucket[i][0].coefficient((0,) * m)
                     anchor = Poly.variable(m, j) - (root - Fraction(beta[j][i], 2))
             assert anchor is not None
-            orbit = OrbitId(anchor, full, stabilizer_lattice(sys, anchor, full))
-            pieces.append(OrbitalPiece(orbit, FactoredSolution(sys, tuple(entries))))
-        families.append(ResidueFamily(j, gamma, tuple(pieces), one_sided))
+            pieces.append(OrbitalPiece(anchor, full, FactoredSolution(sys, tuple(entries))))
+        families.append(ResidueFamily(j, gamma, tuple(pieces), len(nonzero) == 1))
     return families
 
 

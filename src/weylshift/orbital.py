@@ -23,14 +23,7 @@ from .consistency import (
 )
 from .intlinalg import divisors
 from .poly import Poly, exact_div, merge_factors
-from .shifts import (
-    OrbitId,
-    ShiftSystem,
-    half_shift,
-    is_fixed_by_shift,
-    same_orbit,
-    stabilizer_lattice,
-)
+from .shifts import ShiftSystem, half_shift, is_fixed_by_shift, same_orbit
 
 
 class StructureError(ValueError):
@@ -92,7 +85,11 @@ class FactoredSolution:
 
 @dataclass(frozen=True)
 class OrbitalPiece:
-    orbit: OrbitId
+    """A solution whose factors all lie on the orbit of `generator` under
+    the directions `indices`."""
+
+    generator: Poly
+    indices: tuple[int, ...]
     solution: FactoredSolution
 
 
@@ -126,8 +123,7 @@ def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
         entries = tuple(
             FactoredPoly.from_factors(sys.nvars, bucket[i]) for i in range(sys.nshifts)
         )
-        orbit = OrbitId(anchor, full, stabilizer_lattice(sys, anchor, full))
-        pieces.append(OrbitalPiece(orbit, FactoredSolution(sys, entries)))
+        pieces.append(OrbitalPiece(anchor, full, FactoredSolution(sys, entries)))
     return pieces
 
 
@@ -135,14 +131,13 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     """Membership of every factor in the piece's orbit, then the full
     binary and ternary checks, decided on the factors."""
     sys = piece.solution.sys
-    indices = piece.orbit.index_set
-    gen_monic = piece.orbit.generator.make_monic()[1]
+    gen_monic = piece.generator.make_monic()[1]
     failures: list[CheckFailure] = []
     memo: dict = {}
     for i, entry in enumerate(piece.solution.entries):
         for q, _ in entry.factors:
             base = half_shift(sys, i, -1, q)
-            if same_orbit(sys, gen_monic, base, indices, memo) is None:
+            if same_orbit(sys, gen_monic, base, piece.indices, memo) is None:
                 failures.append(CheckFailure("membership", (i,), base - gen_monic))
     report = CheckReport(tuple(failures))
     return report.merged(check_factored(sys, piece.solution.entries))
@@ -172,7 +167,7 @@ def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
     fixes it.
     """
     sys = piece.solution.sys
-    q0 = piece.orbit.generator
+    q0 = piece.generator
     support = [i for i, e in enumerate(piece.solution.entries) if not e.is_one]
     if len(support) > 2:
         raise StructureError(
@@ -238,50 +233,39 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
 def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
     """Divide every factor (u_j - c) with rational c out of p.
 
-    Returns each root c with its multiplicity, in the order of
-    `_root_candidates` (0 first), and the cofactor.
-    """
-    roots = []
-    var = Poly.variable(p.nvars, j)
-    while True:
-        root = _linear_shift_root(p, j)
-        if root is None:
-            return roots, p
-        lin = var - Poly.constant(p.nvars, root)
-        mult = 0
-        while True:
-            q = exact_div(p, lin)
-            if q is None:
-                break
-            p, mult = q, mult + 1
-        roots.append((root, mult))
-
-
-def _linear_shift_root(p: Poly, j: int) -> Fraction | None:
-    """A rational c with (u_j - c) dividing p, if one exists.
-
     Candidates come from one coefficient slice of p viewed as a polynomial
-    in u_j, then each is confirmed by exact division.
+    in u_j.  Dividing p by (u_j - c) divides that slice by it too, so the
+    first slice's candidates cover every cofactor: one walk divides each
+    candidate out as often as it goes, and stops once the slice is
+    constant in u_j.  Returns each root c with its multiplicity, in the
+    order of `_root_candidates` (0 first), and the cofactor.
     """
     slices: dict[tuple, dict[int, Fraction]] = {}
     for e, c in p.items():
         rest = e[:j] + e[j + 1 :]
         slices.setdefault(rest, {})[e[j]] = c
-    probe = min(slices)
-    coeffs = slices[probe]
+    coeffs = slices[min(slices)]
     deg = max(coeffs)
+    roots: list[tuple[Fraction, int]] = []
     if deg == 0:
-        return None
+        return roots, p
     scale = lcm(*[c.denominator for c in coeffs.values()])
     ints = {k: int(c * scale) for k, c in coeffs.items()}
     low = min(ints)
     candidates = [Fraction(0)] if low > 0 else []
     candidates += _root_candidates(ints[deg], ints[low])
-    lin_template = Poly.variable(p.nvars, j)
+    var = Poly.variable(p.nvars, j)
     for cand in candidates:
-        if exact_div(p, lin_template - Poly.constant(p.nvars, cand)) is not None:
-            return cand
-    return None
+        lin = var - Poly.constant(p.nvars, cand)
+        mult = 0
+        while (q := exact_div(p, lin)) is not None:
+            p, mult = q, mult + 1
+        if mult:
+            roots.append((cand, mult))
+            deg -= mult
+            if deg == 0:
+                break
+    return roots, p
 
 
 def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:

@@ -35,6 +35,12 @@ _OPS = set("+-*^()/")
 # far inside the interpreter's recursion limit.
 _MAX_NESTING = 100
 
+# Expansion and shifting cost grow with the degree (a shift builds one
+# binomial row per exponent), so every power and product is bounded before
+# it is expanded.  The test data, the benchmark's inputs and the expanded
+# 30-loop staircase (degree 90) stay below 100.
+_MAX_DEGREE = 1000
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -108,27 +114,34 @@ class _Parser:
                 return acc
 
     def term(self) -> Poly:
-        acc = self.factor()
+        acc, deg = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = acc * self.factor()
+                rhs, rhs_deg = self.factor()
+                deg += rhs_deg
+                _check_degree(deg, at)
+                acc = acc * rhs
             else:
                 return acc
 
-    def factor(self) -> Poly:
-        base = self.base()
+    def factor(self) -> tuple[Poly, int]:
+        """The factor and its degree, with 0 for the zero polynomial."""
+        base, deg = self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
             kind, val, at = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a natural number", at)
-            base = base ** int(val)
-        return base
+            k = int(val)
+            deg *= k
+            _check_degree(deg, at)
+            base = base ** k
+        return base, deg
 
-    def base(self) -> Poly:
+    def base(self) -> tuple[Poly, int]:
         kind, val, at = self.take()
         if kind == "int":
             num = int(val)
@@ -141,15 +154,15 @@ class _Parser:
                 den = int(val3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
-                return Poly.constant(self.nvars, Fraction(num, den))
-            return Poly.constant(self.nvars, num)
+                return Poly.constant(self.nvars, Fraction(num, den)), 0
+            return Poly.constant(self.nvars, num), 0
         if kind == "var":
             index = int(val[1:])
             if not 1 <= index <= self.nvars:
                 raise ParseError(
                     f"variable {val} out of range, expected u1..u{self.nvars}", at
                 )
-            return Poly.variable(self.nvars, index - 1)
+            return Poly.variable(self.nvars, index - 1), 1
         if kind == "op" and val == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
@@ -157,8 +170,13 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return inner
+            return inner, max(inner.degree(), 0)
         raise ParseError("expected a number, variable, or parenthesized group", at)
+
+
+def _check_degree(degree: int, at: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise ParseError(f"degree {degree} passes the limit {_MAX_DEGREE}", at)
 
 
 def parse_poly(text: str, nvars: int) -> Poly:

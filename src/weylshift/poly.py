@@ -186,12 +186,6 @@ class Poly:
             return -1
         return max(map(_degree, self._terms))
 
-    def leading_monomial(self) -> Exponent:
-        """Largest exponent tuple in lex order (u1 dominant)."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return _unpack(max(self._terms), self.nvars)
-
     def leading_coefficient(self) -> Fraction:
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")

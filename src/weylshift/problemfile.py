@@ -19,7 +19,7 @@ from typing import Any, Mapping
 from .consistency import SolutionTuple
 from .equivalence import AutomorphismSpec
 from .orbital import FactoredPoly, FactoredSolution, factor_entry
-from .parser import parse_poly, parse_rational
+from .parser import _MAX_DEGREE, parse_poly, parse_rational
 from .poly import Poly, format_poly
 from .shifts import ShiftSystem
 from .vertex import VertexConfig
@@ -175,6 +175,9 @@ def _load_tuple(obj: Any, sys: ShiftSystem, where: str) -> TupleEntry:
                 q = _poly(item[0], sys.nvars, fw)
                 mult = _integer(item[1], fw)
                 factors.append((q, mult))
+            degree = sum(mult * q.degree() for q, mult in factors)
+            if degree > _MAX_DEGREE:
+                raise ProblemFileError(f"{ew}: degree {degree} passes the limit {_MAX_DEGREE}")
             try:
                 entries.append(FactoredPoly.from_factors(sys.nvars, factors, unit))
             except ValueError as exc:
@@ -332,7 +335,6 @@ def config_obj(config: VertexConfig) -> dict:
 def file_obj(
     sys: ShiftSystem,
     tuples: Mapping[str, dict] | None = None,
-    beta=None,
     configs: Mapping[str, dict] | None = None,
 ) -> dict:
     doc: dict[str, Any] = {
@@ -342,8 +344,6 @@ def file_obj(
     }
     if tuples:
         doc["tuples"] = dict(tuples)
-    if beta is not None:
-        doc["beta"] = [list(row) for row in beta]
     if configs:
         doc["configs"] = dict(configs)
     return doc

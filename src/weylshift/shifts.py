@@ -3,7 +3,7 @@
 A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
-point k of Z^n acts by the shift `combo(k)`.  Stabilizer lattices and orbit
+point k of Z^n acts by the shift `combo(k, range(n))`.  Stabilizer lattices and orbit
 membership queries live here.
 """
 
@@ -42,11 +42,10 @@ class ShiftSystem:
         """Shift vector of direction i (0-based)."""
         return tuple(self.alpha[j][i] for j in range(self.nvars))
 
-    def combo(self, coeffs: Sequence[Scalar], indices: Sequence[int] | None = None) -> tuple[Fraction, ...]:
+    def combo(self, coeffs: Sequence[Scalar], indices: Sequence[int]) -> tuple[Fraction, ...]:
         """Linear combination sum_k coeffs[k] * column(indices[k])."""
-        idx = range(self.nshifts) if indices is None else indices
         vec = [Fraction(0)] * self.nvars
-        for c, i in zip(coeffs, idx, strict=True):
+        for c, i in zip(coeffs, indices, strict=True):
             if c:
                 c = Fraction(c)
                 for j, row in enumerate(self.alpha):
@@ -69,9 +68,8 @@ def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
 
 @dataclass(frozen=True)
 class StabilizerLattice:
-    """Saturated integer lattice in Z^ambient_rank, basis in HNF."""
+    """Saturated integer lattice, basis in HNF."""
 
-    ambient_rank: int
     basis: tuple[IntVec, ...]
 
     @property
@@ -85,7 +83,7 @@ def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> Sta
     indices = list(indices)
     matrix = coefficient_rows([q.directional(sys.column(i)) for i in indices])
     basis = integer_kernel(matrix, len(indices))
-    return StabilizerLattice(len(indices), basis)
+    return StabilizerLattice(basis)
 
 
 # One step of an orbit query, for a top form over some free directions:
@@ -166,12 +164,3 @@ def _combine(coeffs: Sequence[int], rows: Sequence[IntVec], width: int) -> IntVe
             out = [a + c * b for a, b in zip(out, row)]
     return tuple(out)
 
-
-@dataclass(frozen=True)
-class OrbitId:
-    """An orbit anchor: monic generator, the directions acting on it, and
-    the stabilizer of the generator over those directions."""
-
-    generator: Poly
-    index_set: tuple[int, ...]
-    stabilizer: StabilizerLattice

@@ -32,7 +32,6 @@ from .orbital import (
 )
 from .poly import Poly, merge_factors
 from .shifts import (
-    OrbitId,
     ShiftSystem,
     StabilizerLattice,
     half_shift,
@@ -105,10 +104,6 @@ class VertexConfig:
     def multiplicities(self) -> dict[Key, int]:
         return {(x, y): m for x, y, m in self.edges}
 
-    @property
-    def orbit(self) -> OrbitId:
-        return OrbitId(self.generator, self.pair, self.lattice)
-
 
 def validate(config: VertexConfig) -> CheckReport:
     """Directions outside the pair, key parity, canonical form, and the
@@ -171,7 +166,7 @@ def decode(config: VertexConfig) -> OrbitalPiece:
         placed = buckets.get(k, [])
         unit = lead ** sum(mult for _, mult in placed)
         entries.append(FactoredPoly.from_factors(sys.nvars, placed, unit))
-    return OrbitalPiece(config.orbit, FactoredSolution(sys, tuple(entries)))
+    return OrbitalPiece(config.generator, config.pair, FactoredSolution(sys, tuple(entries)))
 
 
 def encode(piece: OrbitalPiece) -> VertexConfig:
@@ -186,7 +181,7 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
     if pair is None:
         raise StructureError("piece supports at most one direction; nothing to encode")
     sys = piece.solution.sys
-    q0 = piece.orbit.generator
+    q0 = piece.generator
     q0_monic = q0.make_monic()[1]
     i, j = pair
     edges: dict[Key, int] = {}

@@ -299,8 +299,8 @@ def test_criterion_6_orbital_factorization():
                 for y in range(x + 1, len(pieces)):
                     apart = same_orbit(
                         fs.sys,
-                        pieces[x].orbit.generator,
-                        pieces[y].orbit.generator,
+                        pieces[x].generator,
+                        pieces[y].generator,
                         full,
                     )
                     assert apart is None

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -258,6 +259,32 @@ def test_exponent_past_the_slot_limit_exits_two(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "4294967296" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "tuple_obj,degree",
+    [
+        ({"form": "sym", "polys": ["(u1 + 1)^200000", "1", "u2"]}, 200000),
+        ({"form": "sym", "polys": ["(u1 + 1)^600*(u2 - 1)^600", "1", "u2"]}, 1200),
+        (
+            {"form": "factored", "entries": [{"factors": [["u1 + 1", 200000]]}, {}, {}]},
+            200000,
+        ),
+    ],
+    ids=["power", "product", "factored"],
+)
+def test_degree_past_the_limit_exits_two_at_once(tmp_path, capsys, tuple_obj, degree):
+    with open(GL3, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["tuples"] = {"big": tuple_obj}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"degree {degree} passes the limit 1000" in err
     assert "Traceback" not in err
 
 

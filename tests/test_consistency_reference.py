@@ -82,7 +82,7 @@ def factored_tuples(draw):
         factors = []
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             if draw(st.booleans()):
-                q = base.shift(sys.combo([draw(HALVES) for _ in range(n)]))
+                q = base.shift(sys.combo([draw(HALVES) for _ in range(n)], range(n)))
             else:
                 q = draw(monic_factors(m))
             factors.append((q, draw(st.integers(min_value=1, max_value=2))))

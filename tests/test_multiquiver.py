@@ -106,10 +106,8 @@ def test_zero_row_rejected():
         residue_families([[1, -1], [0, 0]])
 
 
-def test_single_nonzero_row_needs_opt_in():
-    with pytest.raises(ValueError, match="one-sided"):
-        residue_families([[3, 0]])
-    fams = residue_families([[3, 0]], allow_single=True)
+def test_single_nonzero_row_is_one_sided():
+    fams = residue_families([[3, 0]])
     assert fams[0].one_sided
     assert len(fams[0].pieces) == 3
     for piece in fams[0].pieces:

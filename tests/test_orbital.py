@@ -14,13 +14,9 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
-from weylshift.shifts import OrbitId, ShiftSystem, same_orbit, stabilizer_lattice
+from weylshift.shifts import ShiftSystem, same_orbit, stabilizer_lattice
 
 GL3 = ShiftSystem.from_rows([[-1, 1, 0], [0, -1, 1]])
-
-
-def orbit_of(sys, generator, indices):
-    return OrbitId(generator, indices, stabilizer_lattice(sys, generator, indices))
 
 
 def fp(nvars, *factors, unit=1):
@@ -75,7 +71,7 @@ def test_decompose_gl3(gl3_file):
     # distinct orbits: the anchors are not reachable from one another
     a, b = pieces
     full = (0, 1, 2)
-    assert same_orbit(GL3, a.orbit.generator, b.orbit.generator, full) is None
+    assert same_orbit(GL3, a.generator, b.generator, full) is None
 
 
 def test_decompose_drops_units(staircase_file):
@@ -92,15 +88,16 @@ def test_decompose_staircase_single_piece(staircase_file):
     piece = pieces[0]
     assert support_pair(piece) == (0, 1)
     assert sum(m for e in piece.solution.entries for _, m in e.factors) == 5
-    assert piece.orbit.stabilizer.basis == ((3, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert piece.indices == (0, 1, 2, 3)
+    stab = stabilizer_lattice(piece.solution.sys, piece.generator, piece.indices)
+    assert stab.basis == ((3, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert verify_orbital(piece).passed
 
 
 def test_verify_orbital_flags_off_orbit_factors():
     sys = ShiftSystem.from_rows([[1]])
-    orbit = orbit_of(sys, Poly.variable(1, 0), (0,))
     piece = OrbitalPiece(
-        orbit, FactoredSolution(sys, (fp(1, ("u1 + 1/4", 1)),))
+        Poly.variable(1, 0), (0,), FactoredSolution(sys, (fp(1, ("u1 + 1/4", 1)),))
     )
     report = verify_orbital(piece)
     assert not report.passed
@@ -109,32 +106,28 @@ def test_verify_orbital_flags_off_orbit_factors():
 
 def test_support_pair_single_direction():
     sys = ShiftSystem.from_rows([[1]])
-    orbit = orbit_of(sys, Poly.variable(1, 0), (0,))
-    piece = OrbitalPiece(orbit, FactoredSolution(sys, (fp(1, ("u1 - 1/2", 1)),)))
+    piece = OrbitalPiece(Poly.variable(1, 0), (0,), FactoredSolution(sys, (fp(1, ("u1 - 1/2", 1)),)))
     assert support_pair(piece) is None
 
 
 def test_support_pair_rejects_three_entries():
-    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1, 2))
     entries = (fp(2, ("u1 - 1/2", 1)),) * 3
-    piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
+    piece = OrbitalPiece(Poly.variable(2, 0), (0, 1, 2), FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="at most two"):
         support_pair(piece)
 
 
 def test_support_pair_rejects_moving_direction_with_constant_entry():
-    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1, 2))
     entries = (fp(2, ("u1 - 1/2", 1)), fp(2), fp(2))
-    piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
+    piece = OrbitalPiece(Poly.variable(2, 0), (0, 1, 2), FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="moves the generator"):
         support_pair(piece)
 
 
 def test_support_pair_rejects_fixing_support_direction():
     sys = ShiftSystem.from_rows([[0, 1], [1, 0]])
-    orbit = orbit_of(sys, Poly.variable(2, 0), (0, 1))
     entries = (fp(2, ("u1 + 5", 1)), fp(2, ("u1 - 1/2", 1)))
-    piece = OrbitalPiece(orbit, FactoredSolution(sys, entries))
+    piece = OrbitalPiece(Poly.variable(2, 0), (0, 1), FactoredSolution(sys, entries))
     with pytest.raises(StructureError, match="fixes the generator"):
         support_pair(piece)
 

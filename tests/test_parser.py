@@ -102,6 +102,16 @@ def test_nesting_depth_is_bounded():
     assert info.value.position == 100
 
 
+def test_degree_is_bounded_before_expansion():
+    assert p("u1^500*(u2 - 1)^500").degree() == 1000
+    with pytest.raises(ParseError, match="degree 1001 passes the limit") as info:
+        p("u1^1001")
+    assert info.value.position == 3
+    with pytest.raises(ParseError, match="degree 1001 passes the limit") as info:
+        p("u1^1000*u2")
+    assert info.value.position == 7
+
+
 def test_whitespace_is_free():
     assert p(" u1+ u2 * 3 ") == p("u1 + 3*u2")
 

@@ -184,9 +184,9 @@ def test_round_trip_tuples_beta_configs(gl3_file):
     doc = file_obj(
         gl3_file.sys,
         tuples={"plain": solution_obj(sol), "split": factored_obj(fs)},
-        beta=gl3_file.beta,
         configs={"c": config_obj(config)},
     )
+    doc["beta"] = [list(row) for row in gl3_file.beta]
     back = loads(dumps(doc))
     assert back.sys == gl3_file.sys
     assert back.tuples["plain"].as_solution() == sol

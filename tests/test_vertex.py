@@ -9,7 +9,7 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
-from weylshift.shifts import OrbitId, ShiftSystem, StabilizerLattice, stabilizer_lattice
+from weylshift.shifts import ShiftSystem, StabilizerLattice
 from weylshift.vertex import (
     VertexConfig,
     canonical_key,
@@ -26,7 +26,7 @@ GL3 = ShiftSystem.from_rows([[-1, 1, 0], [0, -1, 1]])
 STAIR = ShiftSystem.from_rows([[2, -3, 0, 0], [4, -5, 1, -3], [-2, 2, -1, 3]])
 F = parse_poly("(u2 + u3)^2 - (u1^3 - u1 + 1)", 3)
 
-LAT32 = StabilizerLattice(2, ((3, 2),))
+LAT32 = StabilizerLattice(((3, 2),))
 
 
 def gl3_config(edges):
@@ -37,18 +37,14 @@ def _fp(*exprs):
     return FactoredPoly.from_factors(2, [(parse_poly(s, 2), 1) for s in exprs])
 
 
-def orbit_of(sys, generator, indices):
-    return OrbitId(generator, indices, stabilizer_lattice(sys, generator, indices))
-
-
 def test_canonical_key():
     assert canonical_key(LAT32, (6, 3)) == (0, -1)
     assert canonical_key(LAT32, (1, 0)) == (1, 0)
     assert canonical_key(LAT32, (-1, 0)) == (5, 4)
     assert canonical_key(LAT32, (7, 8)) == (1, 4)
-    vertical = StabilizerLattice(2, ((0, 1),))
+    vertical = StabilizerLattice(((0, 1),))
     assert canonical_key(vertical, (4, 7)) == (4, 1)
-    assert canonical_key(StabilizerLattice(2, ()), (9, -9)) == (9, -9)
+    assert canonical_key(StabilizerLattice(()), (9, -9)) == (9, -9)
 
 
 def test_build_merges_and_canonicalizes():
@@ -97,7 +93,7 @@ def test_validate_parity():
 
 def test_validate_canonical_form():
     # the constructor canonicalizes, so plant a raw key by hand
-    cfg = VertexConfig(GL3, Poly.variable(2, 0), (0, 1), StabilizerLattice(2, ((1, 1),)), ((3, 2, 1),))
+    cfg = VertexConfig(GL3, Poly.variable(2, 0), (0, 1), StabilizerLattice(((1, 1),)), ((3, 2, 1),))
     report = validate(cfg)
     assert any(f.relation == "canonical" for f in report.failures)
 
@@ -166,36 +162,33 @@ def test_encode_needs_two_supported_directions():
     # direction 2 never moves anything, so a single-entry piece is legal
     # but has no two-direction grid picture
     sys = ShiftSystem.from_rows([[1, 0]])
-    orbit = orbit_of(sys, Poly.variable(1, 0), (0, 1))
     entries = (
         FactoredPoly.from_factors(1, [(parse_poly("u1 - 1/2", 1), 1)]),
         FactoredPoly.from_factors(1, ()),
     )
-    piece = OrbitalPiece(orbit, FactoredSolution(sys, entries))
+    piece = OrbitalPiece(Poly.variable(1, 0), (0, 1), FactoredSolution(sys, entries))
     with pytest.raises(StructureError, match="nothing to encode"):
         encode(piece)
 
 
 def test_encode_rejects_off_orbit_factors():
-    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1))
     entries = (
         _fp("u1 - 1/2"),
         _fp("u2 + 1/2"),
         FactoredPoly.from_factors(2, ()),
     )
-    piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
+    piece = OrbitalPiece(Poly.variable(2, 0), (0, 1), FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="does not sit on the orbit"):
         encode(piece)
 
 
 def test_encode_rejects_nonsolutions():
-    orbit = orbit_of(GL3, Poly.variable(2, 0), (0, 1))
     entries = (
         _fp("u1 - 1/2", "u1 - 3/2"),
         _fp("u1 - 1/2"),
         FactoredPoly.from_factors(2, ()),
     )
-    piece = OrbitalPiece(orbit, FactoredSolution(GL3, entries))
+    piece = OrbitalPiece(Poly.variable(2, 0), (0, 1), FactoredSolution(GL3, entries))
     with pytest.raises(StructureError, match="conservation fails"):
         encode(piece)
 
@@ -234,7 +227,9 @@ def _regroup_decode(decode_fn):
                 factors = [(q1 * q2, 1), (q1, m1 - 1), (q2, m2 - 1), *rest]
                 e = FactoredPoly.from_factors(e.nvars, [f for f in factors if f[1]], e.unit)
             entries.append(e)
-        return OrbitalPiece(piece.orbit, FactoredSolution(piece.solution.sys, tuple(entries)))
+        return OrbitalPiece(
+            piece.generator, piece.indices, FactoredSolution(piece.solution.sys, tuple(entries))
+        )
 
     return regrouping
 
@@ -256,7 +251,7 @@ def test_classify_audit_rejects_a_changed_piece(monkeypatch, gl3_file):
         first, *rest = piece.solution.entries
         smaller = FactoredPoly.from_factors(first.nvars, first.factors[1:], first.unit)
         return OrbitalPiece(
-            piece.orbit, FactoredSolution(piece.solution.sys, (smaller, *rest))
+            piece.generator, piece.indices, FactoredSolution(piece.solution.sys, (smaller, *rest))
         )
 
     monkeypatch.setattr(vertex, "decode", dropping)

@@ -34,7 +34,6 @@ from .multiquiver import (
     validate_beta,
 )
 from .orbital import (
-    FactoredPoly,
     FactoredSolution,
     OrbitalPiece,
     StructureError,
@@ -44,7 +43,7 @@ from .orbital import (
     verify_orbital,
 )
 from .parser import ParseError, parse_poly, parse_rational
-from .poly import Poly, exact_div, format_poly
+from .poly import FactoredPoly, Poly, exact_div, format_poly
 from .shifts import (
     ShiftSystem,
     StabilizerLattice,

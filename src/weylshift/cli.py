@@ -29,14 +29,16 @@ from .multiquiver import (
     symmetrized_solution,
     validate_beta,
 )
-from .orbital import FactoredPoly, decompose, support_pair
+from .orbital import StructureError, decompose, support_pair
 from .parser import ParseError, parse_poly
-from .poly import format_poly
+from .poly import FactoredPoly, format_poly
 from .shifts import stabilizer_lattice
 from .svg import render_svg
 from .vertex import classify, decode, random_config, validate
 
-USER_ERRORS = (pf.ProblemFileError, ParseError, ValueError, OSError)
+# The package's own errors and failed file access; any other exception is
+# a bug and propagates with its traceback.
+USER_ERRORS = (pf.ProblemFileError, ParseError, StructureError, OSError)
 
 
 def _emit(text: str, out: str | None) -> None:

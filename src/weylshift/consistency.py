@@ -3,20 +3,19 @@
 A tuple (p_1, ..., p_n) is checked against a ShiftSystem either in the
 symmetric form (binary + ternary product identities) or in the
 non-symmetric form; applying the half-step of each direction to its own
-entry translates between the two.  Every check runs one engine on entries
-given as a unit and factors: an expanded entry is its own single factor,
-and the non-symmetric form is the symmetric one on the symmetrized tuple,
-with each witness shifted back.
+entry translates between the two.  Every check runs one engine on
+FactoredPoly entries: an expanded entry is its leading coefficient times
+its monic self, and the non-symmetric form is the symmetric one on the
+symmetrized tuple, with each witness shifted back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .poly import Poly, merge_factors
+from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import ShiftSystem, half_shift
 
 
@@ -73,18 +72,17 @@ def _halves(sys: ShiftSystem) -> list[tuple]:
     return [tuple(a / 2 for a in sys.column(i)) for i in range(sys.nshifts)]
 
 
-class _Entry(NamedTuple):
-    unit: Fraction
-    factors: tuple[tuple[Poly, int], ...]
-
-
-def _entries(sol: SolutionTuple) -> list[_Entry]:
-    """Each expanded entry as its own single factor, or as its value when
-    it is constant."""
-    return [
-        _Entry(p.constant_value(), ()) if p.is_constant else _Entry(Fraction(1), ((p, 1),))
-        for p in sol.polys
-    ]
+def _entries(sol: SolutionTuple) -> list[FactoredPoly]:
+    """Each expanded entry as its value when it is constant, and otherwise
+    as its leading coefficient times its monic self."""
+    out = []
+    for p in sol.polys:
+        if p.is_constant:
+            out.append(FactoredPoly(p.nvars, p.constant_value(), ()))
+        else:
+            lead, monic = p.make_monic()
+            out.append(FactoredPoly(p.nvars, lead, ((monic, 1),)))
+    return out
 
 
 # An identity is (relation, indices, lhs, rhs); a side is a list of
@@ -121,15 +119,13 @@ def _ternary(sys: ShiftSystem, entries):
                 yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
 
 
-def _decide(sys: ShiftSystem, entries: Sequence, *kinds) -> list[CheckFailure]:
+def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[CheckFailure]:
     """The failing identities of each kind, in report order.
 
-    Each entry needs `unit` and `factors`, pairs of a nonconstant polynomial
-    and a positive multiplicity whose product times the nonzero unit is the
-    entry.  Equal multisets of shifted factors on the two sides prove an
-    identity; factors need not be irreducible, so otherwise the witness,
-    unit times the product of the shifted factors on the left minus the
-    same on the right, decides it.
+    Equal multisets of shifted factors on the two sides prove an identity;
+    factors need not be irreducible, so otherwise the witness, the expanded
+    left side minus the expanded right side, decides it.  A side's unit is
+    the product of its entries' units.
     """
     shifted: dict[tuple, list[tuple[Poly, int]]] = {}
 
@@ -142,24 +138,17 @@ def _decide(sys: ShiftSystem, entries: Sequence, *kinds) -> list[CheckFailure]:
             out += got
         return out
 
-    def product(side, factors) -> Poly:
-        acc = None
-        for q, m in factors:
-            if m > 1:
-                q = q**m
-            acc = q if acc is None else acc * q
+    def expand(side, merged: dict[Poly, int]) -> Poly:
         unit = prod(entries[k].unit for k, _ in side)
-        if acc is None:
-            return Poly.constant(sys.nvars, unit)
-        return acc if unit == 1 else acc * unit
+        return FactoredPoly(sys.nvars, unit, tuple(merged.items())).expand()
 
     failures = []
     for kind in kinds:
         for relation, indices, lhs, rhs in kind(sys, entries):
-            left, right = moved(lhs), moved(rhs)
-            if merge_factors(left) == merge_factors(right):
+            left, right = merge_factors(moved(lhs)), merge_factors(moved(rhs))
+            if left == right:
                 continue
-            diff = product(lhs, left) - product(rhs, right)
+            diff = expand(lhs, left) - expand(rhs, right)
             if not diff.is_zero:
                 failures.append(CheckFailure(relation, indices, diff))
     return failures
@@ -176,10 +165,10 @@ def check_ternary(sol: SolutionTuple) -> CheckReport:
     return CheckReport(tuple(_decide(sol.sys, _entries(sol), _ternary)))
 
 
-def check_factored(sys: ShiftSystem, entries: Sequence) -> CheckReport:
-    """The binary and then the ternary identities of a factored tuple, each
-    entry read through its `unit` and `factors`; the same report as
-    check_binary followed by check_ternary on the expanded tuple."""
+def check_factored(sys: ShiftSystem, entries: Sequence[FactoredPoly]) -> CheckReport:
+    """The binary and then the ternary identities of a factored tuple; the
+    same report as check_binary followed by check_ternary on the expanded
+    tuple."""
     return CheckReport(tuple(_decide(sys, entries, _binary, _ternary)))
 
 

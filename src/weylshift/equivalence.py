@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .consistency import CheckFailure, CheckReport, SolutionTuple
-from .intlinalg import rational_inverse
+from .intlinalg import matmul, rational_inverse
 from .poly import Poly
 from .shifts import ShiftSystem
 
@@ -122,12 +122,7 @@ def apply_linear(g: Matrix, sol: SolutionTuple) -> SolutionTuple:
     if len(g) != m or any(len(r) != m for r in g):
         raise ValueError("matrix must be square of the variable count")
     rows, ginv = _with_inverse(g)
-    alpha2 = [
-        [sum((rows[j][k] * sol.sys.alpha[k][i] for k in range(m)), Fraction(0))
-         for i in range(sol.sys.nshifts)]
-        for j in range(m)
-    ]
-    sys2 = ShiftSystem.from_rows(alpha2)
+    sys2 = ShiftSystem.from_rows(matmul(rows, sol.sys.alpha))
     images = _substitution_images(ginv)
     polys2 = tuple(p.compose(images) for p in sol.polys)
     return SolutionTuple(sys2, polys2)

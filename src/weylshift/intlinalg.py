@@ -201,10 +201,8 @@ def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> 
 
 
 def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 0 in ascending order, and [1] for 0:
-    the numerators and denominators of rational-root candidates."""
-    if n == 0:
-        return [1]
+    """The positive divisors of n >= 1 in ascending order: the numerators
+    and denominators of rational-root candidates."""
     out = []
     d = 1
     while d * d <= n:

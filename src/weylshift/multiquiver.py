@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd
 
 from .consistency import CheckFailure, CheckReport, SolutionTuple
-from .orbital import FactoredPoly, FactoredSolution, OrbitalPiece
-from .poly import Poly, merge_factors
+from .orbital import FactoredSolution, OrbitalPiece, StructureError
+from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import ShiftSystem
 
 
@@ -23,7 +23,7 @@ def validate_beta(beta) -> CheckReport:
     """Shape and sign check: integer entries, each row at most one positive
     and at most one negative entry."""
     failures = []
-    if not beta or any(len(row) != len(beta[0]) for row in beta):
+    if not beta or not beta[0] or any(len(row) != len(beta[0]) for row in beta):
         return CheckReport((CheckFailure("beta-shape", (), None),))
     for j, row in enumerate(beta):
         if any(not isinstance(v, int) for v in row):
@@ -55,17 +55,12 @@ def build_solution(beta) -> SolutionTuple:
     m, n = sys.nvars, sys.nshifts
     entries = []
     for i in range(n):
-        acc = Poly.one(m)
+        factors = []
         for j in range(m):
             b = beta[j][i]
-            uj = Poly.variable(m, j)
-            if b > 0:
-                for t in range(b):
-                    acc = acc * (uj + t)
-            elif b < 0:
-                for t in range(1, -b + 1):
-                    acc = acc * (uj - t)
-        entries.append(acc)
+            shifts = range(b) if b > 0 else range(-1, b - 1, -1)
+            factors += [(Poly.variable(m, j) + t, 1) for t in shifts]
+        entries.append(FactoredPoly.from_factors(m, factors).expand())
     return SolutionTuple(sys, tuple(entries))
 
 
@@ -130,24 +125,18 @@ def residue_families(beta) -> list[ResidueFamily]:
     for j in range(m):
         nonzero = [i for i in range(n) if beta[j][i]]
         if not nonzero:
-            raise ValueError(f"row {j + 1} is zero; it contributes no solution data")
-        gamma = 0
-        for i in nonzero:
-            gamma = gcd(gamma, abs(beta[j][i]))
+            raise StructureError(f"row {j + 1} is zero; it contributes no solution data")
+        gamma = gcd(*beta[j])
         # class label -> entry index -> linear factors
         classes: dict[Fraction, dict[int, list[Poly]]] = {}
-        order: list[Fraction] = []
         for i in nonzero:
             half = Fraction(beta[j][i], 2)
             for lin in _run_factors(m, j, beta[j][i]):
                 root = -lin.coefficient((0,) * m)
                 label = (root - half) % gamma
-                if label not in classes:
-                    classes[label] = {}
-                    order.append(label)
-                classes[label].setdefault(i, []).append(lin)
+                classes.setdefault(label, {}).setdefault(i, []).append(lin)
         pieces = []
-        for label in sorted(order):
+        for label in sorted(classes):
             bucket = classes[label]
             entries = []
             anchor: Poly | None = None
@@ -165,10 +154,4 @@ def residue_families(beta) -> list[ResidueFamily]:
 
 def expected_piece_count(beta) -> int:
     """Sum over rows of the gcd of the row's nonzero entries."""
-    total = 0
-    for row in beta:
-        g = 0
-        for v in row:
-            g = gcd(g, abs(v))
-        total += g
-    return total
+    return sum(gcd(*row) for row in beta)

@@ -22,50 +22,12 @@ from .consistency import (
     check_factored,
 )
 from .intlinalg import divisors
-from .poly import Poly, exact_div, merge_factors
+from .poly import FactoredPoly, Poly, exact_div, merge_factors
 from .shifts import ShiftSystem, half_shift, is_fixed_by_shift, same_orbit
 
 
 class StructureError(ValueError):
-    """A structural conclusion about orbital pieces failed on this input."""
-
-
-@dataclass(frozen=True)
-class FactoredPoly:
-    """unit * product of monic factors with positive multiplicities."""
-
-    nvars: int
-    unit: Fraction
-    factors: tuple[tuple[Poly, int], ...]
-
-    def __post_init__(self):
-        if not self.unit:
-            raise ValueError("unit must be nonzero")
-        seen = set()
-        for q, mult in self.factors:
-            if q.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
-            if not q.is_monic or q.is_constant:
-                raise ValueError("factors must be monic and nonconstant")
-            if q in seen:
-                raise ValueError("factors must be pairwise distinct")
-            seen.add(q)
-
-    @classmethod
-    def from_factors(cls, nvars, factors, unit=Fraction(1)) -> "FactoredPoly":
-        return cls(nvars, Fraction(unit), tuple((q, int(m)) for q, m in factors))
-
-    @property
-    def is_one(self) -> bool:
-        return self.unit == 1 and not self.factors
-
-    def expand(self) -> Poly:
-        acc = Poly.constant(self.nvars, self.unit)
-        for q, mult in self.factors:
-            acc = acc * q ** mult
-        return acc
+    """The input lacks the orbit or grid structure that an operation needs."""
 
 
 @dataclass(frozen=True)
@@ -223,10 +185,7 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
         used = p.used_variables()
         if len(used) != 1 or p.degree() > 4:
             return None
-        sub = _factor_univariate(p, next(iter(used)))
-        if sub is None:
-            return None
-        factors.extend(sub)
+        factors.extend(_factor_univariate(p, next(iter(used))))
     return FactoredPoly.from_factors(p.nvars, merge_factors(factors).items(), unit)
 
 
@@ -268,15 +227,12 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
     return roots, p
 
 
-def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
+def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]]:
     """Factor a monic univariate polynomial of degree <= 4 with no rational
     roots into irreducibles; only the quartic case can split further.  A
     square comes back as the same quadratic twice."""
-    deg = p.degree()
-    if deg <= 3:
+    if p.degree() <= 3:
         return [(p, 1)]
-    if deg > 4:
-        return None
     coeff = {k: Fraction(0) for k in range(5)}
     for e, c in p.items():
         coeff[e[j]] = c

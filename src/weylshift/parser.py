@@ -135,7 +135,7 @@ class _Parser:
             kind, val, at = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a natural number", at)
-            k = int(val)
+            k = _natural(val, at)
             deg *= k
             _check_degree(deg, at)
             base = base ** k
@@ -144,20 +144,20 @@ class _Parser:
     def base(self) -> tuple[Poly, int]:
         kind, val, at = self.take()
         if kind == "int":
-            num = int(val)
+            num = _natural(val, at)
             kind2, _, _ = self.peek()
             if kind2 == "op" and self.peek()[1] == "/":
                 self.take()
                 kind3, val3, at3 = self.take()
                 if kind3 != "int":
                     raise ParseError("expected denominator digits", at3)
-                den = int(val3)
+                den = _natural(val3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
                 return Poly.constant(self.nvars, Fraction(num, den)), 0
             return Poly.constant(self.nvars, num), 0
         if kind == "var":
-            index = int(val[1:])
+            index = _natural(val[1:], at)
             if not 1 <= index <= self.nvars:
                 raise ParseError(
                     f"variable {val} out of range, expected u1..u{self.nvars}", at
@@ -172,6 +172,13 @@ class _Parser:
             self.depth -= 1
             return inner, max(inner.degree(), 0)
         raise ParseError("expected a number, variable, or parenthesized group", at)
+
+
+def _natural(digits: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ParseError(f"a number of {len(digits)} digits is too long", at) from None
 
 
 def _check_degree(degree: int, at: int) -> None:

@@ -19,11 +19,13 @@ zero is the empty mapping over 1.  Equal polynomials therefore have
 equal fields, so == and hash are exact.
 
 The public interface speaks Fractions and exponent tuples; the packed
-keys never leave this module.
+keys never leave this module.  FactoredPoly holds a nonzero polynomial
+as a unit times distinct monic factors with multiplicities.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
@@ -170,10 +172,6 @@ class Poly:
     def is_constant(self) -> bool:
         t = self._terms
         return not t or (len(t) == 1 and 0 in t)
-
-    @property
-    def is_one(self) -> bool:
-        return self._den == 1 and self._terms == {0: 1}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -566,3 +564,45 @@ def merge_factors(factors: Iterable[tuple[Poly, int]]) -> dict[Poly, int]:
     for q, mult in factors:
         merged[q] = merged.get(q, 0) + mult
     return merged
+
+
+@dataclass(frozen=True)
+class FactoredPoly:
+    """unit * product of monic factors with positive multiplicities."""
+
+    nvars: int
+    unit: Fraction
+    factors: tuple[tuple[Poly, int], ...]
+
+    def __post_init__(self):
+        if not self.unit:
+            raise ValueError("unit must be nonzero")
+        seen = set()
+        for q, mult in self.factors:
+            if q.nvars != self.nvars:
+                raise ValueError("variable count mismatch")
+            if mult < 1:
+                raise ValueError("multiplicities must be positive")
+            if not q.is_monic or q.is_constant:
+                raise ValueError("factors must be monic and nonconstant")
+            if q in seen:
+                raise ValueError("factors must be pairwise distinct")
+            seen.add(q)
+
+    @classmethod
+    def from_factors(cls, nvars, factors, unit=_ONE) -> "FactoredPoly":
+        return cls(nvars, Fraction(unit), tuple((q, int(m)) for q, m in factors))
+
+    @property
+    def is_one(self) -> bool:
+        return self.unit == 1 and not self.factors
+
+    def expand(self) -> Poly:
+        acc = None
+        for q, mult in self.factors:
+            if mult > 1:
+                q = q**mult
+            acc = q if acc is None else acc * q
+        if acc is None:
+            return Poly.constant(self.nvars, self.unit)
+        return acc if self.unit == 1 else acc * self.unit

@@ -18,9 +18,9 @@ from typing import Any, Mapping
 
 from .consistency import SolutionTuple
 from .equivalence import AutomorphismSpec
-from .orbital import FactoredPoly, FactoredSolution, factor_entry
+from .orbital import FactoredSolution, factor_entry
 from .parser import _MAX_DEGREE, parse_poly, parse_rational
-from .poly import Poly, format_poly
+from .poly import FactoredPoly, Poly, format_poly
 from .shifts import ShiftSystem
 from .vertex import VertexConfig
 
@@ -150,7 +150,10 @@ def _load_polys(obj: Any, sys: ShiftSystem, where: str) -> SolutionTuple:
     if not isinstance(obj, list) or len(obj) != sys.nshifts:
         raise ProblemFileError(f"{where}: need {sys.nshifts} polynomial strings")
     polys = tuple(_poly(x, sys.nvars, f"{where}[{i + 1}]") for i, x in enumerate(obj))
-    return SolutionTuple(sys, polys)
+    try:
+        return SolutionTuple(sys, polys)
+    except ValueError as exc:
+        raise ProblemFileError(f"{where}: {exc}") from None
 
 
 def _load_tuple(obj: Any, sys: ShiftSystem, where: str) -> TupleEntry:
@@ -282,7 +285,9 @@ def load_obj(doc: Any) -> ProblemFile:
 def loads(text: str) -> ProblemFile:
     try:
         doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    except ProblemFileError:  # a float literal
+        raise
+    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
         raise ProblemFileError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise ProblemFileError("JSON nested too deeply") from None
@@ -291,7 +296,10 @@ def loads(text: str) -> ProblemFile:
 
 def load_path(path: str) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFileError(f"{path} is not UTF-8 text: {exc}") from None
     return loads(text)
 
 

@@ -40,7 +40,7 @@ def render_svg(config: VertexConfig) -> str:
     for x, y, _ in config.edges:
         xs.add(x)
         ys.add(y)
-    boundaries: list[int] | None = None
+    boundaries: list[int] = []
     horizontal = False
     if config.lattice.rank == 1:
         r, s = config.lattice.basis[0]
@@ -67,36 +67,28 @@ def render_svg(config: VertexConfig) -> str:
     width = max(grid_w, px(0) + 14 + 7 * len(label) + MARGIN)
     height = 2 * MARGIN + (y_hi - y_lo) * half
 
+    def vline(x: int, color: str, extra: str = "") -> str:
+        return (
+            f'<line x1="{px(x)}" y1="{py(y_hi)}" x2="{px(x)}" y2="{py(y_lo)}" '
+            f'stroke="{color}" stroke-width="1"{extra}/>'
+        )
+
+    def hline(y: int, color: str, extra: str = "") -> str:
+        return (
+            f'<line x1="{px(x_lo)}" y1="{py(y)}" x2="{px(x_hi)}" y2="{py(y)}" '
+            f'stroke="{color}" stroke-width="1"{extra}/>'
+        )
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for x in range(x_lo, x_hi + 1, 2):
-        lines.append(
-            f'<line x1="{px(x)}" y1="{py(y_hi)}" x2="{px(x)}" y2="{py(y_lo)}" '
-            f'stroke="{GRID_COLOR}" stroke-width="1"/>'
-        )
-    for y in range(y_lo, y_hi + 1, 2):
-        lines.append(
-            f'<line x1="{px(x_lo)}" y1="{py(y)}" x2="{px(x_hi)}" y2="{py(y)}" '
-            f'stroke="{GRID_COLOR}" stroke-width="1"/>'
-        )
-    if boundaries is not None:
-        for v in boundaries:
-            if horizontal:
-                lines.append(
-                    f'<line x1="{px(x_lo)}" y1="{py(v)}" x2="{px(x_hi)}" y2="{py(v)}" '
-                    f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
-                    f'stroke-dasharray="6,4"/>'
-                )
-            else:
-                lines.append(
-                    f'<line x1="{px(v)}" y1="{py(y_hi)}" x2="{px(v)}" y2="{py(y_lo)}" '
-                    f'stroke="{BOUNDARY_COLOR}" stroke-width="1" '
-                    f'stroke-dasharray="6,4"/>'
-                )
+    lines += [vline(x, GRID_COLOR) for x in range(x_lo, x_hi + 1, 2)]
+    lines += [hline(y, GRID_COLOR) for y in range(y_lo, y_hi + 1, 2)]
+    boundary = hline if horizontal else vline
+    lines += [boundary(v, BOUNDARY_COLOR, ' stroke-dasharray="6,4"') for v in boundaries]
     labels = []
     for x, y, mult in config.edges:
         if x % 2:  # vertical segment between the corners below and above

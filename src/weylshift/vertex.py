@@ -18,11 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .consistency import CheckFailure, CheckReport
 from .orbital import (
-    FactoredPoly,
     FactoredSolution,
     OrbitalPiece,
     StructureError,
@@ -30,7 +30,7 @@ from .orbital import (
     moving_directions,
     support_pair,
 )
-from .poly import Poly, merge_factors
+from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import (
     ShiftSystem,
     StabilizerLattice,
@@ -76,15 +76,13 @@ class VertexConfig:
         generator: Poly,
         pair: Sequence[int],
         edges: Iterable[tuple[int, int, int]] | Mapping[Key, int],
-        lattice: StabilizerLattice | None = None,
     ) -> "VertexConfig":
         i, j = pair
         if not 0 <= i < j < sys.nshifts:
             raise ValueError("pair must be two distinct direction indices in order")
         if generator.is_zero:
             raise ValueError("generator must be nonzero")
-        if lattice is None:
-            lattice = stabilizer_lattice(sys, generator, (i, j))
+        lattice = stabilizer_lattice(sys, generator, (i, j))
         if lattice.rank > 1:
             raise ValueError("both directions fix the generator; no grid geometry")
         items = edges.items() if isinstance(edges, Mapping) else ((k[:2], k[2]) for k in edges)
@@ -151,15 +149,13 @@ def decode(config: VertexConfig) -> OrbitalPiece:
     """
     report = validate(config)
     if not report.passed:
-        raise ValueError("invalid configuration: " + report.describe())
+        raise StructureError("invalid configuration: " + report.describe())
     sys = config.sys
     i, j = config.pair
-    col_i, col_j = sys.column(i), sys.column(j)
     lead, gen_monic = config.generator.make_monic()
     buckets: dict[int, list[tuple[Poly, int]]] = {i: [], j: []}
     for x, y, mult in config.edges:
-        vec = [Fraction(x, 2) * a + Fraction(y, 2) * b for a, b in zip(col_i, col_j)]
-        factor = gen_monic.shift(vec)
+        factor = gen_monic.shift(sys.combo((Fraction(x, 2), Fraction(y, 2)), (i, j)))
         buckets[i if x % 2 else j].append((factor, mult))
     entries = []
     for k in range(sys.nshifts):
@@ -210,16 +206,14 @@ def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
     Equal units and equal factor multisets decide it without expanding;
     factors need not be irreducible, so only a mismatch is expanded.
     """
-    unit = Fraction(1)
-    for part in parts:
-        unit *= part.unit
-    joined = merge_factors(f for part in parts for f in part.factors)
-    if unit == whole.unit and joined == merge_factors(whole.factors):
+    joined = FactoredPoly.from_factors(
+        whole.nvars,
+        merge_factors(f for part in parts for f in part.factors).items(),
+        prod(part.unit for part in parts),
+    )
+    if joined.unit == whole.unit and dict(joined.factors) == dict(whole.factors):
         return True
-    product = Poly.one(whole.nvars)
-    for part in parts:
-        product = product * part.expand()
-    return product == whole.expand()
+    return joined.expand() == whole.expand()
 
 
 def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
@@ -268,18 +262,18 @@ def random_config(
     """
     i, j = pair
     if not 0 <= i < j < sys.nshifts:
-        raise ValueError("pair must be two distinct direction indices in order")
+        raise StructureError("pair must be two distinct direction indices in order")
     moving = moving_directions(sys, generator, (i, j))
     if moving:
-        raise ValueError(
+        raise StructureError(
             f"direction {moving[0] + 1} lies outside the pair and moves the generator"
         )
     lattice = stabilizer_lattice(sys, generator, (i, j))
     if lattice.rank != 1:
-        raise ValueError("random staircases need a rank-1 restricted stabilizer")
+        raise StructureError("random staircases need a rank-1 restricted stabilizer")
     r, s = lattice.basis[0]
     if r < 1 or s < 1:
-        raise ValueError("stabilizer generator must have positive components")
+        raise StructureError("stabilizer generator must have positive components")
     rng = random.Random(seed)
     edges: dict[Key, int] = {}
     for _ in range(loops):
@@ -294,9 +288,8 @@ def random_config(
             else:
                 key = (x + 1, y)
                 x += 2
-            ck = canonical_key(lattice, key)
-            edges[ck] = edges.get(ck, 0) + 1
-    return VertexConfig.build(sys, generator, (i, j), edges, lattice)
+            edges[key] = edges.get(key, 0) + 1
+    return VertexConfig.build(sys, generator, (i, j), edges)
 
 
 def same_config(a: VertexConfig, b: VertexConfig) -> bool:

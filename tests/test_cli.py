@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import data_path, golden_path
+from weylshift import cli
 from weylshift.cli import main
 from weylshift.problemfile import load_path, loads
 
@@ -143,6 +144,13 @@ def test_multiquiver_invalid_beta(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["multiquiver", "--beta", str(path)]) == 2
     assert "invalid beta matrix:" in capsys.readouterr().err
+
+
+def test_multiquiver_empty_rows_exit_two(tmp_path, capsys):
+    path = _gl3_with(tmp_path, beta=[[]])
+    assert main(["multiquiver", "--beta", path]) == 2
+    err = capsys.readouterr().err
+    assert "beta-shape fails" in err and "Traceback" not in err
 
 
 def test_multiquiver_missing_beta(capsys):
@@ -360,3 +368,88 @@ def test_classify_ignores_units_of_decoded_tuples(tmp_path, capsys, generator, l
     assert main(["classify", monic]) == 0
     assert got == capsys.readouterr()
     assert got.err == ""
+
+
+def _gl3_with(tmp_path, **changes) -> str:
+    with open(GL3, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc.update(changes)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _exits_two_with_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+def test_zero_entry_in_a_tuple_exits_two(tmp_path, capsys):
+    path = _gl3_with(tmp_path, tuples={"z": {"form": "sym", "polys": ["0", "u1", "u2"]}})
+    assert "tuples.z: entries must be nonzero" in _exits_two_with_error(["verify", path], capsys)
+
+
+@pytest.mark.parametrize("key", ["pair_a", "pair_b"])
+def test_zero_entry_in_a_pair_exits_two(tmp_path, capsys, key):
+    pairs = {"pair_a": {"polys": ["u1", "u1", "u2"]}, "pair_b": {"polys": ["u1", "u1", "u2"]}}
+    pairs[key] = {"polys": ["u1", "0", "u2"]}
+    path = _gl3_with(tmp_path, psi={"forward": ["u1", "u2"], "inverse": ["u1", "u2"]}, **pairs)
+    err = _exits_two_with_error(["equiv", path], capsys)
+    assert f"{key}.polys: entries must be nonzero" in err
+
+
+def test_decode_of_a_non_conserving_config_exits_two(tmp_path, capsys):
+    path = _gl3_with(tmp_path, configs={"bad": {"generator": "u1", "pair": [1, 2], "edges": [[1, 0, 1]]}})
+    assert "conservation fails" in _exits_two_with_error(["decode", path], capsys)
+
+
+def test_multiquiver_zero_row_exits_two(tmp_path, capsys):
+    path = _gl3_with(tmp_path, beta=[[0, 0, 0], [0, -1, 1]])
+    assert "row 1 is zero" in _exits_two_with_error(["multiquiver", "--beta", path], capsys)
+
+
+@pytest.mark.parametrize(
+    "orbit,pair,message",
+    [
+        ("0", ("1", "2"), "rank-1 restricted stabilizer"),
+        ("u1", ("5", "6"), "pair must be two distinct direction indices"),
+        ("u1", ("2", "3"), "direction 1 lies outside the pair"),
+    ],
+)
+def test_gen_random_without_a_staircase_exits_two(capsys, orbit, pair, message):
+    argv = ["gen-random", GL3, "--orbit", orbit, "--pair", *pair, "--loops", "1", "--seed", "1"]
+    assert message in _exits_two_with_error(argv, capsys)
+
+
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    with open(GL3, "rb") as handle:
+        path.write_bytes(handle.read().replace(b'"u1_orbit"', b'"u1_\xe9"'))
+    assert "is not UTF-8 text" in _exits_two_with_error(["verify", str(path)], capsys)
+
+
+def test_integer_past_the_digit_limit_in_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    with open(GL3, encoding="utf-8") as handle:
+        path.write_text(handle.read().replace('"m": 2', '"m": ' + "1" * 5000, 1))
+    err = _exits_two_with_error(["verify", str(path)], capsys)
+    assert "not valid JSON" in err and "digits" in err
+
+
+@pytest.mark.parametrize("orbit", ["u1 + " + "7" * 5000, "u1^" + "7" * 5000, "u" + "7" * 5000])
+def test_integer_past_the_digit_limit_in_an_expression_exits_two(capsys, orbit):
+    argv = ["gen-random", GL3, "--orbit", orbit, "--pair", "1", "2", "--loops", "1", "--seed", "1"]
+    assert "5000 digits is too long" in _exits_two_with_error(argv, capsys)
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    # exit 2 is kept for the package's own errors; any other ValueError is a bug
+    def broken(sys, entries):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "check_factored", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["verify", STAIR, "--tuple", "main"])

@@ -1,0 +1,70 @@
+"""Every name a package module imports is used in that module, and every
+class is defined in one module only.
+
+`__init__.py` is skipped: it imports names to re-export them.  Quoted
+annotations count as uses of the names they mention.
+"""
+
+import ast
+import importlib
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "weylshift")
+MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py")
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return used
+
+
+def _imported_names(tree) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_every_import_is_used(filename):
+    with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    used = _used_names(tree)
+    assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def test_every_class_is_defined_once():
+    homes = {}
+    for filename in MODULES:
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                homes.setdefault(node.name, []).append(filename)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
+    assert homes["FactoredPoly"] == ["poly.py"]
+    orbital, poly = (importlib.import_module(f"weylshift.{name}") for name in ("orbital", "poly"))
+    assert orbital.FactoredPoly is poly.FactoredPoly  # the benchmark imports it from orbital

@@ -61,3 +61,15 @@ def test_rank_zero_lattice_has_no_boundaries(gl3_file, staircase_config):
     assert "stroke-dasharray" not in render_svg(free)
     assert "stroke-dasharray" in render_svg(staircase_config)
 
+
+
+def test_boundaries_run_horizontally_when_the_lattice_is_vertical(gl3_file):
+    # direction 3 fixes u1, so over the pair (1, 3) the stabilizer is (0, 1)
+    # and the fundamental strip is bounded by the rows y = 0 and y = 2
+    config = VertexConfig.build(gl3_file.sys, parse_poly("u1", 2), (0, 2), [(1, 0, 1)])
+    assert config.lattice.basis == ((0, 1),)
+    dashed = [line for line in render_svg(config).splitlines() if "stroke-dasharray" in line]
+    assert len(dashed) == 2
+    for line in dashed:
+        fields = dict(part.split("=") for part in line.split()[1:5])
+        assert fields["y1"] == fields["y2"] and fields["x1"] != fields["x2"]

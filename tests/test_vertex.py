@@ -305,7 +305,7 @@ def test_add_configs_preserves_solutions(staircase_config):
     # the configuration with every multiplicity doubled
     c = staircase_config
     doubled = VertexConfig.build(
-        c.sys, c.generator, c.pair, {k: 2 * m for k, m in c.multiplicities.items()}, c.lattice
+        c.sys, c.generator, c.pair, {k: 2 * m for k, m in c.multiplicities.items()}
     )
     assert validate(doubled).passed
     got = decode(doubled).solution.expand()

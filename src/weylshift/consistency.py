@@ -127,16 +127,9 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     left side minus the expanded right side, decides it.  A side's unit is
     the product of its entries' units.
     """
-    shifted: dict[tuple, list[tuple[Poly, int]]] = {}
 
     def moved(side) -> list[tuple[Poly, int]]:
-        out = []
-        for k, vec in side:
-            got = shifted.get((k, vec))
-            if got is None:
-                got = shifted[k, vec] = [(q.shift(vec), m) for q, m in entries[k].factors]
-            out += got
-        return out
+        return [(q.shift(vec), m) for k, vec in side for q, m in entries[k].factors]
 
     def expand(side, merged: dict[Poly, int]) -> Poly:
         unit = prod(entries[k].unit for k, _ in side)

@@ -108,7 +108,7 @@ class IntegerSystem:
 
     The matrix holds ints or Fractions.  Each equation is scaled once by
     the lcm of its matrix denominators; the echelon form of [A^T | I] and
-    the kernel's HNF are computed once; `solve` back-substitutes.  A
+    the kernel's HNF are computed once; `reduce` back-substitutes.  A
     right-hand side that is not integral after the scaling has no integer
     solution, and one that is needs no further scaling, so the solution
     is the one a solver scaling by the right-hand side too would find.
@@ -133,26 +133,25 @@ class IntegerSystem:
             if any(row[:nrows])
         ]
 
+    def reduce(self, rhs: Sequence[Fraction | int], den: int = 1) -> tuple[IntVec, tuple[Fraction, ...]]:
+        """An integer x and the residual rhs / den - matrix @ x, reduced
+        into [0, pivot) at each pivot of the columns' echelon span, so that
+        right-hand sides differing by an integer combination of the columns
+        get the same residual."""
+        residual = [x * scale for x, scale in zip(rhs, self._scales, strict=True)]
+        combo = [0] * self.ncols
+        for lead, image, columns in self._span:
+            q = residual[lead] // (den * image[lead])
+            if q:
+                residual = [a - q * den * b for a, b in zip(residual, image)]
+                combo = [a + q * b for a, b in zip(combo, columns)]
+        return tuple(combo), tuple(Fraction(r, den * s) for r, s in zip(residual, self._scales))
+
     def solve(self, rhs: Sequence[Fraction | int], den: int = 1) -> IntVec | None:
         """One integer x with matrix @ x = rhs / den, or None when there is
         none; every solution is x plus an integer combination of `kernel`."""
-        residual = []
-        for x, scale in zip(rhs, self._scales, strict=True):
-            q, r = divmod(x * scale, den)
-            if r:
-                return None
-            residual.append(int(q))
-        combo = [0] * self.ncols
-        for lead, image, columns in self._span:
-            q, r = divmod(residual[lead], image[lead])
-            if r:
-                return None
-            if q:
-                residual = [a - q * b for a, b in zip(residual, image)]
-                combo = [a + q * b for a, b in zip(combo, columns)]
-        if any(residual):
-            return None
-        return tuple(combo)
+        x, residual = self.reduce(rhs, den)
+        return None if any(residual) else x
 
 
 def integer_kernel(matrix: Sequence[Sequence[Fraction]], ncols: int) -> tuple[IntVec, ...]:

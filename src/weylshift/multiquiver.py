@@ -15,13 +15,15 @@ from math import gcd
 
 from .consistency import CheckFailure, CheckReport, SolutionTuple
 from .orbital import FactoredSolution, OrbitalPiece, StructureError
+from .parser import _MAX_DEGREE
 from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import ShiftSystem
 
 
 def validate_beta(beta) -> CheckReport:
-    """Shape and sign check: integer entries, each row at most one positive
-    and at most one negative entry."""
+    """Shape, sign and size check: integer entries, each row at most one
+    positive and one negative entry, and no column's absolute values, the
+    degree of the entry it builds, summing past the parser's degree bound."""
     failures = []
     if not beta or not beta[0] or any(len(row) != len(beta[0]) for row in beta):
         return CheckReport((CheckFailure("beta-shape", (), None),))
@@ -33,6 +35,9 @@ def validate_beta(beta) -> CheckReport:
         neg = sum(1 for v in row if v < 0)
         if pos > 1 or neg > 1:
             failures.append(CheckFailure("beta-signs", (j,), None))
+    for i, column in enumerate(zip(*beta)):
+        if all(isinstance(v, int) for v in column) and sum(map(abs, column)) > _MAX_DEGREE:
+            failures.append(CheckFailure("beta-degree", (i,), None))
     return CheckReport(tuple(failures))
 
 

@@ -23,7 +23,7 @@ from .consistency import (
 )
 from .intlinalg import divisors
 from .poly import FactoredPoly, Poly, exact_div, merge_factors
-from .shifts import ShiftSystem, half_shift, is_fixed_by_shift, same_orbit
+from .shifts import ShiftSystem, half_shift, is_fixed_by_shift, orbit_forms
 
 
 class StructureError(ValueError):
@@ -64,24 +64,16 @@ def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
     """
     sys = sol.sys
     full = tuple(range(sys.nshifts))
-    anchors: list[Poly] = []
-    groups: list[list[list[tuple[Poly, int]]]] = []
-    memo: dict = {}
-    for i, entry in enumerate(sol.entries):
-        for q, mult in entry.factors:
-            base = half_shift(sys, i, -1, q)
-            home = None
-            for g, anchor in enumerate(anchors):
-                if same_orbit(sys, anchor, base, full, memo) is not None:
-                    home = g
-                    break
-            if home is None:
-                anchors.append(base)
-                groups.append([[] for _ in range(sys.nshifts)])
-                home = len(anchors) - 1
-            groups[home][i].append((q, mult))
+    placed = [(i, f, half_shift(sys, i, -1, f[0])) for i, e in enumerate(sol.entries) for f in e.factors]
+    forms = orbit_forms(sys, [base for *_, base in placed], full)
+    # keyed by the orbit's normal form; the first factor seen is the anchor
+    groups: dict[Poly, tuple[Poly, list[list[tuple[Poly, int]]]]] = {}
+    for (i, factor, base), (form, _) in zip(placed, forms):
+        if form not in groups:
+            groups[form] = (base, [[] for _ in range(sys.nshifts)])
+        groups[form][1][i].append(factor)
     pieces = []
-    for anchor, bucket in zip(anchors, groups):
+    for anchor, bucket in groups.values():
         entries = tuple(
             FactoredPoly.from_factors(sys.nvars, bucket[i]) for i in range(sys.nshifts)
         )
@@ -94,15 +86,15 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     binary and ternary checks, decided on the factors."""
     sys = piece.solution.sys
     gen_monic = piece.generator.make_monic()[1]
-    failures: list[CheckFailure] = []
-    memo: dict = {}
-    for i, entry in enumerate(piece.solution.entries):
-        for q, _ in entry.factors:
-            base = half_shift(sys, i, -1, q)
-            if same_orbit(sys, gen_monic, base, piece.indices, memo) is None:
-                failures.append(CheckFailure("membership", (i,), base - gen_monic))
-    report = CheckReport(tuple(failures))
-    return report.merged(check_factored(sys, piece.solution.entries))
+    entries = piece.solution.entries
+    bases = [(i, half_shift(sys, i, -1, q)) for i, e in enumerate(entries) for q, _ in e.factors]
+    (gen_form, _), *forms = orbit_forms(sys, [gen_monic] + [base for _, base in bases], piece.indices)
+    failures = tuple(
+        CheckFailure("membership", (i,), base - gen_monic)
+        for (i, base), (form, _) in zip(bases, forms)
+        if form != gen_form
+    )
+    return CheckReport(failures).merged(check_factored(sys, entries))
 
 
 def moving_directions(sys: ShiftSystem, generator: Poly, exclude: Sequence[int]) -> list[int]:
@@ -194,8 +186,9 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
 
     Candidates come from one coefficient slice of p viewed as a polynomial
     in u_j.  Dividing p by (u_j - c) divides that slice by it too, so the
-    first slice's candidates cover every cofactor: one walk divides each
-    candidate out as often as it goes, and stops once the slice is
+    first slice's candidates cover every cofactor, and one at which that
+    slice does not vanish is no root of p: one walk divides each candidate
+    the slice keeps out as often as it goes, and stops once the slice is
     constant in u_j.  Returns each root c with its multiplicity, in the
     order of `_root_candidates` (0 first), and the cofactor.
     """
@@ -204,7 +197,7 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
         rest = e[:j] + e[j + 1 :]
         slices.setdefault(rest, {})[e[j]] = c
     coeffs = slices[min(slices)]
-    deg = max(coeffs)
+    top = deg = max(coeffs)
     roots: list[tuple[Fraction, int]] = []
     if deg == 0:
         return roots, p
@@ -215,6 +208,9 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
     candidates += _root_candidates(ints[deg], ints[low])
     var = Poly.variable(p.nvars, j)
     for cand in candidates:
+        a, b = cand.numerator, cand.denominator
+        if sum(c * a**k * b ** (top - k) for k, c in ints.items()):
+            continue  # b^top times the slice at a/b is not zero
         lin = var - Poly.constant(p.nvars, cand)
         mult = 0
         while (q := exact_div(p, lin)) is not None:

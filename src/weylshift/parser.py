@@ -41,6 +41,10 @@ _MAX_NESTING = 100
 # 30-loop staircase (degree 90) stay below 100.
 _MAX_DEGREE = 1000
 
+# A power of a constant has degree 0, so a power's bit length is bounded
+# too: no power in the test data or the benchmark's inputs passes 1,000.
+_MAX_POWER_BITS = 100_000
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -138,6 +142,9 @@ class _Parser:
             k = _natural(val, at)
             deg *= k
             _check_degree(deg, at)
+            width = max((max(abs(c.numerator), c.denominator).bit_length() for _, c in base.items()), default=0)
+            if k * width > _MAX_POWER_BITS:
+                raise ParseError(f"a power of up to {k * width} bits passes the limit {_MAX_POWER_BITS}", at)
             base = base ** k
         return base, deg
 

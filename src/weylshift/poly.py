@@ -480,16 +480,14 @@ def coefficient_rows(polys: Sequence[Poly]) -> list[list[Fraction]]:
     ]
 
 
-def numerators_on(p: Poly, index: Mapping[int, int]) -> tuple[list[int], int] | None:
+def numerators_on(p: Poly, index: Mapping[int, int]) -> tuple[list[int], int]:
     """p's coefficients on the rows of a `monomial_index`, as integer
-    numerators over p's denominator; None when p uses a monomial that the
-    index has no row for."""
+    numerators over p's denominator; monomials without a row are left out."""
     out = [0] * len(index)
     for k, num in p._terms.items():
         row = index.get(k)
-        if row is None:
-            return None
-        out[row] = num
+        if row is not None:
+            out[row] = num
     return out, p._den
 
 

@@ -3,8 +3,8 @@
 A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
-point k of Z^n acts by the shift `combo(k, range(n))`.  Stabilizer lattices and orbit
-membership queries live here.
+point k of Z^n acts by the shift `combo(k, range(n))`.  Stabilizer lattices and the
+normal forms that decide orbit membership live here.
 """
 
 from __future__ import annotations
@@ -86,71 +86,64 @@ def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> Sta
     return StabilizerLattice(basis)
 
 
-# One step of an orbit query, for a top form over some free directions:
-# the monomial rows of the degree d-1 conditions, their integer system, and
-# the directions still free after the step.
+# One step of `orbit_forms`: the monomial rows of the pairings, their
+# integer system, and the directions still free after the step.
 _Step = tuple[dict[int, int], IntegerSystem, tuple[IntVec, ...]]
 
 
-def same_orbit(
-    sys: ShiftSystem,
-    q: Poly,
-    q2: Poly,
-    indices: Sequence[int],
-    memo: dict[tuple, _Step] | None = None,
-) -> IntVec | None:
-    """Find integer k over the given directions with q shifted by k equal to q2.
+def orbit_forms(
+    sys: ShiftSystem, polys: Sequence[Poly], indices: Sequence[int]
+) -> list[tuple[Poly, IntVec]]:
+    """For each q, (r, k) with q shifted by the integer k over the given
+    directions equal to r, the same r for every q of one orbit.
 
-    Returns one such k, or None when there is none.  The solutions form a
-    coset of the stabilizer lattice, found one degree at a time: matching
-    the degree d-1 parts is an affine integer condition on k, and every
-    direction left free by it fixes the top form of degree d, so the common
-    top form is dropped from both sides and the free directions are tried
-    on the rest, one degree lower.
-
-    The condition's matrix depends only on the top form, the index set and
-    the free directions, so it is factored once into an `IntegerSystem`
-    and each query back-substitutes its own right-hand side.  `memo` keeps
-    those factored steps for the queries of one call on one shift system:
-    a caller that asks many queries about the same anchors, such as
-    `decompose`, passes the same dict to each of them.  Without it the
-    steps live for this query only.
+    r is found one degree at a time from the top: shifting by sum_j t_j
+    free[j] changes the degree d-1 part by -sum_j t_j <grad(top), shift of
+    free[j]>, so that part is reduced modulo the integer span of those
+    pairings.  Each step is factored once per call, keyed by the top form
+    and the free directions; those it leaves free fix every degree down
+    to d, so the next step works one degree lower.
     """
     indices = tuple(indices)
-    if q.is_zero or q2.is_zero:
-        raise ValueError("orbit queries need nonzero polynomials")
-    memo = {} if memo is None else memo
     s = len(indices)
-    k = (0,) * s
-    free = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
-    while q != q2:
-        d = q.degree()
-        if q2.degree() != d:
-            return None
-        top = q.homogeneous_part(d)
-        if q2.homogeneous_part(d) != top:
-            return None
-        key = (top, indices, free)
-        step = memo.get(key)
-        if step is None:
-            step = memo[key] = _orbit_step(sys, top, indices, free)
-        rows, system, next_free = step
-        # shifting by sum_j t_j free[j] must match the degree d-1 parts:
-        #   sum_j t_j <grad(top), shift of free[j]> = (d-1 part of q) - (d-1 part of q2)
-        rhs = numerators_on(q.homogeneous_part(d - 1) - q2.homogeneous_part(d - 1), rows)
-        t = None if rhs is None else system.solve(*rhs)
-        if t is None:
-            return None
-        shift = _combine(t, free, s)
-        k = tuple(a + b for a, b in zip(k, shift))
-        q = q.shift(sys.combo(shift, indices)) - top
-        q2 = q2 - top
-        free = next_free
-    return k
+    identity = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
+    steps: dict[tuple, _Step] = {}
+    forms = []
+    for q in polys:
+        if q.is_zero:
+            raise ValueError("orbit queries need nonzero polynomials")
+        k = (0,) * s
+        free = identity
+        for d in range(q.degree(), 0, -1):
+            top = q.homogeneous_part(d)
+            if top.is_zero:
+                continue
+            key = (top, free)
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = _orbit_step(sys, top, indices, free)
+            rows, system, next_free = step
+            t, _ = system.reduce(*numerators_on(q.homogeneous_part(d - 1), rows))
+            shift = _combine(t, free, s)
+            if any(shift):
+                k = tuple(a + b for a, b in zip(k, shift))
+                q = q.shift(sys.combo(shift, indices))
+            free = next_free
+            if not free:
+                break
+        forms.append((q, k))
+    return forms
+
+
+def same_orbit(sys: ShiftSystem, q: Poly, q2: Poly, indices: Sequence[int]) -> IntVec | None:
+    """One integer k over the given directions with q shifted by k equal to
+    q2, or None when their normal forms differ and there is none."""
+    (r, k), (r2, k2) = orbit_forms(sys, (q, q2), indices)
+    return tuple(a - b for a, b in zip(k, k2)) if r == r2 else None
 
 
 def _orbit_step(sys: ShiftSystem, top: Poly, indices: tuple[int, ...], free: tuple[IntVec, ...]) -> _Step:
-    """The factored degree d-1 condition of `same_orbit` for a top form."""
+    """The factored degree d-1 pairings of `orbit_forms` for a top form."""
     pairings = [top.directional(sys.combo(w, indices)) for w in free]
     system = IntegerSystem(coefficient_rows(pairings), len(free))
     return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)

@@ -35,6 +35,7 @@ from .shifts import (
     ShiftSystem,
     StabilizerLattice,
     half_shift,
+    orbit_forms,
     same_orbit,
     stabilizer_lattice,
 )
@@ -176,23 +177,19 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
     pair = support_pair(piece)
     if pair is None:
         raise StructureError("piece supports at most one direction; nothing to encode")
-    sys = piece.solution.sys
+    sys, entries = piece.solution.sys, piece.solution.entries
     q0 = piece.generator
     q0_monic = q0.make_monic()[1]
     i, j = pair
+    placed = [(idx, m, half_shift(sys, idx, -1, q)) for idx in pair for q, m in entries[idx].factors]
+    (gen_form, k0), *forms = orbit_forms(sys, [q0_monic] + [base for *_, base in placed], pair)
     edges: dict[Key, int] = {}
-    memo: dict = {}
-    for idx, odd_first in ((i, True), (j, False)):
-        for q, mult in piece.solution.entries[idx].factors:
-            base = half_shift(sys, idx, -1, q)
-            k = same_orbit(sys, q0_monic, base, (i, j), memo)
-            if k is None:
-                raise StructureError(
-                    f"factor of entry {idx + 1} does not sit on the orbit over the pair"
-                )
-            a, b = k
-            key = (2 * a + 1, 2 * b) if odd_first else (2 * a, 2 * b + 1)
-            edges[key] = edges.get(key, 0) + mult
+    for (idx, mult, _), (form, k) in zip(placed, forms):
+        if form != gen_form:
+            raise StructureError(f"factor of entry {idx + 1} does not sit on the orbit over the pair")
+        a, b = k0[0] - k[0], k0[1] - k[1]
+        key = (2 * a + 1, 2 * b) if idx == i else (2 * a, 2 * b + 1)
+        edges[key] = edges.get(key, 0) + mult
     config = VertexConfig.build(sys, q0, (i, j), edges)
     report = validate(config)
     if not report.passed:

@@ -1,0 +1,96 @@
+"""Orbit membership by pairwise search, as it was before normal forms, kept
+as the reference.
+
+`reference_same_orbit` solves for the shift carrying one polynomial onto
+another, one degree at a time: matching the degree d-1 parts of the two is
+an affine integer condition on the shift, and the directions it leaves
+free fix the common top form, which is dropped from both sides.
+`reference_decompose` tests each factor against every earlier anchor with
+it.  Neither computes a normal form; test_shifts.py and test_orbital.py
+compare the package's normal forms with them.
+"""
+
+from weylshift.intlinalg import IntegerSystem
+from weylshift.orbital import FactoredPoly
+from weylshift.poly import coefficient_rows, monomial_index, numerators_on
+from weylshift.shifts import half_shift
+
+
+def reference_same_orbit(sys, q, q2, indices, memo=None):
+    """Some integer k over the given directions with q shifted by k equal
+    to q2, or None.  `memo` keeps the factored steps across queries."""
+    indices = tuple(indices)
+    if q.is_zero or q2.is_zero:
+        raise ValueError("orbit queries need nonzero polynomials")
+    memo = {} if memo is None else memo
+    s = len(indices)
+    k = (0,) * s
+    free = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
+    while q != q2:
+        d = q.degree()
+        if q2.degree() != d:
+            return None
+        top = q.homogeneous_part(d)
+        if q2.homogeneous_part(d) != top:
+            return None
+        key = (top, indices, free)
+        step = memo.get(key)
+        if step is None:
+            step = memo[key] = _step(sys, top, indices, free)
+        rows, system, next_free = step
+        rhs = _numerators(q.homogeneous_part(d - 1) - q2.homogeneous_part(d - 1), rows)
+        t = None if rhs is None else system.solve(*rhs)
+        if t is None:
+            return None
+        shift = _combine(t, free, s)
+        k = tuple(a + b for a, b in zip(k, shift))
+        q = q.shift(sys.combo(shift, indices)) - top
+        q2 = q2 - top
+        free = next_free
+    return k
+
+
+def reference_decompose(sol):
+    """(anchor, entries) per orbital piece: each pulled-back factor joins
+    the first earlier anchor on its orbit, or becomes an anchor itself."""
+    sys = sol.sys
+    full = tuple(range(sys.nshifts))
+    anchors, groups, memo = [], [], {}
+    for i, entry in enumerate(sol.entries):
+        for q, mult in entry.factors:
+            base = half_shift(sys, i, -1, q)
+            home = next(
+                (g for g, a in enumerate(anchors) if reference_same_orbit(sys, a, base, full, memo) is not None),
+                None,
+            )
+            if home is None:
+                anchors.append(base)
+                groups.append([[] for _ in range(sys.nshifts)])
+                home = -1
+            groups[home][i].append((q, mult))
+    return [
+        (anchor, tuple(FactoredPoly.from_factors(sys.nvars, bucket) for bucket in buckets))
+        for anchor, buckets in zip(anchors, groups)
+    ]
+
+
+def _step(sys, top, indices, free):
+    pairings = [top.directional(sys.combo(w, indices)) for w in free]
+    system = IntegerSystem(coefficient_rows(pairings), len(free))
+    return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
+
+
+def _numerators(p, rows):
+    """p's numerators on the rows and its denominator, or None when p uses
+    a monomial the rows do not hold."""
+    if any(key not in rows for key in p._terms):
+        return None
+    return numerators_on(p, rows)
+
+
+def _combine(coeffs, rows, width):
+    out = [0] * width
+    for c, row in zip(coeffs, rows, strict=True):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)

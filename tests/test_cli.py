@@ -146,6 +146,16 @@ def test_multiquiver_invalid_beta(tmp_path, capsys):
     assert "invalid beta matrix:" in capsys.readouterr().err
 
 
+def test_multiquiver_beta_past_the_degree_limit_exits_two_at_once(tmp_path, capsys):
+    doc = {"m": 1, "n": 2, "alpha": [[1, -1]], "beta": [[1001, -1]]}
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["multiquiver", "--beta", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "beta-degree fails at (1)" in capsys.readouterr().err
+
+
 def test_multiquiver_empty_rows_exit_two(tmp_path, capsys):
     path = _gl3_with(tmp_path, beta=[[]])
     assert main(["multiquiver", "--beta", path]) == 2
@@ -294,6 +304,20 @@ def test_degree_past_the_limit_exits_two_at_once(tmp_path, capsys, tuple_obj, de
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"degree {degree} passes the limit 1000" in err
     assert "Traceback" not in err
+
+
+def test_power_of_a_constant_past_the_bit_limit_exits_two_at_once(tmp_path, capsys):
+    with open(GL3, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["tuples"] = {"big": {"form": "sym", "polys": ["7^4000000 + u1", "1", "u2"]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    err = _exits_two_with_error(["verify", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert "a power of up to 12000000 bits passes the limit 100000" in err
+    argv = ["gen-random", GL3, "--orbit", "u1 + 7^4000000", "--pair", "1", "2", "--loops", "1", "--seed", "1"]
+    assert "passes the limit 100000" in _exits_two_with_error(argv, capsys)
 
 
 def test_deeply_nested_json_exits_two(tmp_path, capsys):

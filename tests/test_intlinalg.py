@@ -235,3 +235,29 @@ def test_integer_system_examples():
     # the same right-hand sides as numerators over a denominator
     assert system.solve([1, 0], 6) == x
     assert system.solve([1, 0], 12) is None
+
+
+def test_integer_system_reduce_example():
+    # the columns 2 and 3 span Z, and the zero row is left alone
+    matrix = [[Fraction(2), Fraction(3)], [Fraction(0), Fraction(0)]]
+    system = IntegerSystem(matrix, 2)
+    x, residual = system.reduce([Fraction(7, 2), 5])
+    assert residual == (Fraction(1, 2), 5)
+    assert 2 * x[0] + 3 * x[1] == 3
+    assert system.reduce([7, 10], 2) == (x, residual)
+
+
+@given(integer_systems(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_integer_system_reduce_is_constant_on_cosets(case, shift):
+    # right-hand sides that differ by an integer combination of the
+    # columns reduce to one residual, and a residual is its own reduction
+    matrix, rhss, ncols = case
+    system = IntegerSystem(matrix, ncols)
+    for rhs in rhss:
+        moved = [b + sum((a * c for a, c in zip(row, shift)), Fraction(0)) for b, row in zip(rhs, matrix)]
+        x, residual = system.reduce(rhs)
+        y, again = system.reduce(moved)
+        assert again == residual
+        assert [b - sum((a * c for a, c in zip(row, x)), Fraction(0)) for b, row in zip(rhs, matrix)] == list(residual)
+        assert system.reduce(residual)[1] == residual
+        assert (system.solve(rhs) is None) == any(residual)

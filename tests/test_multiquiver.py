@@ -31,6 +31,18 @@ def test_validate_beta():
     assert not report.passed and report.failures[0].relation == "beta-integer"
 
 
+def test_validate_beta_bounds_each_column_by_the_degree_it_builds():
+    # entry i is a product of sum_j |beta[j][i]| linear factors
+    assert validate_beta([[800, -800]]).passed
+    assert validate_beta([[600, -1], [-400, 1]]).passed
+    report = validate_beta([[1001, -1]])
+    assert [(f.relation, f.indices) for f in report.failures] == [("beta-degree", (0,))]
+    report = validate_beta([[601, -1], [-400, 1]])
+    assert [(f.relation, f.indices) for f in report.failures] == [("beta-degree", (0,))]
+    with pytest.raises(ValueError, match="beta-degree"):
+        build_solution([[1001, -1]])
+
+
 def test_system_of():
     sys = system_of([[2, -4]])
     assert sys.nvars == 1 and sys.nshifts == 2

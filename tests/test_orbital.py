@@ -1,7 +1,13 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+import strategies
+from orbit_reference import reference_decompose
+
+from weylshift import orbital
 from weylshift.orbital import (
     FactoredPoly,
     FactoredSolution,
@@ -13,7 +19,7 @@ from weylshift.orbital import (
     verify_orbital,
 )
 from weylshift.parser import parse_poly
-from weylshift.poly import Poly
+from weylshift.poly import Poly, exact_div, merge_factors
 from weylshift.shifts import ShiftSystem, same_orbit, stabilizer_lattice
 
 GL3 = ShiftSystem.from_rows([[-1, 1, 0], [0, -1, 1]])
@@ -184,6 +190,22 @@ def test_factor_entry_gives_up_honestly():
         factor_entry(Poly.zero(2))
 
 
+def test_factor_entry_divides_only_by_roots_of_the_slice(monkeypatch):
+    # every candidate that is no root is rejected on the slice, so each root
+    # costs one division per multiplicity and one that fails
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(orbital, "exact_div", counting)
+    p = parse_poly("(u1 - 1)*(u1 - 2)^2*(u1 + 3)*(u1 - 6)", 1)
+    got = factor_entry(p)
+    assert got.expand() == p
+    assert len(calls) == 2 + 3 + 2 + 2
+
+
 def test_factor_entry_multivariate_shifts():
     p = parse_poly("(u1 - 1)*(u2 + 1/2)^2", 2)
     got = factor_entry(p)
@@ -192,3 +214,43 @@ def test_factor_entry_multivariate_shifts():
         parse_poly("u1 - 1", 2): 1,
         parse_poly("u2 + 1/2", 2): 2,
     }
+
+
+# ----------------------------------------------------------------------
+# decompose against the pairwise anchor search it replaced
+
+HALVES = st.sampled_from([Fraction(x, 2) for x in range(-4, 5)])
+
+
+@st.composite
+def orbit_tuples(draw):
+    """A factored tuple whose factors are shifts of 1-3 monic anchors, by
+    integer points of the directions or by rational vectors, so that some
+    factors share an orbit and some do not; a random set of directions
+    leaves u1 alone, which a top form in u1 cannot see."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    rows = [[draw(HALVES) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[0][i] = Fraction(0)
+    sys = ShiftSystem.from_rows(rows)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = parse_poly(draw(st.sampled_from(["u1", "u1^2", "u1*u2", "u1^2 + u2^2", "u2"])), m)
+        lower = draw(st.dictionaries(strategies.exponents(m, 1), strategies.rationals, max_size=3))
+        pool.append(top + Poly(m, {e: c for e, c in lower.items() if sum(e) < top.degree()}))
+    entries = [[] for _ in range(n)]
+    for _ in range(draw(st.integers(1, 7))):
+        q = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            q = q.shift(sys.combo([draw(st.integers(-3, 3)) for _ in range(n)], range(n)))
+        else:
+            q = q.shift(draw(strategies.shift_vectors(m)))
+        entries[draw(st.integers(0, n - 1))].append((q, 1))
+    return FactoredSolution(sys, tuple(FactoredPoly.from_factors(m, merge_factors(e).items()) for e in entries))
+
+
+@given(orbit_tuples())
+def test_decompose_groups_as_the_anchor_search(sol):
+    pieces = decompose(sol)
+    assert [(p.generator, p.solution.entries) for p in pieces] == reference_decompose(sol)

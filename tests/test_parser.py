@@ -112,6 +112,19 @@ def test_degree_is_bounded_before_expansion():
     assert info.value.position == 7
 
 
+def test_power_bits_are_bounded_before_expansion():
+    # a constant base has degree 0, so only its bit length bounds the power
+    assert p("7^33333").constant_value() == 7**33333
+    assert p("(2*u1 + 1/3)^1000").degree() == 1000
+    with pytest.raises(ParseError, match="a power of up to 100002 bits passes the limit 100000") as info:
+        p("7^33334 + u1")
+    assert info.value.position == 2
+    with pytest.raises(ParseError, match="passes the limit 100000"):
+        p("u1 + (1/7)^4000000")
+    with pytest.raises(ParseError, match="passes the limit 100000"):
+        p("(7^30000)^4")
+
+
 def test_whitespace_is_free():
     assert p(" u1+ u2 * 3 ") == p("u1 + 3*u2")
 

@@ -1,8 +1,8 @@
 """Shift systems, stabilizers and orbit membership.
 
-Orbit membership is checked against a bounded walk kept here as the
-reference: it tries every k in a box and shares no code with the
-degree-by-degree decision it checks.
+Orbit membership is checked against two references: a bounded walk kept
+here, which tries every k in a box and shares no code with the normal
+forms it checks, and the pairwise search in orbit_reference.py.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given
 
 import strategies
+from orbit_reference import reference_same_orbit
 from weylshift.intlinalg import lattice_contains
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
@@ -20,6 +21,7 @@ from weylshift.shifts import (
     ShiftSystem,
     half_shift,
     is_fixed_by_shift,
+    orbit_forms,
     same_orbit,
     stabilizer_lattice,
 )
@@ -174,18 +176,31 @@ def test_same_orbit_half_integer_shifts():
 
 
 def test_same_orbit_memo_keeps_free_directions_apart():
-    # the first query leaves u2 as the top form one degree down, with only
-    # the directions that fix u1^2 free; the second query starts from the
-    # top form u2 with every direction free, and must not reuse that step
+    # q leaves u2 as the top form one degree down, with only the directions
+    # that fix u1^2 free; u2 starts from the top form u2 with every
+    # direction free, and must not reuse that step within one batch
     sys = ShiftSystem.from_rows([[0, 1, 1], [1, 0, 1]])
     q = parse_poly("u1^2 + u2", 2)
     u2 = Poly.variable(2, 1)
-    queries = [(q, q.shift([0, 5])), (u2, u2.shift([0, 3])), (u2 + q, q.shift([1, 2]))]
-    memo = {}
-    for a, b in queries:
-        assert same_orbit(sys, a, b, (0, 1, 2), memo) == same_orbit(sys, a, b, (0, 1, 2))
-    k = same_orbit(sys, u2, u2.shift([0, 3]), (0, 1, 2), memo)
+    batch = [q, q.shift([0, 5]), u2, u2.shift([0, 3]), u2 + q, q.shift([1, 2])]
+    forms = orbit_forms(sys, batch, (0, 1, 2))
+    assert forms == [orbit_forms(sys, [p], (0, 1, 2))[0] for p in batch]
+    for p, (r, k) in zip(batch, forms):
+        assert p.shift(sys.combo(k, (0, 1, 2))) == r
+    assert forms[2][0] == forms[3][0]
+    k = same_orbit(sys, u2, u2.shift([0, 3]), (0, 1, 2))
     assert u2.shift(sys.combo(k, (0, 1, 2))) == u2.shift([0, 3])
+
+
+def test_orbit_forms_of_one_orbit_agree():
+    shifted = F.shift(STAIR.combo((2, -1), (0, 1)))
+    (r, k), (r2, k2) = orbit_forms(STAIR, [F, shifted], (0, 1))
+    assert r == r2
+    assert F.shift(STAIR.combo(k, (0, 1))) == r
+    assert shifted.shift(STAIR.combo(k2, (0, 1))) == r
+    # a constant is its own form, and a polynomial no direction moves too
+    assert orbit_forms(GL3, [Poly.one(2)], (0, 1)) == [(Poly.one(2), (0, 0))]
+    assert orbit_forms(STAIR, [F], (2, 3)) == [(F, (0, 0))]
 
 
 def test_same_orbit_rejects_zero():
@@ -276,12 +291,16 @@ def test_same_orbit_matches_bounded_walk(query):
 @st.composite
 def query_sequences(draw):
     """Interleaved queries over 2-5 anchors of one system and index set,
-    as decompose asks them; anchors often share their top form, and a
-    target may come from another anchor than the one it is asked against."""
+    as decompose asks them; anchors often share their top form, a target
+    may come from another anchor than the one it is asked against, and an
+    anchor's lower part may be asked about too, so that its top form is met
+    both below another top form and with every direction free."""
     sys, indices = draw(orbit_systems())
     pool = [draw(anchors(sys.nvars)) for _ in range(draw(st.integers(1, 3)))]
     qs = [q.shift(draw(strategies.shift_vectors(sys.nvars))) if draw(st.booleans()) else q for q in pool]
     qs += [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 2)))]
+    qs += [q - q.homogeneous_part(q.degree()) for q in pool if q.degree() > 1 and draw(st.booleans())]
+    qs = [q for q in qs if not q.is_constant]
     queries = []
     for _ in range(draw(st.integers(2, 8))):
         a = draw(st.integers(0, len(qs) - 1))
@@ -292,7 +311,24 @@ def query_sequences(draw):
 
 @given(query_sequences())
 def test_same_orbit_shared_memo_matches_fresh_queries(case):
+    # one batch shares its factored steps across polynomials, as decompose
+    # asks them: every form must equal the form of a call of its own
     sys, indices, queries = case
+    batch = [p for pair in queries for p in pair]
+    forms = orbit_forms(sys, batch, indices)
+    assert forms == [orbit_forms(sys, [p], indices)[0] for p in batch]
+    for p, (r, k) in zip(batch, forms):
+        assert p.shift(sys.combo(k, indices)) == r
     memo = {}
-    for q, q2 in queries:
-        assert same_orbit(sys, q, q2, indices, memo) == same_orbit(sys, q, q2, indices)
+    for (r, _), (r2, _), (q, q2) in zip(forms[::2], forms[1::2], queries):
+        assert (r == r2) == (reference_same_orbit(sys, q, q2, indices, memo) is not None)
+
+
+@given(orbit_queries())
+def test_same_orbit_matches_reference(query):
+    sys, q, q2, indices = query
+    found = same_orbit(sys, q, q2, indices)
+    expected = reference_same_orbit(sys, q, q2, indices)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert q.shift(sys.combo(found, indices)) == q2

@@ -12,11 +12,12 @@ symmetrized tuple, with each witness shifted back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 from typing import Sequence
 
 from .poly import FactoredPoly, Poly, merge_factors
-from .shifts import ShiftSystem, half_shift
+from .shifts import ShiftSystem, half_shift, is_fixed_by_shift
 
 
 @dataclass(frozen=True)
@@ -87,46 +88,57 @@ def _entries(sol: SolutionTuple) -> list[FactoredPoly]:
 
 # An identity is (relation, indices, lhs, rhs); a side is a list of
 # (entry, shift vector) pairs and stands for the product of those entries
-# shifted by those vectors.
+# shifted by those vectors.  A kind lists its identities from the
+# half-columns and the moving set of each entry: the directions that move
+# some factor of it.
 
 
-def _binary(sys: ShiftSystem, entries):
+def _binary(halves, moving):
     """Pairwise identity: for i != j the product of the two entries agrees
     after shifting each by plus or minus half the other's direction."""
-    halves = _halves(sys)
-    n = sys.nshifts
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i, j in combinations(range(len(halves)), 2):
+        if j in moving[i] or i in moving[j]:
             hi, hj = halves[i], halves[j]
             yield "binary", (i, j), [(i, hj), (j, hi)], [(i, _negated(hj)), (j, _negated(hi))]
 
 
-def _ternary(sys: ShiftSystem, entries):
+def _ternary(halves, moving):
     """Triple identity on p_k over the half-sums of two other directions
     i < j, grouped by k."""
-    halves = _halves(sys)
-    n = sys.nshifts
-    for k in range(n):
-        if not entries[k].factors:  # a constant entry: both sides are its square
-            continue
-        for i in range(n):
-            for j in range(i + 1, n):
-                if k in (i, j):
-                    continue
-                plus = tuple(a + b for a, b in zip(halves[i], halves[j]))
-                minus = tuple(a - b for a, b in zip(halves[i], halves[j]))
-                lhs = [(k, plus), (k, _negated(plus))]
-                yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
+    for k, dirs in enumerate(moving):
+        for i, j in combinations(sorted(dirs - {k}), 2):
+            plus = tuple(a + b for a, b in zip(halves[i], halves[j]))
+            minus = tuple(a - b for a, b in zip(halves[i], halves[j]))
+            lhs = [(k, plus), (k, _negated(plus))]
+            yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
 
 
 def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[CheckFailure]:
     """The failing identities of each kind, in report order.
 
-    Equal multisets of shifted factors on the two sides prove an identity;
-    factors need not be irreducible, so otherwise the witness, the expanded
-    left side minus the expanded right side, decides it.  A side's unit is
-    the product of its entries' units.
+    An identity that a zero directional derivative proves is not listed.
+    Direction i moves entry k when <grad q, a_i> is not zero for some
+    factor q of p_k (is_fixed_by_shift); otherwise p_k is invariant under
+    every multiple of a_i.
+    - Binary (i, j) is skipped when j does not move p_i and i does not
+      move p_j: both sides are then p_i * p_j.
+    - Ternary (i, j, k) is skipped when i or j does not move p_k: if i
+      does not, both sides are p_k(u + a_j/2) * p_k(u - a_j/2), and
+      likewise for j.  A constant entry has no factors, so no direction
+      moves it and both sides are its square.
+
+    Equal multisets of shifted factors on the two sides prove a listed
+    identity; factors need not be irreducible, so otherwise the witness,
+    the expanded left side minus the expanded right side, decides it.  A
+    side's unit is the product of its entries' units.
     """
+    halves = _halves(sys)
+    # the derivative is linear in the direction, so a half-column fixes
+    # exactly what its column fixes
+    moving = [
+        {i for i, h in enumerate(halves) if not all(is_fixed_by_shift(q, h) for q, _ in e.factors)}
+        for e in entries
+    ]
 
     def moved(side) -> list[tuple[Poly, int]]:
         return [(q.shift(vec), m) for k, vec in side for q, m in entries[k].factors]
@@ -137,7 +149,7 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
 
     failures = []
     for kind in kinds:
-        for relation, indices, lhs, rhs in kind(sys, entries):
+        for relation, indices, lhs, rhs in kind(halves, moving):
             left, right = merge_factors(moved(lhs)), merge_factors(moved(rhs))
             if left == right:
                 continue

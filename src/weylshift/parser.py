@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .poly import Poly
 
@@ -44,6 +45,11 @@ _MAX_DEGREE = 1000
 # A power of a constant has degree 0, so a power's bit length is bounded
 # too: no power in the test data or the benchmark's inputs passes 1,000.
 _MAX_POWER_BITS = 100_000
+
+# The degree bound leaves room for (u1 + u2 + u3)^1000 and its 501,501
+# terms, so a power's or product's term count is bounded too, before it is
+# expanded: see _check_terms.
+_MAX_TERMS = 200_000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -126,6 +132,8 @@ class _Parser:
                 rhs, rhs_deg = self.factor()
                 deg += rhs_deg
                 _check_degree(deg, at)
+                if len(acc) * len(rhs) > _MAX_TERMS:  # a product of a and b terms has at most a*b
+                    _check_terms(deg, (acc, rhs), at)
                 acc = acc * rhs
             else:
                 return acc
@@ -145,6 +153,8 @@ class _Parser:
             width = max((max(abs(c.numerator), c.denominator).bit_length() for _, c in base.items()), default=0)
             if k * width > _MAX_POWER_BITS:
                 raise ParseError(f"a power of up to {k * width} bits passes the limit {_MAX_POWER_BITS}", at)
+            if len(base) > 1:  # a power of a monomial is a monomial
+                _check_terms(deg, (base,), at)
             base = base ** k
         return base, deg
 
@@ -191,6 +201,17 @@ def _natural(digits: str, at: int) -> int:
 def _check_degree(degree: int, at: int) -> None:
     if degree > _MAX_DEGREE:
         raise ParseError(f"degree {degree} passes the limit {_MAX_DEGREE}", at)
+
+
+def _check_terms(degree: int, operands: tuple[Poly, ...], at: int) -> None:
+    """Reject a power or product of the given degree before it is expanded
+    when its bound on the term count passes _MAX_TERMS: the number
+    C(d + v, v) of monomials of degree at most d in the v variables its
+    operands use."""
+    v = len(set().union(*(p.used_variables() for p in operands)))
+    bound = comb(degree + v, v)
+    if bound > _MAX_TERMS:
+        raise ParseError(f"up to {bound} terms pass the limit {_MAX_TERMS}", at)
 
 
 def parse_poly(text: str, nvars: int) -> Poly:

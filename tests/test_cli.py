@@ -320,6 +320,23 @@ def test_power_of_a_constant_past_the_bit_limit_exits_two_at_once(tmp_path, caps
     assert "passes the limit 100000" in _exits_two_with_error(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "poly,bound",
+    [("(u1 + u2 + u3)^1000", 167668501), ("(u1 + u2 + u3)^60*(u1 + u2 + u3)^60", 302621)],
+    ids=["power", "product"],
+)
+def test_term_count_past_the_limit_exits_two_at_once(tmp_path, capsys, poly, bound):
+    with open(STAIR, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["tuples"] = {"big": {"form": "sym", "polys": [poly, "1", "1", "1"]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    err = _exits_two_with_error(["verify", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert f"up to {bound} terms pass the limit 200000" in err
+
+
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
     with open(GL3, encoding="utf-8") as handle:
         text = handle.read().rstrip()

@@ -92,6 +92,37 @@ def factored_tuples(draw):
 
 
 @st.composite
+def partly_fixed_tuples(draw):
+    """Axis-parallel columns and factors in a subset of the variables, such
+    as u1 + c beside u2^2 + u1: a direction along u_r moves exactly the
+    factors that use u_r, so it can move some factors of an entry and fix
+    the others.  Factors are drawn from shifted copies of a few bases, so
+    that identities the checker cannot skip still hold."""
+    m = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=4))
+    cols = []
+    for _ in range(n):
+        col = [Fraction(0)] * m
+        col[draw(st.integers(min_value=0, max_value=m - 1))] = draw(HALVES)
+        cols.append(col)
+    sys = ShiftSystem.from_rows([[col[r] for col in cols] for r in range(m)])
+    bases = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        used = draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=1, max_size=m, unique=True))
+        q = draw(monic_factors(len(used)))
+        bases.append(q.compose([Poly.variable(m, r) for r in used]).make_monic()[1])
+    entries = []
+    for _ in range(n):
+        factors = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            q = draw(st.sampled_from(bases)).shift(sys.combo([draw(HALVES) for _ in range(n)], range(n)))
+            factors.append((q, draw(st.integers(min_value=1, max_value=2))))
+        unit = draw(strategies.nonzero_rationals)
+        entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items(), unit))
+    return FactoredSolution(sys, tuple(entries))
+
+
+@st.composite
 def corrupted(draw, solutions):
     """A solution with one entry's unit-free part multiplied by a linear
     factor (u_r - c)."""
@@ -122,6 +153,12 @@ def assert_matches_reference(fs: FactoredSolution):
 @settings(max_examples=150, deadline=None)
 @given(fs=factored)
 def test_checkers_match_reference(fs):
+    assert_matches_reference(fs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fs=partly_fixed_tuples())
+def test_checkers_match_reference_where_a_direction_fixes_some_factors(fs):
     assert_matches_reference(fs)
 
 

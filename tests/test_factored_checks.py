@@ -29,21 +29,25 @@ STAIR_FAMILIES = [("u1 + u2 + u3", (0, 1)), ("u1^2 + u2 + u3", (0, 1))]
 
 
 class Counting:
-    """Counts the Poly products taken while it is active."""
+    """Counts the Poly products and shifts taken while it is active."""
 
     def __enter__(self):
-        self.products = 0
-        self.original = Poly.__mul__
+        self.products = self.shifts = 0
+        self.mul, self.shift = Poly.__mul__, Poly.shift
 
-        def counted(a, b):
+        def counted_mul(a, b):
             self.products += 1
-            return self.original(a, b)
+            return self.mul(a, b)
 
-        Poly.__mul__ = counted
+        def counted_shift(p, vec):
+            self.shifts += 1
+            return self.shift(p, vec)
+
+        Poly.__mul__, Poly.shift = counted_mul, counted_shift
         return self
 
     def __exit__(self, *exc):
-        Poly.__mul__ = self.original
+        Poly.__mul__, Poly.shift = self.mul, self.shift
 
 
 def assert_same_report(fs: FactoredSolution):
@@ -176,6 +180,16 @@ def test_reducible_factor_against_its_split_form():
     with Counting() as counting:
         assert check_factored(sys, [square, split]).passed
     assert counting.products > 0
+
+
+def test_only_the_generators_pair_shifts_on_the_staircase(staircase_config):
+    # directions 3 and 4 fix every factor of the decoded figure and entries
+    # 3 and 4 are constant, so every identity but binary (1,2) is skipped;
+    # that one shifts each factor of entries 1 and 2 once per side
+    fs = decode(staircase_config).solution
+    with Counting() as counting:
+        assert check_factored(fs.sys, fs.entries).passed
+    assert counting.shifts == 2 * sum(len(e.factors) for e in fs.entries[:2]) == 10
 
 
 def test_factored_engine_failure_text(gl3_file):

@@ -125,6 +125,19 @@ def test_power_bits_are_bounded_before_expansion():
         p("(7^30000)^4")
 
 
+def test_term_count_is_bounded_before_expansion():
+    # each passes the degree bound; C(d + v, v) monomials bound its terms
+    assert len(p("(u1 + u2 + u3)^100", 3)) == 5151  # bound 176851
+    with pytest.raises(ParseError, match="up to 167668501 terms pass the limit 200000") as info:
+        p("(u1 + u2 + u3)^1000", 3)
+    assert info.value.position == 15
+    with pytest.raises(ParseError, match="up to 302621 terms pass the limit 200000") as info:
+        p("(u1 + u2 + u3)^60*(u1 + u2 + u3)^60", 3)
+    assert info.value.position == 17
+    # a power or product of monomials is one term, whatever its bound
+    assert len(p("(u1*u2*u3*u4)^200*u1^200", 4)) == 1
+
+
 def test_whitespace_is_free():
     assert p(" u1+ u2 * 3 ") == p("u1 + 3*u2")
 

@@ -13,6 +13,7 @@ from .consistency import (
     check_binary,
     check_factored,
     check_nonsymmetric,
+    check_symmetric,
     check_ternary,
     symmetrize,
     unsymmetrize,
@@ -88,6 +89,7 @@ __all__ = [
     "check_factored",
     "check_equivalence",
     "check_nonsymmetric",
+    "check_symmetric",
     "check_ternary",
     "classify",
     "decode",

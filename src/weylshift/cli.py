@@ -15,10 +15,9 @@ from typing import Sequence
 from . import problemfile as pf
 from .consistency import (
     CheckReport,
-    check_binary,
     check_factored,
     check_nonsymmetric,
-    check_ternary,
+    check_symmetric,
     symmetrize,
 )
 from .equivalence import check_equivalence
@@ -72,8 +71,7 @@ def cmd_verify(args) -> int:
     elif entry.factored is not None:
         report = check_factored(entry.factored.sys, entry.factored.entries)
     else:
-        sol = entry.solution
-        report = check_binary(sol).merged(check_ternary(sol))
+        report = check_symmetric(entry.solution)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"tuple {name} ({form} form): {verdict}")
     _print_failures(report)

@@ -170,10 +170,15 @@ def check_ternary(sol: SolutionTuple) -> CheckReport:
     return CheckReport(tuple(_decide(sol.sys, _entries(sol), _ternary)))
 
 
+def check_symmetric(sol: SolutionTuple) -> CheckReport:
+    """The binary and then the ternary identities, from one engine call;
+    the same report as check_binary followed by check_ternary."""
+    return check_factored(sol.sys, _entries(sol))
+
+
 def check_factored(sys: ShiftSystem, entries: Sequence[FactoredPoly]) -> CheckReport:
     """The binary and then the ternary identities of a factored tuple; the
-    same report as check_binary followed by check_ternary on the expanded
-    tuple."""
+    same report as check_symmetric on the expanded tuple."""
     return CheckReport(tuple(_decide(sys, entries, _binary, _ternary)))
 
 

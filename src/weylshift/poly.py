@@ -18,9 +18,11 @@ Canonical form: the gcd of the denominator and all numerators is 1, and
 zero is the empty mapping over 1.  Equal polynomials therefore have
 equal fields, so == and hash are exact.
 
-The public interface speaks Fractions and exponent tuples; the packed
-keys never leave this module.  FactoredPoly holds a nonzero polynomial
-as a unit times distinct monic factors with multiplicities.
+The public interface speaks Fractions and exponent tuples.  The packed
+keys leave this module only as opaque monomial keys for the parser,
+which multiplies monomials by adding keys and sums them with
+sum_terms.  FactoredPoly holds a nonzero polynomial as a unit times
+distinct monic factors with multiplicities.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ def _pack(exp: Sequence[int], nvars: int) -> int:
             raise ValueError(f"exponent {e} is not below the limit {EXPONENT_LIMIT}")
         key = (key << _SLOT) | e
     return key
+
+
+def variable_key(nvars: int, index: int) -> int:
+    """The packed key of u_{index+1}; index is 0-based.  A monomial's key
+    is the sum of its variables' keys, each times its exponent."""
+    return 1 << (_SLOT * (nvars - 1 - index))
 
 
 def _unpack(key: int, nvars: int) -> Exponent:
@@ -140,7 +148,7 @@ class Poly:
         """The polynomial u_{index+1}; index is 0-based."""
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        return cls._raw(nvars, {1 << (_SLOT * (nvars - 1 - index)): 1})
+        return cls._raw(nvars, {variable_key(nvars, index): 1})
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -461,6 +469,41 @@ def format_poly(p: Poly) -> str:
         else:
             pieces.append(f"{' - ' if c < 0 else ' + '}{body}")
     return "".join(pieces)
+
+
+def sum_terms(
+    nvars: int,
+    monomials: Iterable[tuple[int, int, int]],
+    polys: Iterable[tuple[int, Poly]] = (),
+) -> Poly:
+    """The sum of monomials and signed polynomials, normalised once.
+
+    A monomial is (numerator, positive denominator, key), with a key made
+    from variable_key whose exponents stay below EXPONENT_LIMIT; polys are
+    (sign, Poly) pairs.  The numerators are gathered per denominator and
+    then brought over the lcm of those."""
+    parts: dict[int, dict[int, int]] = {}
+    for num, den, key in monomials:
+        part = parts.get(den)
+        if part is None:
+            part = parts[den] = {}
+        part[key] = part.get(key, 0) + num
+    for sign, p in polys:
+        part = parts.setdefault(p._den, {})
+        get = part.get
+        for k, v in p._terms.items():
+            part[k] = get(k, 0) + sign * v
+    if len(parts) < 2:
+        den, terms = next(iter(parts.items()), (1, {}))
+    else:
+        den = lcm(*parts)
+        terms = {}
+        get = terms.get
+        for d, part in parts.items():
+            scale = den // d
+            for k, v in part.items():
+                terms[k] = get(k, 0) + v * scale
+    return Poly._normal(nvars, terms, den)
 
 
 def monomial_index(polys: Sequence[Poly]) -> dict[int, int]:

@@ -10,7 +10,10 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import data_path
 from consistency_reference import reference_symmetric
+from weylshift import consistency
+from weylshift.cli import main
 from weylshift.consistency import check_factored
 from weylshift.multiquiver import symmetrized_solution
 from weylshift.orbital import FactoredPoly, FactoredSolution, decompose, verify_orbital
@@ -190,6 +193,22 @@ def test_only_the_generators_pair_shifts_on_the_staircase(staircase_config):
     with Counting() as counting:
         assert check_factored(fs.sys, fs.entries).passed
     assert counting.shifts == 2 * sum(len(e.factors) for e in fs.entries[:2]) == 10
+
+
+def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys):
+    # gl3_sym has three nonconstant entries and three directions; one
+    # engine call builds each moving set once, so each entry meets each
+    # direction once, not once for binary and again for ternary
+    calls = []
+
+    def counted(q, vec):
+        calls.append(q)
+        return is_fixed_by_shift(q, vec)
+
+    monkeypatch.setattr(consistency, "is_fixed_by_shift", counted)
+    assert main(["verify", data_path("gl3.json"), "--tuple", "gl3_sym"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == 3 * 3
 
 
 def test_factored_engine_failure_text(gl3_file):

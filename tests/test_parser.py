@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from weylshift.parser import ParseError, parse_poly, parse_rational
-from weylshift.poly import Poly
+from weylshift.poly import Poly, format_poly
 
 
 def p(text, nvars=2):
@@ -136,6 +137,33 @@ def test_term_count_is_bounded_before_expansion():
     assert info.value.position == 17
     # a power or product of monomials is one term, whatever its bound
     assert len(p("(u1*u2*u3*u4)^200*u1^200", 4)) == 1
+
+
+def test_work_of_products_is_bounded_before_each_product():
+    # each passes the term cap, but its products would multiply tens of
+    # millions of term pairs; the budget stops the first that passes it
+    with pytest.raises(ParseError, match="products of 44083336 term pairs pass the limit 5000000") as info:
+        p("(1 + u1 + u2 + u3)^90", 3)
+    assert info.value.position == 19
+    with pytest.raises(ParseError, match="products of 5645460 term pairs pass the limit 5000000") as info:
+        p("(1 + u1 + u2)^600")
+    assert info.value.position == 14
+    # the budget counts every product of one parse, powers included
+    with pytest.raises(ParseError, match="products of 11216988 term pairs pass the limit 5000000") as info:
+        p("(1 + u1 + u2 + u3)^25*(1 + u1 + u2 + u3)^25", 3)
+    assert info.value.position == 21
+    assert len(p("(1 + u1 + u2 + u3)^25*(1 + u1 + u2 + u3)^5", 3)) == 5456
+
+
+def test_a_long_sum_parses_in_linear_time():
+    # 5,456 terms in 188 KB of text; a sum is gathered once, so its cost
+    # is linear in its length, not quadratic in its terms
+    want = p("(u1 + 2*u2 - 3*u3 + 1/3)^30", 3)
+    text = format_poly(want)
+    start = time.process_time()
+    got = p(text, 3)
+    assert time.process_time() - start < 2.0
+    assert got == want
 
 
 def test_whitespace_is_free():

@@ -17,7 +17,7 @@ from math import prod
 from typing import Sequence
 
 from .poly import FactoredPoly, Poly, merge_factors
-from .shifts import ShiftSystem, half_shift, is_fixed_by_shift
+from .shifts import ShiftSystem, half_shift, moving_directions
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
 
     An identity that a zero directional derivative proves is not listed.
     Direction i moves entry k when <grad q, a_i> is not zero for some
-    factor q of p_k (is_fixed_by_shift); otherwise p_k is invariant under
-    every multiple of a_i.
+    factor q of p_k (shifts.moving_directions); otherwise p_k is invariant
+    under every multiple of a_i.
     - Binary (i, j) is skipped when j does not move p_i and i does not
       move p_j: both sides are then p_i * p_j.
     - Ternary (i, j, k) is skipped when i or j does not move p_k: if i
@@ -133,12 +133,7 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     side's unit is the product of its entries' units.
     """
     halves = _halves(sys)
-    # the derivative is linear in the direction, so a half-column fixes
-    # exactly what its column fixes
-    moving = [
-        {i for i, h in enumerate(halves) if not all(is_fixed_by_shift(q, h) for q, _ in e.factors)}
-        for e in entries
-    ]
+    moving = [set(moving_directions(sys, [q for q, _ in e.factors])) for e in entries]
 
     def moved(side) -> list[tuple[Poly, int]]:
         return [(q.shift(vec), m) for k, vec in side for q, m in entries[k].factors]

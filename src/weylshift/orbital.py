@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Sequence
 
 from .consistency import (
     CheckFailure,
@@ -23,7 +22,7 @@ from .consistency import (
 )
 from .intlinalg import divisors
 from .poly import FactoredPoly, Poly, exact_div, merge_factors
-from .shifts import ShiftSystem, half_shift, is_fixed_by_shift, orbit_forms
+from .shifts import ShiftSystem, half_shift, moving_directions, orbit_forms
 
 
 class StructureError(ValueError):
@@ -97,20 +96,6 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     return CheckReport(failures).merged(check_factored(sys, entries))
 
 
-def moving_directions(sys: ShiftSystem, generator: Poly, exclude: Sequence[int]) -> list[int]:
-    """Directions outside `exclude` that move the generator, in increasing order.
-
-    An entry outside the support of an orbital piece is constant, and the
-    binary identity between such an entry k and a nonconstant entry of the
-    piece holds only when direction k fixes the generator.
-    """
-    return [
-        k
-        for k in range(sys.nshifts)
-        if k not in exclude and not is_fixed_by_shift(generator, sys.column(k))
-    ]
-
-
 def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
     """The two indices carrying nonconstant entries, or None for a piece
     with at most one nonconstant entry.
@@ -118,29 +103,29 @@ def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
     Raises StructureError when the piece cannot arise from a genuine
     orbital solution: more than two nonconstant entries, a constant entry
     whose direction moves the generator, or a support direction that
-    fixes it.
+    fixes it.  An entry outside the support is constant, and the binary
+    identity between such an entry k and a nonconstant entry of the piece
+    holds only when direction k fixes the generator.
     """
-    sys = piece.solution.sys
-    q0 = piece.generator
     support = [i for i, e in enumerate(piece.solution.entries) if not e.is_one]
     if len(support) > 2:
         raise StructureError(
             f"{len(support)} nonconstant entries; an orbital piece supports at most two"
         )
-    moving = moving_directions(sys, q0, support)
-    if moving:
-        k = moving[0]
+    moving = moving_directions(piece.solution.sys, [piece.generator])
+    off = [k for k in moving if k not in support]
+    if off:
         raise StructureError(
-            f"entry {k + 1} is constant but direction {k + 1} moves the generator"
+            f"entry {off[0] + 1} is constant but direction {off[0] + 1} moves the generator"
         )
     if len(support) < 2:
         return None
-    for k in support:
-        if is_fixed_by_shift(q0, sys.column(k)):
-            raise StructureError(
-                f"support direction {k + 1} fixes the generator; "
-                "the piece is not rank-two supported"
-            )
+    fixed = [k for k in support if k not in moving]
+    if fixed:
+        raise StructureError(
+            f"support direction {fixed[0] + 1} fixes the generator; "
+            "the piece is not rank-two supported"
+        )
     return (support[0], support[1])
 
 

@@ -44,6 +44,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^()/")
+# ASCII only: str.isdigit also takes superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 # Each level of parentheses costs four Python frames; this keeps a parse
 # far inside the interpreter's recursion limit.
@@ -85,16 +87,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
         if ch == "u":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ParseError("variable name needs an index, like u1", i)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .consistency import SolutionTuple
+from .consistency import SolutionTuple, symmetrize
 from .equivalence import AutomorphismSpec
 from .orbital import FactoredSolution, factor_entry
 from .parser import _MAX_DEGREE, parse_poly, parse_rational
@@ -85,10 +85,11 @@ class TupleEntry:
         return self.factored.expand()
 
     def as_factored(self) -> FactoredSolution:
-        """The factored form, factoring plain entries on demand."""
+        """The factored form, factoring plain entries on demand; a nonsym
+        tuple is symmetrized first."""
         if self.factored is not None:
             return self.factored
-        sol = self.solution
+        sol = symmetrize(self.solution) if self.form == "nonsym" else self.solution
         entries = []
         for i, p in enumerate(sol.polys):
             fp = factor_entry(p)

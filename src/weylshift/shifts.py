@@ -3,8 +3,9 @@
 A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
-point k of Z^n acts by the shift `combo(k, range(n))`.  Stabilizer lattices and the
-normal forms that decide orbit membership live here.
+point k of Z^n acts by the shift `combo(k, range(n))`.  The directions that
+move a polynomial, stabilizer lattices and the normal forms that decide
+orbit membership live here.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
     """Gradient criterion: q is invariant under every multiple of the shift
     beta exactly when <grad q, beta> is the zero polynomial."""
     return q.directional(beta).is_zero
+
+
+def moving_directions(sys: ShiftSystem, polys: Sequence[Poly], exclude: Sequence[int] = ()) -> list[int]:
+    """The directions outside `exclude` whose column moves some q of
+    `polys`, in increasing order; every other direction fixes them all."""
+    return [
+        i
+        for i, col in enumerate(zip(*sys.alpha))
+        if i not in exclude and not all(is_fixed_by_shift(q, col) for q in polys)
+    ]
 
 
 @dataclass(frozen=True)

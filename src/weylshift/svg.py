@@ -12,7 +12,7 @@ from __future__ import annotations
 from xml.sax.saxutils import escape
 
 from .poly import format_poly
-from .vertex import VertexConfig
+from .vertex import VertexConfig, corners
 
 
 # grid cell and margin in pixels, colours, and the label font size
@@ -91,12 +91,9 @@ def render_svg(config: VertexConfig) -> str:
     lines += [boundary(v, BOUNDARY_COLOR, ' stroke-dasharray="6,4"') for v in boundaries]
     labels = []
     for x, y, mult in config.edges:
-        if x % 2:  # vertical segment between the corners below and above
-            x1, y1, x2, y2 = px(x), py(y - 1), px(x), py(y + 1)
-        else:
-            x1, y1, x2, y2 = px(x - 1), py(y), px(x + 1), py(y)
+        (x1, y1), (x2, y2) = corners((x, y))
         lines.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}" '
             f'stroke="{EDGE_COLOR}" stroke-width="{mult + 2}" '
             f'stroke-linecap="round"/>'
         )

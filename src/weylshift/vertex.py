@@ -27,14 +27,15 @@ from .orbital import (
     OrbitalPiece,
     StructureError,
     decompose,
-    moving_directions,
     support_pair,
 )
+from .parser import _MAX_DEGREE
 from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import (
     ShiftSystem,
     StabilizerLattice,
     half_shift,
+    moving_directions,
     orbit_forms,
     same_orbit,
     stabilizer_lattice,
@@ -58,6 +59,15 @@ def canonical_key(lattice: StabilizerLattice, key: Key) -> Key:
         return (x - 2 * r * t, y - 2 * s * t)
     t = y // (2 * s)
     return (x, y - 2 * s * t)
+
+
+def corners(key: Key) -> tuple[Key, Key]:
+    """The corners an edge leaves and enters: below and above a
+    direction-i edge (x odd), left and right of a direction-j edge."""
+    x, y = key
+    if x % 2:
+        return (x, y - 1), (x, y + 1)
+    return (x - 1, y), (x + 1, y)
 
 
 @dataclass(frozen=True)
@@ -109,34 +119,25 @@ def validate(config: VertexConfig) -> CheckReport:
     corner conservation law."""
     failures = [
         CheckFailure("off-pair-fixed", (k,), None)
-        for k in moving_directions(config.sys, config.generator, config.pair)
+        for k in moving_directions(config.sys, [config.generator], config.pair)
     ]
-    mults = config.multiplicities
-    for (x, y), _ in mults.items():
+    for x, y, _ in config.edges:
         if (x + y) % 2 == 0:
             failures.append(CheckFailure("parity", (x, y), None, one_based=False))
         if canonical_key(config.lattice, (x, y)) != (x, y):
             failures.append(CheckFailure("canonical", (x, y), None, one_based=False))
     if failures:
         return CheckReport(tuple(failures))
-
-    def m(key: Key) -> int:
-        return mults.get(canonical_key(config.lattice, key), 0)
-
-    corners: set[Key] = set()
-    for (x, y) in mults:
-        if x % 2:  # direction-i edge: corners above and below
-            corners.add(canonical_key(config.lattice, (x, y + 1)))
-            corners.add(canonical_key(config.lattice, (x, y - 1)))
-        else:  # direction-j edge: corners left and right
-            corners.add(canonical_key(config.lattice, (x + 1, y)))
-            corners.add(canonical_key(config.lattice, (x - 1, y)))
-    for (x, y) in sorted(corners):
-        lhs = m((x, y + 1)) + m((x + 1, y))
-        rhs = m((x, y - 1)) + m((x - 1, y))
-        if lhs != rhs:
-            failures.append(CheckFailure("conservation", (x, y), None, one_based=False))
-    return CheckReport(tuple(failures))
+    balance: dict[Key, int] = {}
+    for x, y, mult in config.edges:
+        first, second = (canonical_key(config.lattice, c) for c in corners((x, y)))
+        balance[first] = balance.get(first, 0) + mult
+        balance[second] = balance.get(second, 0) - mult
+    return CheckReport(tuple(
+        CheckFailure("conservation", corner, None, one_based=False)
+        for corner in sorted(balance)
+        if balance[corner]
+    ))
 
 
 def decode(config: VertexConfig) -> OrbitalPiece:
@@ -255,12 +256,16 @@ def random_config(
     The restricted stabilizer must have rank 1 with a strictly positive
     generator (r, s); each staircase interleaves s up-steps (crossing
     direction-i edges) and r right-steps (crossing direction-j edges)
-    uniformly at random, starting at a random corner.
+    uniformly at random, starting at a random corner.  An entry of the
+    decoded piece has degree at most loops * max(r, s) * deg(generator),
+    which must stay within the parser's degree bound.
     """
     i, j = pair
     if not 0 <= i < j < sys.nshifts:
         raise StructureError("pair must be two distinct direction indices in order")
-    moving = moving_directions(sys, generator, (i, j))
+    if loops < 0:
+        raise StructureError("the number of loops must be nonnegative")
+    moving = moving_directions(sys, [generator], (i, j))
     if moving:
         raise StructureError(
             f"direction {moving[0] + 1} lies outside the pair and moves the generator"
@@ -271,6 +276,11 @@ def random_config(
     r, s = lattice.basis[0]
     if r < 1 or s < 1:
         raise StructureError("stabilizer generator must have positive components")
+    degree = loops * max(r, s) * generator.degree()
+    if degree > _MAX_DEGREE:
+        raise StructureError(
+            f"{loops} loops give decoded entries of degree {degree}, past the limit {_MAX_DEGREE}"
+        )
     rng = random.Random(seed)
     edges: dict[Key, int] = {}
     for _ in range(loops):

@@ -223,6 +223,36 @@ def test_gen_random_reproducible(tmp_path):
     assert main(["decode", str(a)]) == 0
 
 
+@pytest.mark.parametrize("loops", ["-1", "1001"])
+def test_gen_random_loops_out_of_bounds_exit_two_at_once(capsys, loops):
+    # 1001 loops of (1, 1) staircases on a linear generator decode to
+    # entries of degree 1001, past the parser's limit
+    argv = ["gen-random", GL3, "--orbit", "u1", "--pair", "1", "2", "--loops", loops, "--seed", "1"]
+    start = time.process_time()
+    _exits_two_with_error(argv, capsys)
+    assert time.process_time() - start < 1.0
+
+
+def test_gen_random_at_the_loop_bound_verifies(tmp_path, capsys):
+    cfg, dec = str(tmp_path / "r.json"), str(tmp_path / "d.json")
+    argv = ["gen-random", GL3, "--orbit", "u1", "--pair", "1", "2", "--loops", "1000", "--seed", "1"]
+    assert main(argv + ["-o", cfg]) == 0
+    assert main(["decode", cfg, "-o", dec]) == 0
+    assert main(["verify", dec]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["decompose", "encode", "classify"])
+def test_nonsym_tuple_reads_as_its_symmetrized_form(capsys, verb):
+    # gl3_raw is the nonsym form of gl3_sym
+    assert main([verb, GL3, "--tuple", "gl3_raw"]) == 0
+    raw = capsys.readouterr()
+    assert main([verb, GL3, "--tuple", "gl3_sym"]) == 0
+    sym = capsys.readouterr()
+    assert raw.out.replace("gl3_raw", "gl3_sym") == sym.out
+    assert raw.err == sym.err == ""
+
+
 def test_gen_random_bad_pair(capsys):
     args = ["gen-random", GL3, "--orbit", "u1", "--pair", "1", "9",
             "--loops", "1", "--seed", "1"]

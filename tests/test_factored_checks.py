@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from conftest import data_path
 from consistency_reference import reference_symmetric
-from weylshift import consistency
+from weylshift import shifts
 from weylshift.cli import main
 from weylshift.consistency import check_factored
 from weylshift.multiquiver import symmetrized_solution
@@ -205,7 +205,7 @@ def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys
         calls.append(q)
         return is_fixed_by_shift(q, vec)
 
-    monkeypatch.setattr(consistency, "is_fixed_by_shift", counted)
+    monkeypatch.setattr(shifts, "is_fixed_by_shift", counted)
     assert main(["verify", data_path("gl3.json"), "--tuple", "gl3_sym"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(calls) == 3 * 3

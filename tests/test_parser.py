@@ -89,6 +89,22 @@ def test_error_positions():
     assert info.value.position == 7
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("u1^\u00b2", "unexpected character '\u00b2'", 3),
+        ("u\u0661 + \u0663", "variable name needs an index, like u1", 0),
+        ("\u0663", "unexpected character", 0),
+    ],
+    ids=["superscript", "arabic-indic-variable", "arabic-indic-number"],
+)
+def test_only_ascii_digits_are_digits(text, message, position):
+    # str.isdigit also accepts superscripts and other scripts' digits
+    with pytest.raises(ParseError, match=message) as info:
+        p(text)
+    assert info.value.position == position
+
+
 def test_unbalanced_parens():
     with pytest.raises(ParseError):
         p("u1 + 1)")

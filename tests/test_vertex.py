@@ -1,5 +1,8 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from vertex_reference import reference_conservation
 from weylshift.consistency import check_binary, check_ternary
 from weylshift.orbital import (
     FactoredPoly,
@@ -14,6 +17,7 @@ from weylshift.vertex import (
     VertexConfig,
     canonical_key,
     classify,
+    corners,
     decode,
     encode,
     _same_product,
@@ -106,6 +110,57 @@ def test_validate_conservation_failure(staircase_config):
     assert not report.passed
     assert all(f.relation == "conservation" for f in report.failures)
     assert (1, 1) in {f.indices for f in report.failures}
+
+
+def test_corners_of_an_edge():
+    # the edge leaves its first corner upward or rightward and enters its second
+    assert corners((1, 0)) == ((1, -1), (1, 1))
+    assert corners((0, 1)) == ((-1, 1), (1, 1))
+    assert corners((-3, 4)) == ((-3, 3), (-3, 5))
+
+
+@st.composite
+def grid_configs(draw):
+    """Canonical odd-parity configurations over a drawn lattice: closed
+    staircases, which conserve, plus random edges of multiplicity 1-3."""
+    basis = draw(st.sampled_from([None, (1, 1), (3, 2), (2, 1), (1, 0), (0, 1)]))
+    lattice = StabilizerLattice(() if basis is None else (basis,))
+    edges: dict = {}
+
+    def add(key, mult):
+        key = canonical_key(lattice, key)
+        edges[key] = edges.get(key, 0) + mult
+
+    loops = 0 if basis is None else draw(st.integers(0, 3))
+    for _ in range(loops):
+        r, s = basis
+        x = 2 * draw(st.integers(-3, 3)) + 1
+        y = 2 * draw(st.integers(-3, 3)) + 1
+        for step in draw(st.permutations(["up"] * s + ["right"] * r)):
+            if step == "up":
+                add((x, y + 1), 1)
+                y += 2
+            else:
+                add((x + 1, y), 1)
+                x += 2
+    extra = draw(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(1, 3)), max_size=5
+    ))
+    for x, half, mult in extra:
+        add((x, 2 * half + (x + 1) % 2), mult)
+    packed = tuple((x, y, m) for (x, y), m in sorted(edges.items()))
+    config = VertexConfig(GL3, Poly.variable(2, 0), (0, 1), lattice, packed)
+    return config, not extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_configs())
+def test_validate_matches_the_corner_by_corner_reference(case):
+    config, staircases_only = case
+    got = [(f.relation, f.indices) for f in validate(config).failures]
+    assert got == [(f.relation, f.indices) for f in reference_conservation(config)]
+    if staircases_only:
+        assert got == []
 
 
 def test_validate_off_pair_directions():
@@ -291,6 +346,17 @@ def test_random_config_decodes_to_solutions():
         expanded = decode(cfg).solution.expand()
         assert check_binary(expanded).passed
         assert check_ternary(expanded).passed
+
+
+def test_random_config_loops_are_bounded():
+    # a staircase of the (3, 2) lattice puts 3 factors of the linear
+    # generator into entry 1, so 333 loops reach degree 999 and 334 pass 1000
+    u1 = Poly.variable(3, 0)
+    assert validate(random_config(STAIR, u1, (0, 1), loops=333, seed=1)).passed
+    with pytest.raises(StructureError, match="334 loops give decoded entries of degree 1002"):
+        random_config(STAIR, u1, (0, 1), loops=334, seed=1)
+    with pytest.raises(StructureError, match="nonnegative"):
+        random_config(STAIR, u1, (0, 1), loops=-1, seed=1)
 
 
 def test_random_config_needs_positive_rank_one_stabilizer():

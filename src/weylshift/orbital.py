@@ -20,7 +20,7 @@ from .consistency import (
     SolutionTuple,
     check_factored,
 )
-from .intlinalg import divisors
+from .intlinalg import IntVec, divisors
 from .poly import FactoredPoly, Poly, exact_div, merge_factors
 from .shifts import ShiftSystem, half_shift, moving_directions, orbit_forms
 
@@ -61,23 +61,40 @@ def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
     The anchor of each piece is the pulled-back first factor of its lowest
     nonconstant entry, so the output order and anchors are deterministic.
     """
+    return [piece for piece, _ in _place(sol)]
+
+
+def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]]]:
+    """The pieces of `decompose`, each with the integer offsets over all
+    directions that shift its anchor onto its pulled-back factors, listed
+    per entry in factor order.
+
+    Every factor is pulled back once and every normal form is found in
+    one `orbit_forms` call: a factor whose base shifts by k onto the form
+    that the anchor reaches by k_anchor is the anchor shifted by
+    k_anchor - k.
+    """
     sys = sol.sys
     full = tuple(range(sys.nshifts))
     placed = [(i, f, half_shift(sys, i, -1, f[0])) for i, e in enumerate(sol.entries) for f in e.factors]
     forms = orbit_forms(sys, [base for *_, base in placed], full)
     # keyed by the orbit's normal form; the first factor seen is the anchor
-    groups: dict[Poly, tuple[Poly, list[list[tuple[Poly, int]]]]] = {}
-    for (i, factor, base), (form, _) in zip(placed, forms):
+    groups: dict[Poly, tuple[Poly, IntVec, list[list[tuple[Poly, int]]], list[list[IntVec]]]] = {}
+    for (i, factor, base), (form, k) in zip(placed, forms):
         if form not in groups:
-            groups[form] = (base, [[] for _ in range(sys.nshifts)])
-        groups[form][1][i].append(factor)
-    pieces = []
-    for anchor, bucket in groups.values():
-        entries = tuple(
-            FactoredPoly.from_factors(sys.nvars, bucket[i]) for i in range(sys.nshifts)
+            groups[form] = (base, k, [[] for _ in full], [[] for _ in full])
+        _, k_anchor, factors, offsets = groups[form]
+        factors[i].append(factor)
+        offsets[i].append(tuple(a - b for a, b in zip(k_anchor, k)))
+    return [
+        (
+            OrbitalPiece(anchor, full, FactoredSolution(sys, tuple(
+                FactoredPoly.from_factors(sys.nvars, bucket) for bucket in factors
+            ))),
+            offsets,
         )
-        pieces.append(OrbitalPiece(anchor, full, FactoredSolution(sys, entries)))
-    return pieces
+        for anchor, _, factors, offsets in groups.values()
+    ]
 
 
 def verify_orbital(piece: OrbitalPiece) -> CheckReport:

@@ -334,6 +334,12 @@ class Poly:
     def directional(self, vec: Sequence[Scalar]) -> "Poly":
         """The directional derivative <grad p, vec>, in one pass over the
         terms, with vec's entries brought over one denominator."""
+        out, den = self._directional_terms(vec)
+        return Poly._normal(self.nvars, out, den)
+
+    def _directional_terms(self, vec: Sequence[Scalar]) -> tuple[dict[int, int], int]:
+        """The integer coefficients of `directional(vec)` by packed key,
+        some possibly zero, and their common denominator."""
         if len(vec) != self.nvars:
             raise ValueError("direction length mismatch")
         scale = lcm(*(b.denominator for b in vec))
@@ -349,7 +355,7 @@ class Poly:
                 if e:
                     key = k - (1 << s)
                     out[key] = out.get(key, 0) + v * e * b
-        return Poly._normal(self.nvars, out, self._den * scale)
+        return out, self._den * scale
 
     def shift(self, offsets: Sequence[Scalar]) -> "Poly":
         """Return p(u1 - t1, ..., um - tm) for t = offsets, expanded exactly."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .intlinalg import IntegerSystem, IntVec, integer_kernel
@@ -44,14 +45,19 @@ class ShiftSystem:
         return tuple(self.alpha[j][i] for j in range(self.nvars))
 
     def combo(self, coeffs: Sequence[Scalar], indices: Sequence[int]) -> tuple[Fraction, ...]:
-        """Linear combination sum_k coeffs[k] * column(indices[k])."""
-        vec = [Fraction(0)] * self.nvars
-        for c, i in zip(coeffs, indices, strict=True):
-            if c:
-                c = Fraction(c)
-                for j, row in enumerate(self.alpha):
-                    vec[j] += c * row[i]
-        return tuple(vec)
+        """Linear combination sum_k coeffs[k] * column(indices[k]), summed in
+        integers over one common denominator."""
+        terms = [(c, i) for c, i in zip(coeffs, indices, strict=True) if c]
+        cden = lcm(*(c.denominator for c, _ in terms))
+        aden = lcm(*(row[i].denominator for row in self.alpha for _, i in terms))
+        sums = [0] * self.nvars
+        for c, i in terms:
+            c = c.numerator * (cden // c.denominator)
+            for j, row in enumerate(self.alpha):
+                a = row[i]
+                sums[j] += c * a.numerator * (aden // a.denominator)
+        den = cden * aden
+        return tuple(Fraction(n, den) for n in sums)
 
 
 def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:
@@ -63,8 +69,9 @@ def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:
 
 def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
     """Gradient criterion: q is invariant under every multiple of the shift
-    beta exactly when <grad q, beta> is the zero polynomial."""
-    return q.directional(beta).is_zero
+    beta exactly when <grad q, beta> is the zero polynomial, read off its
+    coefficients without normalising them."""
+    return not any(q._directional_terms(beta)[0].values())
 
 
 def moving_directions(sys: ShiftSystem, polys: Sequence[Poly], exclude: Sequence[int] = ()) -> list[int]:

@@ -9,8 +9,6 @@ byte for byte for a given configuration and option set.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .poly import format_poly
 from .vertex import VertexConfig, corners
 
@@ -23,6 +21,11 @@ EDGE_COLOR = "#2060c0"
 BOUNDARY_COLOR = "#666666"
 LABEL_COLOR = "#000000"
 FONT_SIZE = 12
+
+
+def _escape(text: str) -> str:
+    """XML character data: &, < and > as entities, & first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _odd_below(v: int) -> int:
@@ -108,7 +111,7 @@ def render_svg(config: VertexConfig) -> str:
     )
     lines.append(
         f'<text x="{px(0) + 8}" y="{py(0) + 4}" font-family="monospace" '
-        f'font-size="{FONT_SIZE}" fill="{LABEL_COLOR}">{escape(label)}</text>'
+        f'font-size="{FONT_SIZE}" fill="{LABEL_COLOR}">{_escape(label)}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ from .orbital import (
     FactoredSolution,
     OrbitalPiece,
     StructureError,
-    decompose,
+    _place,
     support_pair,
 )
 from .parser import _MAX_DEGREE
@@ -175,25 +175,41 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
     (2a, 2b+1).  Conservation failure afterwards means the input was not
     a solution.
     """
+    pair = _support(piece)
+    sys, entries = piece.solution.sys, piece.solution.entries
+    placed = [(idx, half_shift(sys, idx, -1, q)) for idx in pair for q, _ in entries[idx].factors]
+    (gen_form, k0), *forms = orbit_forms(
+        sys, [piece.generator.make_monic()[1]] + [base for _, base in placed], pair
+    )
+    offsets: dict[int, list[tuple[int, int]]] = {idx: [] for idx in pair}
+    for (idx, _), (form, k) in zip(placed, forms):
+        if form != gen_form:
+            raise StructureError(f"factor of entry {idx + 1} does not sit on the orbit over the pair")
+        offsets[idx].append((k0[0] - k[0], k0[1] - k[1]))
+    return _placed_config(piece, pair, offsets)
+
+
+def _support(piece: OrbitalPiece) -> tuple[int, int]:
     pair = support_pair(piece)
     if pair is None:
         raise StructureError("piece supports at most one direction; nothing to encode")
-    sys, entries = piece.solution.sys, piece.solution.entries
-    q0 = piece.generator
-    q0_monic = q0.make_monic()[1]
-    i, j = pair
-    placed = [(idx, m, half_shift(sys, idx, -1, q)) for idx in pair for q, m in entries[idx].factors]
-    (gen_form, k0), *forms = orbit_forms(sys, [q0_monic] + [base for *_, base in placed], pair)
+    return pair
+
+
+def _placed_config(
+    piece: OrbitalPiece, pair: tuple[int, int], offsets: Mapping[int, Sequence[tuple[int, int]]]
+) -> VertexConfig:
+    """The validated configuration of a piece whose generator the shift by
+    offsets[idx][n] over the pair carries onto the pulled-back n-th factor
+    of entry idx."""
+    i, _ = pair
     edges: dict[Key, int] = {}
-    for (idx, mult, _), (form, k) in zip(placed, forms):
-        if form != gen_form:
-            raise StructureError(f"factor of entry {idx + 1} does not sit on the orbit over the pair")
-        a, b = k0[0] - k[0], k0[1] - k[1]
-        key = (2 * a + 1, 2 * b) if idx == i else (2 * a, 2 * b + 1)
-        edges[key] = edges.get(key, 0) + mult
-    config = VertexConfig.build(sys, q0, (i, j), edges)
-    report = validate(config)
-    if not report.passed:
+    for idx in pair:
+        for (_, mult), (a, b) in zip(piece.solution.entries[idx].factors, offsets[idx], strict=True):
+            key = (2 * a + 1, 2 * b) if idx == i else (2 * a, 2 * b + 1)
+            edges[key] = edges.get(key, 0) + mult
+    config = VertexConfig.build(piece.solution.sys, piece.generator, pair, edges)
+    if not validate(config).passed:
         raise StructureError("conservation fails; the piece is not a solution")
     return config
 
@@ -218,15 +234,20 @@ def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
     """Decompose a factored solution and encode every piece: one
     configuration per piece, in the order of `decompose`.
 
-    As a final audit each piece must decode back to itself and the pieces
+    Each factor is placed on its grid from the offset over all directions
+    that decomposing found for it; its pair components are the ones
+    `encode` finds up to the pair's stabilizer, which `canonical_key`
+    removes, and the directions outside the pair fix the generator.  As a
+    final audit each piece must decode back to itself and the pieces
     must multiply back to the monic part of the input, entry by entry (the
     entries' units cancel in both identities and are dropped); a piece with
     trivial support is rejected since it has no grid picture.
     """
-    pieces = decompose(sol)
+    placed = _place(sol)
     configs = []
-    for piece in pieces:
-        config = encode(piece)
+    for piece, offsets in placed:
+        i, j = pair = _support(piece)
+        config = _placed_config(piece, pair, {idx: [(k[i], k[j]) for k in offsets[idx]] for idx in pair})
         roundtrip = decode(config)
         pairs = zip(roundtrip.solution.entries, piece.solution.entries)
         if not all(_same_product([got], want) for got, want in pairs):
@@ -234,7 +255,7 @@ def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
         configs.append(config)
     for k, entry in enumerate(sol.entries):
         monic = FactoredPoly(entry.nvars, Fraction(1), entry.factors)
-        if not _same_product([piece.solution.entries[k] for piece in pieces], monic):
+        if not _same_product([piece.solution.entries[k] for piece, _ in placed], monic):
             raise StructureError("pieces do not multiply back to the input")
     return tuple(configs)
 

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-class is defined in one module only.
+"""Every name a package module imports is used in that module, every
+class is defined in one module only, and importing the CLI pulls in no
+networking or XML modules.
 
 `__init__.py` is skipped: it imports names to re-export them.  Quoted
 annotations count as uses of the names they mention.
@@ -8,6 +9,8 @@ annotations count as uses of the names they mention.
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,3 +71,18 @@ def test_every_class_is_defined_once():
     assert homes["FactoredPoly"] == ["poly.py"]
     orbital, poly = (importlib.import_module(f"weylshift.{name}") for name in ("orbital", "poly"))
     assert orbital.FactoredPoly is poly.FactoredPoly  # the benchmark imports it from orbital
+
+
+def test_cli_import_pulls_in_no_network_or_xml_modules():
+    # xml.sax.saxutils alone imports urllib.request, and with it http,
+    # email, socket and ssl: about 7 MiB and 50 ms of CPU in every run
+    probe = (
+        "import sys; before = set(sys.modules); import weylshift.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    added = {name.split(".")[0] for name in out.stdout.split()}
+    assert "weylshift" in added
+    assert added & {"ssl", "_ssl", "socket", "_socket", "http", "email", "xml"} == set()

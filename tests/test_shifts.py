@@ -70,6 +70,57 @@ def test_is_fixed_by_shift_examples():
         is_fixed_by_shift(F, (1, 0))
 
 
+def reference_combo(sys, coeffs, indices):
+    """sum_k coeffs[k] * column(indices[k]) by Fraction multiply-adds."""
+    vec = [Fraction(0)] * sys.nvars
+    for c, i in zip(coeffs, indices, strict=True):
+        if c:
+            for j, row in enumerate(sys.alpha):
+                vec[j] += Fraction(c) * row[i]
+    return tuple(vec)
+
+
+@st.composite
+def combos(draw):
+    """A system of rational columns and integer or rational coefficients
+    over indices that may repeat."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    sys = ShiftSystem.from_rows([[draw(strategies.rationals) for _ in range(n)] for _ in range(m)])
+    size = draw(st.integers(0, 5))
+    indices = [draw(st.integers(0, n - 1)) for _ in range(size)]
+    coeffs = [draw(st.one_of(st.integers(-9, 9), strategies.rationals)) for _ in range(size)]
+    return sys, coeffs, indices
+
+
+@given(combos())
+def test_combo_matches_the_fraction_loop(case):
+    sys, coeffs, indices = case
+    got = sys.combo(coeffs, indices)
+    assert got == reference_combo(sys, coeffs, indices)
+    assert all(type(x) is Fraction for x in got)
+
+
+@st.composite
+def fixing_cases(draw):
+    """A polynomial in 3 variables and a direction; half the time the
+    polynomial is a polynomial in two linear forms the direction fixes, so
+    its derivative along the direction is zero after cancellation."""
+    beta = draw(strategies.shift_vectors(3))
+    b1, b2, b3 = beta
+    u1, u2, u3 = (Poly.variable(3, j) for j in range(3))
+    forms = [u1 * b2 - u2 * b1, u2 * b3 - u3 * b2]
+    q = draw(strategies.polys(2, max_degree=3)).compose(forms)
+    if draw(st.booleans()):
+        q = q + Poly(3, {draw(strategies.exponents(3, 2)): draw(strategies.nonzero_rationals)})
+    return q, beta
+
+
+@given(fixing_cases())
+def test_is_fixed_by_shift_matches_the_derivative(case):
+    q, beta = case
+    assert is_fixed_by_shift(q, beta) == q.directional(beta).is_zero
+
+
 def test_stabilizer_gl3():
     lat = stabilizer_lattice(GL3, Poly.variable(2, 0), (0, 1))
     assert lat.basis == ((1, 1),)

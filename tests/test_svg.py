@@ -1,9 +1,14 @@
 """SVG rendering: byte-stable output checked against a committed picture."""
 
+from xml.sax.saxutils import escape
+
+import hypothesis.strategies as st
+from hypothesis import given
+
 from conftest import golden_path
 from weylshift.parser import parse_poly
 from weylshift.shifts import ShiftSystem
-from weylshift.svg import render_svg
+from weylshift.svg import _escape, render_svg
 from weylshift.vertex import VertexConfig
 
 
@@ -44,6 +49,11 @@ def test_generator_label_escaped():
         sys, parse_poly("u1^2 - 2", 1), (0, 1), [(1, 0, 1), (3, 1, 1)]
     )
     assert "u1^2 - 2" in render_svg(wide)
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amp lt gt u1^2-+*\"'"), max_size=30))
+def test_escape_matches_the_xml_library(text):
+    assert _escape(text) == escape(text)
 
 
 def test_empty_config_renders(gl3_file):

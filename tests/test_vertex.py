@@ -1,3 +1,7 @@
+from collections import Counter
+from fractions import Fraction
+from math import prod
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from weylshift.orbital import (
     FactoredSolution,
     OrbitalPiece,
     StructureError,
+    decompose,
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
@@ -312,6 +317,94 @@ def test_classify_audit_rejects_a_changed_piece(monkeypatch, gl3_file):
     monkeypatch.setattr(vertex, "decode", dropping)
     with pytest.raises(StructureError, match="changed the piece"):
         classify(gl3_file.tuples["gl3_sym"].as_factored())
+
+
+# gl3 generators with the pair that moves each; the third direction fixes
+# each one, and offsets with distinct fractional parts give distinct orbits
+GL3_FAMILIES = [("u1", (0, 1)), ("u2", (1, 2)), ("u1 + u2", (0, 2))]
+FRACTIONAL = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4)]
+
+
+def _superpose(sys, configs):
+    """The entrywise product of the decoded configurations, which lie on
+    pairwise distinct orbits."""
+    parts = [decode(config).solution.entries for config in configs]
+    return FactoredSolution(sys, tuple(
+        FactoredPoly.from_factors(
+            sys.nvars,
+            [f for part in parts for f in part[k].factors],
+            prod(part[k].unit for part in parts),
+        )
+        for k in range(sys.nshifts)
+    ))
+
+
+def _gl3_orbit(family, offset, loops, seed):
+    base, pair = GL3_FAMILIES[family]
+    return random_config(GL3, parse_poly(base, 2) - Poly.constant(2, offset), pair, loops, seed)
+
+
+@st.composite
+def superpositions(draw):
+    """gl3 superpositions of 1-4 orbits of 1-3 loops each, or two 1-2-loop
+    staircase orbits of F whose u1 offsets have distinct fractional parts."""
+    seeds = st.integers(0, 10**6)
+    if draw(st.booleans()):
+        orbits = draw(st.lists(
+            st.tuples(st.sampled_from(range(3)), st.sampled_from(FRACTIONAL)),
+            min_size=1, max_size=4, unique=True,
+        ))
+        configs = [
+            _gl3_orbit(family, frac + draw(st.integers(-2, 2)), draw(st.integers(1, 3)), draw(seeds))
+            for family, frac in orbits
+        ]
+        return _superpose(GL3, configs)
+    fracs = draw(st.lists(st.sampled_from(FRACTIONAL), min_size=2, max_size=2, unique=True))
+    configs = [
+        random_config(STAIR, F.shift((frac + draw(st.integers(-1, 1)), 0, 0)), (0, 1), draw(st.integers(1, 2)), draw(seeds))
+        for frac in fracs
+    ]
+    return _superpose(STAIR, configs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(superpositions())
+def test_classify_matches_encode_of_each_piece(sol):
+    assert classify(sol) == tuple(encode(piece) for piece in decompose(sol))
+
+
+def test_classify_places_every_factor_once(monkeypatch):
+    import weylshift.orbital as orbital
+    import weylshift.shifts as shifts
+    import weylshift.vertex as vertex
+
+    configs = [
+        _gl3_orbit(family, frac, 1, seed)
+        for seed, (family, frac) in enumerate((f, x) for f in range(3) for x in FRACTIONAL[1:4])
+    ]
+    sol = _superpose(GL3, configs)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    wrappers = {
+        "orbit_forms": counting("orbit_forms", shifts.orbit_forms),
+        "half_shift": counting("half_shift", shifts.half_shift),
+        "decode": counting("decode", vertex.decode),
+    }
+    for module in (orbital, shifts, vertex):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert len(classify(sol)) == 9
+    assert calls["orbit_forms"] == 1
+    assert calls["half_shift"] == sum(len(entry.factors) for entry in sol.entries)
+    assert calls["decode"] == 9  # the round-trip audit still runs on every piece
 
 
 def test_same_product_on_several_parts():

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .consistency import CheckFailure, CheckReport, SolutionTuple
 from .intlinalg import matmul, rational_inverse
-from .poly import Poly
+from .poly import Poly, sum_terms, variable_key
 from .shifts import ShiftSystem
 
 Matrix = Sequence[Sequence[Fraction | int]]
@@ -28,14 +28,10 @@ Matrix = Sequence[Sequence[Fraction | int]]
 
 def _substitution_images(matrix: Sequence[Sequence[Fraction]]) -> tuple[Poly, ...]:
     m = len(matrix)
-    images = []
-    for row in matrix:
-        acc = Poly.zero(m)
-        for k, c in enumerate(row):
-            if c:
-                acc = acc + Poly.variable(m, k) * Fraction(c)
-        images.append(acc)
-    return tuple(images)
+    return tuple(
+        sum_terms(m, ((c.numerator, c.denominator, variable_key(m, k)) for k, c in enumerate(row) if c))
+        for row in matrix
+    )
 
 
 def _with_inverse(g: Matrix) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -101,7 +97,7 @@ def check_equivalence(
     for i in range(n):
         col_b = b.sys.column(i)
         for j in range(m):
-            lhs = psi.forward[j] - Poly.constant(m, a.sys.alpha[j][i])
+            lhs = psi.forward[j] - a.sys.alpha[j][i]
             rhs = psi.forward[j].shift(col_b)
             if lhs != rhs:
                 failures.append(CheckFailure("intertwine", (i, j), lhs - rhs))

@@ -172,7 +172,7 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
     for j in sorted(p.used_variables()):
         roots, p = _rational_roots(p, j)
         var = Poly.variable(p.nvars, j)
-        factors.extend((var - Poly.constant(p.nvars, c), mult) for c, mult in roots)
+        factors.extend((var - c, mult) for c, mult in roots)
     if p.is_constant:
         unit = unit * p.constant_value()
     else:
@@ -213,7 +213,7 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
         a, b = cand.numerator, cand.denominator
         if sum(c * a**k * b ** (top - k) for k, c in ints.items()):
             continue  # b^top times the slice at a/b is not zero
-        lin = var - Poly.constant(p.nvars, cand)
+        lin = var - cand
         mult = 0
         while (q := exact_div(p, lin)) is not None:
             p, mult = q, mult + 1
@@ -262,9 +262,8 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]]:
                 continue
             b = (y + half) / 2
             d = y - b
-        one = Poly.one(p.nvars)
-        qa = var * var + var * a + one * b
-        qb = var * var + var * c + one * d
+        qa = var * var + var * a + b
+        qb = var * var + var * c + d
         if qa * qb == p:
             return [(qa, 1), (qb, 1)]
     return [(p, 1)]

@@ -18,6 +18,9 @@ Canonical form: the gcd of the denominator and all numerators is 1, and
 zero is the empty mapping over 1.  Equal polynomials therefore have
 equal fields, so == and hash are exact.
 
+sum_terms is the one place sums are formed: the constructor, + and -,
+compose and the parser all add their terms through it.
+
 The public interface speaks Fractions and exponent tuples.  The packed
 keys leave this module only as opaque monomial keys for the parser,
 which multiplies monomials by adding keys and sums them with
@@ -103,13 +106,8 @@ class Poly:
         if nvars < 1:
             raise ValueError("need at least one variable")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        coeffs: dict[int, Fraction] = {}
-        for exp, c in items:
-            key = _pack(tuple(exp), nvars)
-            coeffs[key] = coeffs.get(key, _ZERO) + Fraction(c)
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
-        _init(self, nvars, *_reduced(nums, den))
+        p = sum_terms(nvars, _monomials(items, nvars))
+        _init(self, nvars, p._terms, p._den)
 
     # internal fast path: caller guarantees canonical fields it will not touch again
     @classmethod
@@ -233,28 +231,8 @@ class Poly:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other."""
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other if sign > 0 else -other
-        da, db = self._den, other._den
-        if da == db:
-            out = dict(self._terms)
-            fb = sign
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, sign * (da // g)
-            da *= fa
-            out = {k: v * fa for k, v in self._terms.items()}
-        get = out.get
-        for k, v in other._terms.items():
-            out[k] = get(k, 0) + v * fb
-        return Poly._normal(self.nvars, out, da)
-
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        return self._combine(self._coerce(other), 1)
+        return self._sum(1, other, 1)
 
     __radd__ = __add__
 
@@ -262,10 +240,19 @@ class Poly:
         return Poly._raw(self.nvars, {k: -v for k, v in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self._combine(self._coerce(other), -1)
+        return self._sum(1, other, -1)
 
     def __rsub__(self, other: Scalar) -> "Poly":
-        return self._coerce(other) - self
+        return self._sum(-1, other, 1)
+
+    def _sum(self, sign: int, other: "Poly | Scalar", other_sign: int) -> "Poly":
+        """sign * self + other_sign * other, for a Poly or a scalar other."""
+        if isinstance(other, Poly):
+            if other.nvars != self.nvars:
+                raise ValueError("variable count mismatch")
+            return sum_terms(self.nvars, (), ((sign, self), (other_sign, other)))
+        c = Fraction(other)
+        return sum_terms(self.nvars, ((other_sign * c.numerator, c.denominator, 0),), ((sign, self),))
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -308,13 +295,6 @@ class Poly:
             if k:
                 base = base * base
         return result
-
-    def _coerce(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        return Poly.constant(self.nvars, other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -413,14 +393,14 @@ class Poly:
                     cache[e] = acc
             return cache[k]
 
-        result = Poly.zero(target)
+        terms = []
         for exp, c in self.items():
             term = Poly.constant(target, c)
             for j, k in enumerate(exp):
                 if k:
                     term = term * power(j, k)
-            result = result + term
-        return result
+            terms.append((1, term))
+        return sum_terms(target, (), terms)
 
     # ------------------------------------------------------------------
     # printing
@@ -482,34 +462,46 @@ def sum_terms(
     monomials: Iterable[tuple[int, int, int]],
     polys: Iterable[tuple[int, Poly]] = (),
 ) -> Poly:
-    """The sum of monomials and signed polynomials, normalised once.
+    """The sum of signed polynomials and monomials, normalised once.
 
-    A monomial is (numerator, positive denominator, key), with a key made
-    from variable_key whose exponents stay below EXPONENT_LIMIT; polys are
-    (sign, Poly) pairs.  The numerators are gathered per denominator and
-    then brought over the lcm of those."""
+    polys are (sign, Poly) pairs with sign 1 or -1.  A monomial is
+    (numerator, positive denominator, key), with a key made from
+    variable_key whose exponents stay below EXPONENT_LIMIT.  Numerators
+    are gathered per denominator, the first polynomial over each one
+    copied whole, and then brought over the lcm of the denominators."""
     parts: dict[int, dict[int, int]] = {}
+    for sign, p in polys:
+        part = parts.get(p._den)
+        if part is None:
+            parts[p._den] = dict(p._terms) if sign > 0 else (-p)._terms
+            continue
+        get = part.get
+        for k, v in p._terms.items():
+            part[k] = get(k, 0) + sign * v
     for num, den, key in monomials:
         part = parts.get(den)
         if part is None:
             part = parts[den] = {}
         part[key] = part.get(key, 0) + num
-    for sign, p in polys:
-        part = parts.setdefault(p._den, {})
-        get = part.get
-        for k, v in p._terms.items():
-            part[k] = get(k, 0) + sign * v
-    if len(parts) < 2:
-        den, terms = next(iter(parts.items()), (1, {}))
-    else:
-        den = lcm(*parts)
-        terms = {}
-        get = terms.get
-        for d, part in parts.items():
-            scale = den // d
-            for k, v in part.items():
-                terms[k] = get(k, 0) + v * scale
+    den = lcm(*parts)
+    groups = iter(parts.items())
+    d, terms = next(groups, (1, {}))
+    if d != den:
+        terms = {k: v * (den // d) for k, v in terms.items()}
+    get = terms.get
+    for d, part in groups:
+        scale = den // d
+        for k, v in part.items():
+            terms[k] = get(k, 0) + v * scale
     return Poly._normal(nvars, terms, den)
+
+
+def _monomials(items: Iterable[tuple[Exponent, Scalar]], nvars: int) -> Iterator[tuple[int, int, int]]:
+    """sum_terms' monomials, each exponent checked before its coefficient."""
+    for exp, c in items:
+        key = _pack(tuple(exp), nvars)
+        c = Fraction(c)
+        yield c.numerator, c.denominator, key
 
 
 def monomial_index(polys: Sequence[Poly]) -> dict[int, int]:

@@ -9,6 +9,7 @@ byte for byte for a given configuration and option set.
 
 from __future__ import annotations
 
+from .orbital import StructureError
 from .poly import format_poly
 from .vertex import VertexConfig, corners
 
@@ -21,6 +22,9 @@ EDGE_COLOR = "#2060c0"
 BOUNDARY_COLOR = "#666666"
 LABEL_COLOR = "#000000"
 FONT_SIZE = 12
+# grid lines per axis; the grid reaches from the origin to the farthest
+# edge, and a gen-random picture spans at most about 1,000
+_MAX_GRID_LINES = 10_000
 
 
 def _escape(text: str) -> str:
@@ -58,6 +62,11 @@ def render_svg(config: VertexConfig) -> str:
     x_hi = _odd_above(max(xs) + 1)
     y_lo = _odd_below(min(ys) - 1)
     y_hi = _odd_above(max(ys) + 1)
+    cols, rows = (x_hi - x_lo) // 2 + 1, (y_hi - y_lo) // 2 + 1
+    if max(cols, rows) > _MAX_GRID_LINES:
+        raise StructureError(
+            f"the picture spans {cols} x {rows} grid lines, past the limit of {_MAX_GRID_LINES} per axis"
+        )
 
     def px(x: int) -> int:
         return MARGIN + (x - x_lo) * half

@@ -375,5 +375,6 @@ def test_criterion_8_equivalence_action():
 def test_criterion_9_svg_golden():
     doc = load_path(data_path("staircase.json"))
     with criterion(9, "picture bytes match the committed file", 1.0):
-        golden = open(golden_path("staircase.svg"), "rb").read()
+        with open(golden_path("staircase.svg"), "rb") as handle:
+            golden = handle.read()
         assert render_svg(doc.configs["fig"]).encode("utf-8") == golden

@@ -171,7 +171,8 @@ def test_multiquiver_missing_beta(capsys):
 def test_render_matches_golden(tmp_path):
     out = tmp_path / "fig.svg"
     assert main(["render", STAIR, "--config", "fig", "-o", str(out)]) == 0
-    assert out.read_bytes() == open(golden_path("staircase.svg"), "rb").read()
+    with open(golden_path("staircase.svg"), "rb") as handle:
+        assert out.read_bytes() == handle.read()
 
 
 def test_render_to_stdout(capsys):
@@ -182,7 +183,8 @@ def test_render_to_stdout(capsys):
 
 
 def test_render_invalid_config(tmp_path, capsys):
-    doc = json.load(open(STAIR))
+    with open(STAIR, encoding="utf-8") as handle:
+        doc = json.load(handle)
     del doc["configs"]["fig"]["edges"][0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -266,7 +268,8 @@ def test_generator_moved_off_the_pair(tmp_path, capsys):
     args = ["gen-random", STAIR, *orbit, "--loops", "1", "--seed", "5"]
     assert main(args) == 2
     assert "direction 3 lies outside the pair" in capsys.readouterr().err
-    doc = json.load(open(STAIR))
+    with open(STAIR, encoding="utf-8") as handle:
+        doc = json.load(handle)
     doc["configs"] = {
         "c": {"generator": "u1 + u2 + 2*u3", "pair": [1, 2], "edges": [[2, 1, 1], [4, 1, 1], [5, 2, 1]]}
     }
@@ -475,6 +478,38 @@ def test_zero_entry_in_a_pair_exits_two(tmp_path, capsys, key):
 def test_decode_of_a_non_conserving_config_exits_two(tmp_path, capsys):
     path = _gl3_with(tmp_path, configs={"bad": {"generator": "u1", "pair": [1, 2], "edges": [[1, 0, 1]]}})
     assert "conservation fails" in _exits_two_with_error(["decode", path], capsys)
+
+
+@pytest.mark.parametrize(
+    "generator,pair,message",
+    [
+        ("u1", [2, 1], "pair must be two distinct direction indices in order"),
+        ("u1", [1, 1], "pair must be two distinct direction indices in order"),
+        ("0", [1, 2], "generator must be nonzero"),
+        ("7", [1, 2], "both directions fix the generator; no grid geometry"),
+    ],
+)
+def test_decode_of_an_unbuildable_config_exits_two(tmp_path, capsys, generator, pair, message):
+    path = _gl3_with(tmp_path, configs={"c": {"generator": generator, "pair": pair, "edges": []}})
+    assert f"configs.c: {message}" in _exits_two_with_error(["decode", path], capsys)
+
+
+def test_render_of_a_far_off_config_exits_two(tmp_path, capsys):
+    # a valid 1-loop picture moved 2*10^6 up in doubled coordinates
+    config = tmp_path / "config.json"
+    argv = ["gen-random", GL3, "--orbit", "u1", "--pair", "1", "2", "--loops", "1", "--seed", "1"]
+    assert main([*argv, "-o", str(config)]) == 0
+    doc = json.loads(config.read_text())
+    for edge in doc["configs"]["random"]["edges"]:
+        edge[1] += 2 * 10**6
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["render", str(config)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: the picture spans 3 x 1000004 grid lines, past the limit of 10000 per axis" in err
 
 
 def test_multiquiver_zero_row_exits_two(tmp_path, capsys):

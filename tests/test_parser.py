@@ -105,6 +105,13 @@ def test_only_ascii_digits_are_digits(text, message, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize("text", ["1/u1", "1/", "2/(3)"])
+def test_denominator_must_be_digits(text):
+    with pytest.raises(ParseError, match="expected denominator digits") as info:
+        p(text)
+    assert info.value.position == 2
+
+
 def test_unbalanced_parens():
     with pytest.raises(ParseError):
         p("u1 + 1)")

@@ -39,6 +39,18 @@ def test_constructor_rejects_mixed_arity():
         Poly(2, {(-1, 0): Fraction(1)})
 
 
+def test_constructor_reports_the_first_bad_item():
+    # items are read in order, each exponent before its coefficient
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Poly(2, [((1,), "x"), ((0, 0), 1)])
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        Poly(2, [((0, 0), "x"), ((1,), 1)])
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Poly(2, [((0, -1), None)])
+    with pytest.raises(TypeError):
+        Poly(2, [((0, 1), None), ((0, -1), 1)])
+
+
 def test_basic_queries():
     q = p("u1^2 - u2 + 1/2")
     assert q.degree() == 2

@@ -13,7 +13,7 @@ from hypothesis import given
 
 import strategies
 from weylshift.parser import parse_poly
-from weylshift.poly import Poly, exact_div, format_poly
+from weylshift.poly import Poly, exact_div, format_poly, sum_terms, variable_key
 
 M = 3
 TERMS = st.dictionaries(
@@ -145,6 +145,51 @@ def test_scalar_operations_match_reference(a, c):
     assert agrees(c * pa, scaled)
     assert agrees(pa + c, ref_add(ra, ref_clean({(0,) * M: c})))
     assert agrees(c - pa, ref_add(ref_clean({(0,) * M: c}), ra, -1))
+
+
+def key_of(exp):
+    return sum(e * variable_key(M, j) for j, e in enumerate(exp))
+
+
+# (numerator, positive denominator, exponents), the fraction not reduced
+MONOMIALS = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(1, 12), strategies.exponents(M, 3)), max_size=4
+)
+SIGNED = st.lists(st.tuples(st.sampled_from((1, -1)), TERMS), max_size=4)
+
+
+def ref_sum(monomials, signed):
+    out = {}
+    for sign, terms in signed:
+        out = ref_add(out, ref_clean(terms), sign)
+    for num, den, exp in monomials:
+        out = ref_add(out, ref_clean({exp: Fraction(num, den)}))
+    return out
+
+
+def check_sum(monomials, signed):
+    got = sum_terms(M, [(n, d, key_of(e)) for n, d, e in monomials], [(s, Poly(M, t)) for s, t in signed])
+    assert agrees(got, ref_sum(monomials, signed))
+
+
+@given(monomials=MONOMIALS, signed=SIGNED)
+def test_sum_terms_matches_reference(monomials, signed):
+    check_sum(monomials, signed)
+
+
+@given(a=TERMS, b=TERMS, c=strategies.rationals)
+def test_sum_terms_cases(a, b, c):
+    scalar = [(c.numerator, c.denominator, (0,) * M)]
+    check_sum([], [(-1, a), (1, b)])  # the first operand negative
+    check_sum(scalar, [(1, a), (-1, b), (1, a)])  # a repeated denominator, and a scalar
+    check_sum(scalar, [(-1, a)])
+    check_sum([], [(1, a), (-1, b), (1, b), (-1, a)])  # cancels to zero
+    check_sum([(-n, d, e) for n, d, e in scalar], [(1, {(0,) * M: c})])
+
+
+def test_sum_terms_of_nothing_is_zero():
+    assert sum_terms(M, []) == Poly.zero(M)
+    assert sum_terms(M, [(0, 5, key_of((1, 0, 0)))]) == Poly.zero(M)
 
 
 @given(a=st.dictionaries(strategies.exponents(M, 2), strategies.rationals, max_size=3), k=st.integers(0, 3))

@@ -149,7 +149,8 @@ def test_bad_config_pair():
 
 
 def test_config_lattice_mismatch(staircase_file):
-    doc = json.load(open(data_path("staircase.json")))
+    with open(data_path("staircase.json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
     doc["configs"]["fig"]["lattice"] = [[1, 0]]
     with pytest.raises(ProblemFileError, match="does not match"):
         loads(json.dumps(doc))
@@ -222,7 +223,8 @@ def test_as_factored_reports_hard_entry():
 
 def test_load_path_matches_loads():
     direct = load_path(data_path("gl3.json"))
-    on_text = loads(open(data_path("gl3.json")).read())
+    with open(data_path("gl3.json"), encoding="utf-8") as handle:
+        on_text = loads(handle.read())
     assert direct.sys == on_text.sys
     assert direct.tuples.keys() == on_text.tuples.keys()
 

@@ -13,7 +13,8 @@ from weylshift.vertex import VertexConfig
 
 
 def test_matches_golden_file(staircase_config):
-    golden = open(golden_path("staircase.svg"), "rb").read()
+    with open(golden_path("staircase.svg"), "rb") as handle:
+        golden = handle.read()
     assert render_svg(staircase_config).encode("utf-8") == golden
 
 

@@ -47,7 +47,6 @@ from .parser import ParseError, parse_poly, parse_rational
 from .poly import FactoredPoly, Poly, exact_div, format_poly
 from .shifts import (
     ShiftSystem,
-    StabilizerLattice,
     half_shift,
     is_fixed_by_shift,
     same_orbit,
@@ -79,7 +78,6 @@ __all__ = [
     "ResidueFamily",
     "ShiftSystem",
     "SolutionTuple",
-    "StabilizerLattice",
     "StructureError",
     "VertexConfig",
     "apply_linear",

@@ -101,9 +101,7 @@ def cmd_decompose(args) -> int:
             f"({pair[0] + 1},{pair[1] + 1})" if pair is not None else "trivial"
         )
         stab = stabilizer_lattice(factored.sys, piece.generator, piece.indices)
-        stab_text = (
-            " ".join(str(tuple(v)) for v in stab.basis) if stab.basis else "trivial"
-        )
+        stab_text = " ".join(str(v) for v in stab) if stab else "trivial"
         print(f"piece {k}: support pair {pair_text}")
         print(f"  generator: {format_poly(piece.generator)}")
         print(f"  stabilizer: {stab_text}")

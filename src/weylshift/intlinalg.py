@@ -70,12 +70,9 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     if not rows:
         return ()
     width = len(rows[0])
+    # _echelon returns the nonzero rows first, in increasing pivot column
     ech = [r for r in _echelon(rows, width) if any(r)]
-    # pivot list in row order
     pivots = [next(j for j, v in enumerate(r) if v) for r in ech]
-    order = sorted(range(len(ech)), key=lambda k: pivots[k])
-    ech = [ech[k] for k in order]
-    pivots = [pivots[k] for k in order]
     # reduce entries above each pivot
     for i in range(len(ech) - 1, -1, -1):
         p = pivots[i]

@@ -214,10 +214,10 @@ def _load_config(obj: Any, sys: ShiftSystem, where: str) -> VertexConfig:
         stated = tuple(
             tuple(_integer(v, lw) for v in _list(row, lw)) for row in _list(lattice_obj, lw)
         )
-        if stated != config.lattice.basis:
+        if stated != config.lattice:
             raise ProblemFileError(
                 f"{where}.lattice: stated basis {list(stated)} does not match "
-                f"the computed stabilizer {list(config.lattice.basis)}"
+                f"the computed stabilizer {list(config.lattice)}"
             )
     return config
 
@@ -336,7 +336,7 @@ def config_obj(config: VertexConfig) -> dict:
     return {
         "generator": format_poly(config.generator),
         "pair": [config.pair[0] + 1, config.pair[1] + 1],
-        "lattice": [list(row) for row in config.lattice.basis],
+        "lattice": [list(row) for row in config.lattice],
         "edges": [list(edge) for edge in config.edges],
     }
 

@@ -4,8 +4,8 @@ A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
 point k of Z^n acts by the shift `combo(k, range(n))`.  The directions that
-move a polynomial, stabilizer lattices and the normal forms that decide
-orbit membership live here.
+move a polynomial, the HNF bases of stabilizer lattices and the normal
+forms that decide orbit membership live here.
 """
 
 from __future__ import annotations
@@ -23,26 +23,29 @@ from .poly import Poly, Scalar, coefficient_rows, monomial_index, numerators_on
 class ShiftSystem:
     """m variables, n shift directions; alpha has m rows and n columns."""
 
-    nvars: int
-    nshifts: int
     alpha: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if self.nvars < 1 or self.nshifts < 1:
+        if not self.alpha or not self.alpha[0]:
             raise ValueError("need at least one variable and one shift")
-        if len(self.alpha) != self.nvars or any(len(r) != self.nshifts for r in self.alpha):
-            raise ValueError("alpha must be nvars x nshifts")
+        if any(len(r) != self.nshifts for r in self.alpha):
+            raise ValueError("alpha rows must all have the same length")
+
+    @property
+    def nvars(self) -> int:
+        return len(self.alpha)
+
+    @property
+    def nshifts(self) -> int:
+        return len(self.alpha[0])
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "ShiftSystem":
-        alpha = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not alpha:
-            raise ValueError("empty matrix")
-        return cls(len(alpha), len(alpha[0]), alpha)
+        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     def column(self, i: int) -> tuple[Fraction, ...]:
         """Shift vector of direction i (0-based)."""
-        return tuple(self.alpha[j][i] for j in range(self.nvars))
+        return tuple(row[i] for row in self.alpha)
 
     def combo(self, coeffs: Sequence[Scalar], indices: Sequence[int]) -> tuple[Fraction, ...]:
         """Linear combination sum_k coeffs[k] * column(indices[k]), summed in
@@ -84,24 +87,14 @@ def moving_directions(sys: ShiftSystem, polys: Sequence[Poly], exclude: Sequence
     ]
 
 
-@dataclass(frozen=True)
-class StabilizerLattice:
-    """Saturated integer lattice, basis in HNF."""
-
-    basis: tuple[IntVec, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> StabilizerLattice:
-    """Lattice of integer vectors k (over the given directions) whose
-    combined shift fixes q, computed via the gradient criterion."""
+def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> tuple[IntVec, ...]:
+    """HNF basis of the lattice of integer vectors k (over the given
+    directions) whose combined shift fixes q, computed via the gradient
+    criterion.  The lattice is saturated and its HNF basis is unique, so
+    the basis identifies it and its length is its rank."""
     indices = list(indices)
     matrix = coefficient_rows([q.directional(sys.column(i)) for i in indices])
-    basis = integer_kernel(matrix, len(indices))
-    return StabilizerLattice(basis)
+    return integer_kernel(matrix, len(indices))
 
 
 # One step of `orbit_forms`: the monomial rows of the pairings, their

@@ -49,8 +49,8 @@ def render_svg(config: VertexConfig) -> str:
         ys.add(y)
     boundaries: list[int] = []
     horizontal = False
-    if config.lattice.rank == 1:
-        r, s = config.lattice.basis[0]
+    if len(config.lattice) == 1:
+        r, s = config.lattice[0]
         if r:
             boundaries = [0, 2 * r]
             xs.update(boundaries)

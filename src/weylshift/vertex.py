@@ -22,6 +22,7 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .consistency import CheckFailure, CheckReport
+from .intlinalg import IntVec
 from .orbital import (
     FactoredSolution,
     OrbitalPiece,
@@ -33,7 +34,6 @@ from .parser import _MAX_DEGREE
 from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import (
     ShiftSystem,
-    StabilizerLattice,
     half_shift,
     moving_directions,
     orbit_forms,
@@ -44,16 +44,17 @@ from .shifts import (
 Key = tuple[int, int]
 
 
-def canonical_key(lattice: StabilizerLattice, key: Key) -> Key:
-    """Coset representative of key modulo twice the lattice.
+def canonical_key(lattice: tuple[IntVec, ...], key: Key) -> Key:
+    """Coset representative of key modulo twice the lattice, given by its
+    HNF basis.
 
     Rank 1 with generator (r, s), r >= 1: slide x into [0, 2r); when r = 0
     slide y into [0, 2s).  Rank 0 leaves keys alone.
     """
     x, y = key
-    if lattice.rank == 0:
+    if not lattice:
         return (x, y)
-    r, s = lattice.basis[0]
+    r, s = lattice[0]
     if r:
         t = x // (2 * r)
         return (x - 2 * r * t, y - 2 * s * t)
@@ -72,12 +73,13 @@ def corners(key: Key) -> tuple[Key, Key]:
 
 @dataclass(frozen=True)
 class VertexConfig:
-    """Finite multiplicity assignment on the doubled grid of one orbit."""
+    """Finite multiplicity assignment on the doubled grid of one orbit;
+    `lattice` is the HNF basis of the generator's stabilizer over the pair."""
 
     sys: ShiftSystem
     generator: Poly
     pair: tuple[int, int]
-    lattice: StabilizerLattice
+    lattice: tuple[IntVec, ...]
     edges: tuple[tuple[int, int, int], ...]
 
     @classmethod
@@ -94,7 +96,7 @@ class VertexConfig:
         if generator.is_zero:
             raise ValueError("generator must be nonzero")
         lattice = stabilizer_lattice(sys, generator, (i, j))
-        if lattice.rank > 1:
+        if len(lattice) > 1:
             raise ValueError("both directions fix the generator; no grid geometry")
         items = edges.items() if isinstance(edges, Mapping) else ((k[:2], k[2]) for k in edges)
         merged: dict[Key, int] = {}
@@ -292,9 +294,9 @@ def random_config(
             f"direction {moving[0] + 1} lies outside the pair and moves the generator"
         )
     lattice = stabilizer_lattice(sys, generator, (i, j))
-    if lattice.rank != 1:
+    if len(lattice) != 1:
         raise StructureError("random staircases need a rank-1 restricted stabilizer")
-    r, s = lattice.basis[0]
+    r, s = lattice[0]
     if r < 1 or s < 1:
         raise StructureError("stabilizer generator must have positive components")
     degree = loops * max(r, s) * generator.degree()

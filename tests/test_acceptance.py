@@ -85,8 +85,8 @@ def test_criterion_2_round_trip_and_stabilizers():
         assert same_config(back, fig)
         assert back.multiplicities == fig.multiplicities
         f = fig.generator
-        assert stabilizer_lattice(doc.sys, f, (0, 1)).basis == ((3, 2),)
-        assert stabilizer_lattice(doc.sys, f, (2, 3)).basis == ((1, 0), (0, 1))
+        assert stabilizer_lattice(doc.sys, f, (0, 1)) == ((3, 2),)
+        assert stabilizer_lattice(doc.sys, f, (2, 3)) == ((1, 0), (0, 1))
 
 
 def test_criterion_3_rank_two_pipeline():
@@ -141,7 +141,7 @@ def _random_orbit_instance(rng, q, fixing, mover, r, s, m, n, loops):
         cols.append(col)
     rows = [[cols[d][t] for d in range(n)] for t in range(m)]
     sys = ShiftSystem.from_rows(rows)
-    assert stabilizer_lattice(sys, q, (i, j)).basis == ((r, s),)
+    assert stabilizer_lattice(sys, q, (i, j)) == ((r, s),)
     config = random_config(sys, q, (i, j), loops=loops, seed=rng.randrange(10**6))
     sol = decode(config).solution.expand()
     assert check_binary(sol).passed

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-class is defined in one module only, and importing the CLI pulls in no
-networking or XML modules.
+class is defined in one module only, importing the CLI pulls in no
+networking or XML modules, and the console script names a callable.
 
 `__init__.py` is skipped: it imports names to re-export them.  Quoted
 annotations count as uses of the names they mention.
@@ -9,6 +9,7 @@ annotations count as uses of the names they mention.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -86,3 +87,14 @@ def test_cli_import_pulls_in_no_network_or_xml_modules():
     added = {name.split(".")[0] for name in out.stdout.split()}
     assert "weylshift" in added
     assert added & {"ssl", "_ssl", "socket", "_socket", "http", "email", "xml"} == set()
+
+
+def test_console_script_resolves_to_a_callable():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as handle:
+        text = handle.read()
+    match = re.search(r'^\[project\.scripts\]\nweylshift = "([\w.]+):(\w+)"$', text, re.M)
+    assert match, "no weylshift entry under [project.scripts]"
+    module, attr = match.groups()
+    assert callable(getattr(importlib.import_module(module), attr))

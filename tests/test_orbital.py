@@ -96,7 +96,7 @@ def test_decompose_staircase_single_piece(staircase_file):
     assert sum(m for e in piece.solution.entries for _, m in e.factors) == 5
     assert piece.indices == (0, 1, 2, 3)
     stab = stabilizer_lattice(piece.solution.sys, piece.generator, piece.indices)
-    assert stab.basis == ((3, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert stab == ((3, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert verify_orbital(piece).passed
 
 

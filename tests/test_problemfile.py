@@ -48,7 +48,7 @@ def test_load_staircase_fields(staircase_file):
     assert staircase_file.beta is None
     config = staircase_file.configs["fig"]
     assert config.pair == (0, 1)
-    assert config.lattice.basis == ((3, 2),)
+    assert config.lattice == ((3, 2),)
 
 
 def test_rational_strings_accepted():

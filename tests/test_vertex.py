@@ -17,7 +17,7 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
-from weylshift.shifts import ShiftSystem, StabilizerLattice
+from weylshift.shifts import ShiftSystem
 from weylshift.vertex import (
     VertexConfig,
     canonical_key,
@@ -35,7 +35,7 @@ GL3 = ShiftSystem.from_rows([[-1, 1, 0], [0, -1, 1]])
 STAIR = ShiftSystem.from_rows([[2, -3, 0, 0], [4, -5, 1, -3], [-2, 2, -1, 3]])
 F = parse_poly("(u2 + u3)^2 - (u1^3 - u1 + 1)", 3)
 
-LAT32 = StabilizerLattice(((3, 2),))
+LAT32 = ((3, 2),)
 
 
 def gl3_config(edges):
@@ -51,9 +51,9 @@ def test_canonical_key():
     assert canonical_key(LAT32, (1, 0)) == (1, 0)
     assert canonical_key(LAT32, (-1, 0)) == (5, 4)
     assert canonical_key(LAT32, (7, 8)) == (1, 4)
-    vertical = StabilizerLattice(((0, 1),))
+    vertical = ((0, 1),)
     assert canonical_key(vertical, (4, 7)) == (4, 1)
-    assert canonical_key(StabilizerLattice(()), (9, -9)) == (9, -9)
+    assert canonical_key((), (9, -9)) == (9, -9)
 
 
 def test_build_merges_and_canonicalizes():
@@ -78,7 +78,7 @@ def test_build_validation():
 
 def test_build_accepts_nonmonic_generator(staircase_config):
     assert staircase_config.generator == F
-    assert staircase_config.lattice.basis == ((3, 2),)
+    assert staircase_config.lattice == ((3, 2),)
     assert staircase_config.edges == (
         (0, -1, 1),
         (1, 0, 1),
@@ -102,7 +102,7 @@ def test_validate_parity():
 
 def test_validate_canonical_form():
     # the constructor canonicalizes, so plant a raw key by hand
-    cfg = VertexConfig(GL3, Poly.variable(2, 0), (0, 1), StabilizerLattice(((1, 1),)), ((3, 2, 1),))
+    cfg = VertexConfig(GL3, Poly.variable(2, 0), (0, 1), ((1, 1),), ((3, 2, 1),))
     report = validate(cfg)
     assert any(f.relation == "canonical" for f in report.failures)
 
@@ -129,7 +129,7 @@ def grid_configs(draw):
     """Canonical odd-parity configurations over a drawn lattice: closed
     staircases, which conserve, plus random edges of multiplicity 1-3."""
     basis = draw(st.sampled_from([None, (1, 1), (3, 2), (2, 1), (1, 0), (0, 1)]))
-    lattice = StabilizerLattice(() if basis is None else (basis,))
+    lattice = () if basis is None else (basis,)
     edges: dict = {}
 
     def add(key, mult):
@@ -258,7 +258,7 @@ def test_classify_gl3(gl3_file):
     assert [config.pair for config in configs] == [(0, 1), (1, 2)]
     for config in configs:
         assert validate(config).passed
-        assert config.lattice.basis == ((1, 1),)
+        assert config.lattice == ((1, 1),)
         assert config.edges
 
 
@@ -316,6 +316,21 @@ def test_classify_audit_rejects_a_changed_piece(monkeypatch, gl3_file):
 
     monkeypatch.setattr(vertex, "decode", dropping)
     with pytest.raises(StructureError, match="changed the piece"):
+        classify(gl3_file.tuples["gl3_sym"].as_factored())
+
+
+def test_classify_audit_rejects_missing_pieces(monkeypatch, gl3_file):
+    import weylshift.vertex as vertex
+
+    place = vertex._place
+
+    def dropping_last(sol):
+        placed = place(sol)
+        assert len(placed) == 2
+        return placed[:-1]
+
+    monkeypatch.setattr(vertex, "_place", dropping_last)
+    with pytest.raises(StructureError, match="do not multiply back"):
         classify(gl3_file.tuples["gl3_sym"].as_factored())
 
 
@@ -497,3 +512,13 @@ def test_same_config_rejects_unrelated():
     # same pair, generator off the orbit
     c = VertexConfig.build(GL3, parse_poly("u1 + 1/2", 2), (0, 1), [(1, 0, 1)])
     assert not same_config(a, c)
+
+
+def test_same_config_compares_leading_coefficients():
+    # 2*u1 has the stabilizer and edges of u1, but its decoded entries
+    # carry a unit of 2 per edge
+    a = gl3_config([(1, 0, 1), (2, 1, 1)])
+    b = VertexConfig.build(GL3, parse_poly("2*u1", 2), (0, 1), [(1, 0, 1), (2, 1, 1)])
+    assert a.lattice == b.lattice and a.edges == b.edges
+    assert not same_config(a, b)
+    assert not same_config(b, a)

@@ -118,7 +118,7 @@ def apply_linear(g: Matrix, sol: SolutionTuple) -> SolutionTuple:
     if len(g) != m or any(len(r) != m for r in g):
         raise ValueError("matrix must be square of the variable count")
     rows, ginv = _with_inverse(g)
-    sys2 = ShiftSystem.from_rows(matmul(rows, sol.sys.alpha))
+    sys2 = ShiftSystem(matmul(rows, sol.sys.alpha))
     images = _substitution_images(ginv)
     polys2 = tuple(p.compose(images) for p in sol.polys)
     return SolutionTuple(sys2, polys2)

@@ -42,7 +42,7 @@ def validate_beta(beta) -> CheckReport:
 
 
 def system_of(beta) -> ShiftSystem:
-    return ShiftSystem.from_rows([[Fraction(v) for v in row] for row in beta])
+    return ShiftSystem.from_rows(beta)
 
 
 def _require_valid(beta) -> None:

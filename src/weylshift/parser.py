@@ -51,10 +51,11 @@ _DIGITS = frozenset("0123456789")
 # far inside the interpreter's recursion limit.
 _MAX_NESTING = 100
 
-# Expansion and shifting cost grow with the degree (a shift builds one
-# binomial row per exponent), so every power and product is bounded before
-# it is expanded.  The test data, the benchmark's inputs and the expanded
-# 30-loop staircase (degree 90) stay below 100.
+# Expansion and shifting cost grow with the degree (a shift of a polynomial
+# of degree 2 or more builds one binomial row per exponent), so every power
+# and product is bounded before it is expanded.  The test data, the
+# benchmark's inputs and the expanded 30-loop staircase (degree 90) stay
+# below 100.
 _MAX_DEGREE = 1000
 
 # A power of a constant has degree 0, so a power's bit length is bounded

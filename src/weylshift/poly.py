@@ -89,12 +89,15 @@ def _degree(key: int) -> int:
     return d
 
 
+@cache
+def _linear_keys(nvars: int) -> dict[int, int]:
+    """The key of each variable u_{j+1} of degree 1, mapped to j."""
+    return {variable_key(nvars, j): j for j in range(nvars)}
+
+
 def _slot_maxima(keys: Iterable[int], nvars: int) -> list[int]:
     """Per variable, the largest exponent among the keys."""
-    keys = list(keys)
-    return [
-        max((k >> (_SLOT * (nvars - 1 - j))) & _MASK for k in keys) for j in range(nvars)
-    ]
+    return list(map(max, zip(*(_unpack(k, nvars) for k in keys))))
 
 
 class Poly:
@@ -215,18 +218,14 @@ class Poly:
         return Poly._raw(self.nvars, *_reduced(terms, self._den))
 
     def used_variables(self) -> set[int]:
-        m = self.nvars
         mask = reduce(or_, self._terms, 0)
-        return {j for j in range(m) if (mask >> (_SLOT * (m - 1 - j))) & _MASK}
+        return {j for j, e in enumerate(_unpack(mask, self.nvars)) if e}
 
     def content_exponent(self) -> Exponent:
         """Componentwise minimum exponent over all terms (monomial content)."""
         if not self._terms:
             raise ValueError("zero polynomial")
-        m = self.nvars
-        return tuple(
-            min((k >> (_SLOT * (m - 1 - j))) & _MASK for k in self._terms) for j in range(m)
-        )
+        return tuple(map(min, zip(*(_unpack(k, self.nvars) for k in self._terms))))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -337,11 +336,34 @@ class Poly:
                     out[key] = out.get(key, 0) + v * e * b
         return out, self._den * scale
 
+    def _linear_drop(self, vec: Sequence[Scalar]) -> tuple[int, int] | None:
+        """<grad p, vec> as (numerator, scale) over den * scale, scale the lcm
+        of the denominators of the entries of vec that p's linear terms pair
+        with, when p has total degree at most 1; None otherwise.  The caller
+        checks that vec has one entry per variable."""
+        slots = _linear_keys(self.nvars)
+        pairs = []
+        for k, v in self._terms.items():
+            if k:
+                j = slots.get(k)
+                if j is None:
+                    return None
+                if vec[j]:
+                    pairs.append((v, vec[j]))
+        scale = lcm(*(t.denominator for _, t in pairs))
+        return sum(v * t.numerator * (scale // t.denominator) for v, t in pairs), scale
+
     def shift(self, offsets: Sequence[Scalar]) -> "Poly":
-        """Return p(u1 - t1, ..., um - tm) for t = offsets, expanded exactly."""
+        """Return p(u1 - t1, ..., um - tm) for t = offsets, expanded exactly:
+        p - <grad p, t> when p has degree at most 1, so only the constant term
+        moves, and otherwise one pass of binomial rows per moved variable."""
         m = self.nvars
         if len(offsets) != m:
             raise ValueError("offset length mismatch")
+        drop = self._linear_drop(offsets)
+        if drop is not None:
+            num, scale = drop  # the drop is a constant: one monomial at key 0
+            return sum_terms(m, ((-num, self._den * scale, 0),), ((1, self),)) if num else self
         terms, den = self._terms, self._den
         for j, t in enumerate(offsets):
             if not t:
@@ -352,11 +374,9 @@ class Poly:
                 continue
             # with t = -a/b: b^top * (u - t)^e = sum_k C(e,k) a^(e-k) b^(top-e+k) u^k
             a, b = -t.numerator, t.denominator
-            pb = [1] * (top + 1)
-            for i in range(1, top + 1):
-                pb[i] = pb[i - 1] * b
-            rows: dict[int, list[tuple[int, int]]] = {}
-            out: dict[int, int] = {}
+            pb = [b**i for i in range(top + 1)]
+            rows = {}
+            out = {}
             get = out.get
             for key, c in terms.items():
                 e = (key >> s) & _MASK
@@ -381,24 +401,16 @@ class Poly:
         target = images[0].nvars
         if any(q.nvars != target for q in images):
             raise ValueError("images disagree on variable count")
-        powers: list[dict[int, Poly]] = [{0: Poly.one(target)} for _ in range(self.nvars)]
-
-        def power(j: int, k: int) -> Poly:
-            cache = powers[j]
-            if k not in cache:
-                top = max(cache)
-                acc = cache[top]
-                for e in range(top + 1, k + 1):
-                    acc = acc * images[j]
-                    cache[e] = acc
-            return cache[k]
-
+        powers = [[Poly.one(target)] for _ in images]  # powers[j][k] = images[j]**k
         terms = []
         for exp, c in self.items():
             term = Poly.constant(target, c)
             for j, k in enumerate(exp):
                 if k:
-                    term = term * power(j, k)
+                    row = powers[j]
+                    while len(row) <= k:
+                        row.append(row[-1] * images[j])
+                    term = term * row[k]
             terms.append((1, term))
         return sum_terms(target, (), terms)
 

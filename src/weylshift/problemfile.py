@@ -143,8 +143,8 @@ def _load_alpha(obj: Any, m: int, n: int, where: str) -> ShiftSystem:
     for j, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise ProblemFileError(f"{where}: row {j + 1} must have {n} entries")
-        rows.append([_rational(x, f"{where} row {j + 1}") for x in row])
-    return ShiftSystem.from_rows(rows)
+        rows.append(tuple(_rational(x, f"{where} row {j + 1}") for x in row))
+    return ShiftSystem(tuple(rows))
 
 
 def _load_polys(obj: Any, sys: ShiftSystem, where: str) -> SolutionTuple:

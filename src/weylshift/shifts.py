@@ -21,7 +21,8 @@ from .poly import Poly, Scalar, coefficient_rows, monomial_index, numerators_on
 
 @dataclass(frozen=True)
 class ShiftSystem:
-    """m variables, n shift directions; alpha has m rows and n columns."""
+    """m variables, n shift directions; alpha has m rows and n columns of
+    Fractions.  from_rows converts rows of ints or other rationals."""
 
     alpha: tuple[tuple[Fraction, ...], ...]
 
@@ -72,8 +73,14 @@ def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:
 
 def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
     """Gradient criterion: q is invariant under every multiple of the shift
-    beta exactly when <grad q, beta> is the zero polynomial, read off its
-    coefficients without normalising them."""
+    beta exactly when <grad q, beta> is the zero polynomial.  For q of total
+    degree at most 1 that is one integer; otherwise it is read off the
+    derivative's coefficients without normalising them."""
+    if len(beta) != q.nvars:
+        raise ValueError("direction length mismatch")
+    drop = q._linear_drop(beta)
+    if drop is not None:
+        return not drop[0]
     return not any(q._directional_terms(beta)[0].values())
 
 

@@ -84,6 +84,7 @@ def test_scaling_example_one_variable():
     g = [[Fraction(1, 2)]]
     b = apply_linear(g, a)
     assert b.sys.alpha == ((Fraction(1), Fraction(-1)),)
+    assert all(type(x) is Fraction for x in b.sys.alpha[0])
     assert b.polys[0] == parse_poly("4*u1^2 - 1", 1)
     assert check_equivalence(linear_automorphism(g), a, b).passed
 

@@ -47,6 +47,7 @@ def test_system_of():
     sys = system_of([[2, -4]])
     assert sys.nvars == 1 and sys.nshifts == 2
     assert sys.column(1) == (Fraction(-4),)
+    assert all(type(x) is Fraction for row in sys.alpha for x in row)
 
 
 def test_build_solution_gl3(gl3_file):

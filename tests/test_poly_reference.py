@@ -14,6 +14,7 @@ from hypothesis import given
 import strategies
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly, exact_div, format_poly, sum_terms, variable_key
+from weylshift.shifts import is_fixed_by_shift
 
 M = 3
 TERMS = st.dictionaries(
@@ -222,6 +223,56 @@ def test_directional_matches_reference(a, vec, ints):
     assert agrees(pa.directional(ints), ref_directional(ra, ints))
 
 
+# Polynomials of total degree at most 1 shift and test fixedness in closed
+# form; TERMS draws them rarely, so they get strategies of their own.
+UNITS = [tuple(int(k == j) for k in range(M)) for j in range(M)]
+ZERO_EXP = (0,) * M
+
+
+@st.composite
+def linear_terms(draw):
+    """Zero, a constant, or 1 to M linear terms with or without a constant."""
+    used = draw(st.sets(st.integers(0, M - 1), max_size=M))
+    terms = {UNITS[j]: draw(strategies.nonzero_rationals) for j in used}
+    if draw(st.booleans()):
+        terms[ZERO_EXP] = draw(strategies.nonzero_rationals)
+    return terms
+
+
+# vectors with zero entries, the zero vector among them, and integer ones
+VECTORS = st.one_of(
+    st.just((Fraction(0),) * M),
+    st.lists(st.one_of(st.just(Fraction(0)), strategies.rationals), min_size=M, max_size=M),
+    st.lists(st.integers(-3, 3), min_size=M, max_size=M),
+)
+
+
+@given(a=linear_terms(), t=VECTORS)
+def test_linear_shift_matches_reference(a, t):
+    pa, ra = both(a)
+    assert agrees(pa.shift(t), ref_shift(ra, t))
+
+
+@st.composite
+def linear_fixing_cases(draw):
+    """A polynomial of degree at most 1 and a direction; half the time the
+    direction is the cross product of its linear part with a drawn vector,
+    so it is orthogonal to the gradient and fixes the polynomial."""
+    terms, beta = draw(linear_terms()), draw(VECTORS)
+    if draw(st.booleans()):
+        c = [terms.get(e, Fraction(0)) for e in UNITS]
+        w = beta
+        beta = (c[1] * w[2] - c[2] * w[1], c[2] * w[0] - c[0] * w[2], c[0] * w[1] - c[1] * w[0])
+    return terms, beta
+
+
+@given(linear_fixing_cases())
+def test_linear_fixedness_matches_reference(case):
+    a, beta = case
+    pa, ra = both(a)
+    assert is_fixed_by_shift(pa, beta) == (not ref_directional(ra, beta))
+
+
 @given(a=TERMS, b=TERMS)
 def test_exact_div_matches_reference(a, b):
     (pa, ra), (pb, rb) = both(a), both(b)
@@ -242,8 +293,10 @@ def test_queries_match_reference(a):
     for d in range(10):
         assert agrees(pa.homogeneous_part(d), ref_homogeneous(ra, d))
     assert pa.degree() == max((sum(e) for e in ra), default=-1)
+    assert pa.used_variables() == {j for e in ra for j in range(M) if e[j]}
     if not ra:
         return
+    assert pa.content_exponent() == tuple(min(e[j] for e in ra) for j in range(M))
     lead = max(ra)
     assert max(e for e, _ in pa.items()) == lead
     assert pa.leading_coefficient() == ra[lead]
@@ -253,6 +306,28 @@ def test_queries_match_reference(a):
     assert agrees(monic, {e: c / ra[lead] for e, c in ra.items()})
     for e in list(ra) + [(5, 5, 5)]:
         assert pa.coefficient(e) == ra.get(e, 0)
+
+
+def ref_compose(a, images):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * M: c}
+        for j, k in enumerate(e):
+            term = ref_mul(term, ref_pow(images[j], k))
+        out = ref_add(out, term)
+    return out
+
+
+LINEAR_IMAGES = st.lists(
+    st.dictionaries(strategies.exponents(M, 1), strategies.rationals, max_size=3), min_size=M, max_size=M
+)
+
+
+@given(a=TERMS, images=LINEAR_IMAGES)
+def test_compose_matches_reference(a, images):
+    pa, ra = both(a)
+    refs = [ref_clean(im) for im in images]
+    assert agrees(pa.compose([Poly(M, im) for im in refs]), ref_compose(ra, refs))
 
 
 @given(a=TERMS, b=TERMS)

@@ -31,6 +31,7 @@ def test_load_gl3_fields(gl3_file):
     assert gl3_file.sys.nvars == 2
     assert gl3_file.sys.nshifts == 3
     assert gl3_file.sys.alpha[0] == (-1, 1, 0)
+    assert all(type(x) is Fraction for row in gl3_file.sys.alpha for x in row)
     assert set(gl3_file.tuples) == {"gl3_raw", "gl3_sym", "gl3_alt"}
     assert gl3_file.tuples["gl3_raw"].form == "nonsym"
     assert gl3_file.tuples["gl3_sym"].form == "sym"
@@ -54,6 +55,8 @@ def test_load_staircase_fields(staircase_file):
 def test_rational_strings_accepted():
     doc = loads(doc_text(alpha=[["1/2", "-3/2"]]))
     assert doc.sys.alpha[0] == (Fraction(1, 2), Fraction(-3, 2))
+    assert all(type(x) is Fraction for row in doc.sys.alpha for x in row)
+    assert type(doc.sys.alpha) is tuple and all(type(row) is tuple for row in doc.sys.alpha)
 
 
 def test_float_literal_rejected():

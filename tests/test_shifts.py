@@ -70,6 +70,18 @@ def test_is_fixed_by_shift_examples():
         is_fixed_by_shift(F, (1, 0))
 
 
+@pytest.mark.parametrize("text", ["0", "7/2", "u1 - 2*u3 + 1", "u1*u2"])
+@pytest.mark.parametrize("vec", [(1, 0), (1, 0, 0, 0), ()])
+def test_vectors_of_the_wrong_length_are_refused(text, vec):
+    # the closed form for degree <= 1 pairs terms with entries, so a short
+    # vector must be refused before it is read
+    q = parse_poly(text, 3)
+    with pytest.raises(ValueError, match="offset length mismatch"):
+        q.shift(vec)
+    with pytest.raises(ValueError, match="direction length mismatch"):
+        is_fixed_by_shift(q, vec)
+
+
 def reference_combo(sys, coeffs, indices):
     """sum_k coeffs[k] * column(indices[k]) by Fraction multiply-adds."""
     vec = [Fraction(0)] * sys.nvars

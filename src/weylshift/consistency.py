@@ -7,16 +7,29 @@ entry translates between the two.  Every check runs one engine on
 FactoredPoly entries: an expanded entry is its leading coefficient times
 its monic self, and the non-symmetric form is the symmetric one on the
 symmetrized tuple, with each witness shifted back.
+
+An expanded tuple is checked in the fewest variables its entries depend
+on.  Let V be the translations that fix every entry, and L the reduced
+row echelon basis of V's annihilator, with pivot columns J.  Then u minus
+Lu placed on the columns J lies in V, so each entry p(u) is P(Lu), where
+P is p with every variable outside J set to 0.  Shifting p by t is
+shifting P by Lt and L is onto, so an identity holds in u exactly when it
+holds in y = Lu.  The same directions move each entry, since grad p is
+L^T grad P, and a witness D(y) is D(Lu) in u.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
-from .poly import FactoredPoly, Poly, merge_factors
+from .intlinalg import integer_kernel
+from .poly import EXPONENT_LIMIT, FactoredPoly, Poly, merge_factors, sum_terms, variable_key
 from .shifts import ShiftSystem, half_shift, moving_directions
 
 
@@ -154,21 +167,105 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     return failures
 
 
+_EXPONENT = EXPONENT_LIMIT - 1
+
+
+def _slots(m: int) -> list[int]:
+    """Per variable, the shift s with exponent k >> s & _EXPONENT in key k."""
+    return [variable_key(m, j).bit_length() - 1 for j in range(m)]
+
+
+def _invariant_basis(polys: Sequence[Poly], m: int) -> list[list[int]]:
+    """An integer basis of the translations w with <grad p, w> = 0 for every
+    p of polys, empty as soon as none but 0 is left.  One pass over each p's
+    terms gathers its gradient rows, one per monomial of grad p; a row with
+    a nonzero dot product against the basis cuts the basis by one."""
+    basis = [[int(i == j) for j in range(m)] for i in range(m)]
+    slots = list(enumerate(_slots(m)))
+    for p in polys:
+        rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)
+        for k, c in p._terms.items():
+            for j, s in slots:
+                if e := k >> s & _EXPONENT:
+                    rows[k - (1 << s)][j] += c * e
+        for row in rows.values():
+            dots = [sum(map(mul, row, v)) for v in basis]
+            t = next((i for i, d in enumerate(dots) if d), None)
+            if t is not None:
+                pivot, dt = basis[t], dots[t]
+                cut = [[dt * a - d * b for a, b in zip(v, pivot)] for v, d in zip(basis, dots) if v is not pivot]
+                basis = [[a // gcd(*v) for a in v] for v in cut]
+                if not basis:
+                    return basis
+    return basis
+
+
+def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, list[Poly] | None]:
+    """sol in the coordinates y = Lu of the module docstring, and the forms
+    (Lu)_i in u; sol itself and None when its entries depend on every
+    variable or on none."""
+    m = sol.sys.nvars
+    basis = _invariant_basis(sol.polys, m)
+    if not 0 < len(basis) < m:
+        return sol, None
+    # L: the annihilator's HNF basis, divided by its pivots and cleared above them
+    rows = [list(v) for v in integer_kernel(basis, m)]
+    cols = [next(j for j, a in enumerate(v) if a) for v in rows]
+    for i, j in enumerate(cols):
+        if rows[i][j] != 1:
+            rows[i] = [Fraction(a, rows[i][j]) for a in rows[i]]
+        for h in range(i):
+            rows[h] = [a - rows[h][j] * b for a, b in zip(rows[h], rows[i])]
+    alpha = tuple(tuple(sum(a * x for a, x in zip(row, col) if a) for col in zip(*sol.sys.alpha)) for row in rows)
+    slots, r = _slots(m), len(cols)
+    outside = sum(_EXPONENT << s for j, s in enumerate(slots) if j not in cols)
+    moves = [(slots[j], t) for j, t in zip(cols, _slots(r))]
+
+    def restricted(p: Poly) -> Poly:
+        """P: the terms of p with no exponent outside cols, each slot moved."""
+        kept = [(k, c) for k, c in p._terms.items() if not k & outside]
+        return sum_terms(r, [(c, p._den, sum((k >> s & _EXPONENT) << t for s, t in moves)) for k, c in kept])
+
+    forms = [sum_terms(m, [(a.numerator, a.denominator, 1 << s) for a, s in zip(row, slots) if a]) for row in rows]
+    return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), forms
+
+
+def _check_expanded(sol: SolutionTuple, *kinds, nonsym: bool = False) -> CheckReport:
+    """The failing identities of each kind on an expanded tuple, decided in
+    its fewest variables; with nonsym, those of the symmetrized tuple, each
+    witness shifted back: binary (i, j) by (a_i + a_j)/2 and ternary
+    (i, j, k) by (a_i + a_j)/2 - a_k/2."""
+    sol, forms = _fewest_variables(sol)
+    failures = []
+    for f in _decide(sol.sys, _entries(symmetrize(sol) if nonsym else sol), *kinds):
+        relation, witness = f.relation, f.witness
+        if nonsym:
+            halves = _halves(sol.sys)
+            vec = [a + b for a, b in zip(halves[f.indices[0]], halves[f.indices[1]])]
+            if relation == "ternary":
+                vec = [v - c for v, c in zip(vec, halves[f.indices[2]])]
+            relation, witness = "nonsym-" + relation, witness.shift(vec)
+        if forms:
+            witness = witness.compose(forms)
+        failures.append(CheckFailure(relation, f.indices, witness))
+    return CheckReport(tuple(failures))
+
+
 def check_binary(sol: SolutionTuple) -> CheckReport:
     """The binary identity of every pair of directions."""
-    return CheckReport(tuple(_decide(sol.sys, _entries(sol), _binary)))
+    return _check_expanded(sol, _binary)
 
 
 def check_ternary(sol: SolutionTuple) -> CheckReport:
     """The ternary identity of every triple; vacuously true when the system
     has fewer than three directions."""
-    return CheckReport(tuple(_decide(sol.sys, _entries(sol), _ternary)))
+    return _check_expanded(sol, _ternary)
 
 
 def check_symmetric(sol: SolutionTuple) -> CheckReport:
     """The binary and then the ternary identities, from one engine call;
     the same report as check_binary followed by check_ternary."""
-    return check_factored(sol.sys, _entries(sol))
+    return _check_expanded(sol, _binary, _ternary)
 
 
 def check_factored(sys: ShiftSystem, entries: Sequence[FactoredPoly]) -> CheckReport:
@@ -179,18 +276,8 @@ def check_factored(sys: ShiftSystem, entries: Sequence[FactoredPoly]) -> CheckRe
 
 def check_nonsymmetric(sol: SolutionTuple) -> CheckReport:
     """The non-symmetric form of the equations: the symmetric identities of
-    the symmetrized tuple, each witness shifted back.  Binary (i, j) is
-    moved by (a_i + a_j)/2 and ternary (i, j, k) by (a_i + a_j)/2 - a_k/2."""
-    sys = sol.sys
-    halves = _halves(sys)
-    failures = []
-    for f in _decide(sys, _entries(symmetrize(sol)), _binary, _ternary):
-        i, j = f.indices[:2]
-        vec = [a + b for a, b in zip(halves[i], halves[j])]
-        if f.relation == "ternary":
-            vec = [v - c for v, c in zip(vec, halves[f.indices[2]])]
-        failures.append(CheckFailure("nonsym-" + f.relation, f.indices, f.witness.shift(vec)))
-    return CheckReport(tuple(failures))
+    the symmetrized tuple, each witness shifted back."""
+    return _check_expanded(sol, _binary, _ternary, nonsym=True)
 
 
 def symmetrize(sol: SolutionTuple) -> SolutionTuple:

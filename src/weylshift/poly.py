@@ -22,10 +22,11 @@ sum_terms is the one place sums are formed: the constructor, + and -,
 compose and the parser all add their terms through it.
 
 The public interface speaks Fractions and exponent tuples.  The packed
-keys leave this module only as opaque monomial keys for the parser,
-which multiplies monomials by adding keys and sums them with
-sum_terms.  FactoredPoly holds a nonzero polynomial as a unit times
-distinct monic factors with multiplicities.
+keys leave this module only as monomial keys for the parser, which
+multiplies monomials by adding keys and sums them with sum_terms, and
+for the consistency engine, which reads exponents slot by slot to find
+the variables a tuple depends on.  FactoredPoly holds a nonzero
+polynomial as a unit times distinct monic factors with multiplicities.
 """
 
 from __future__ import annotations

@@ -12,14 +12,16 @@ from weylshift.consistency import (
     SolutionTuple,
     check_binary,
     check_nonsymmetric,
+    check_symmetric,
     check_ternary,
     symmetrize,
     unsymmetrize,
 )
-from weylshift.multiquiver import build_solution
+from weylshift.multiquiver import build_solution, symmetrized_solution
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
 from weylshift.shifts import ShiftSystem
+from weylshift.vertex import decode, random_config
 
 
 def test_solution_tuple_validation():
@@ -94,6 +96,39 @@ def test_report_merging():
     b = check_nonsymmetric(SolutionTuple(sys, (u1, u1)))
     merged = a.merged(b)
     assert merged.failures == b.failures
+
+
+def _shifted_nvars(monkeypatch, check, sol) -> set[int]:
+    """The variable counts of the polynomials that a passing check shifts."""
+    seen = set()
+    shift = Poly.shift
+
+    def recorded(p, vec):
+        seen.add(p.nvars)
+        return shift(p, vec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "shift", recorded)
+        assert check(sol).passed
+    return seen
+
+
+def test_expanded_tuples_are_checked_in_the_forms_they_depend_on(monkeypatch, staircase_file, gl3_file):
+    # lin staircase entries depend on u1 + u2 + u3 alone and quad ones on
+    # u1 and u2 + u3; the entries of gl3_sym and of a beta tuple, taken
+    # together, depend on every variable
+    def staircase(generator):
+        config = random_config(staircase_file.sys, parse_poly(generator, 3), (0, 1), loops=2, seed=7)
+        return decode(config).solution.expand()
+
+    for generator, nvars in (("u1 + u2 + u3 + 1/3", 1), ("u1^2 + 1/3*u1 + u2 + u3 - 2/3", 2)):
+        sol = staircase(generator)
+        assert _shifted_nvars(monkeypatch, check_symmetric, sol) == {nvars}
+        assert _shifted_nvars(monkeypatch, check_nonsymmetric, unsymmetrize(sol)) == {nvars}
+    gl3 = gl3_file.tuples["gl3_sym"].as_solution()
+    beta = symmetrized_solution([[1, -2, 0], [0, 2, -3]]).expand()
+    for sol in (gl3, beta):
+        assert _shifted_nvars(monkeypatch, check_symmetric, sol) == {sol.sys.nvars}
 
 
 def small_tuples():

@@ -6,13 +6,16 @@ check_binary, check_ternary and check_nonsymmetric must give the same
 order, and check_factored on a factored tuple the same list as the
 reference binary and ternary checks on its expansion.  Tuples have 1 to 4
 directions, zero and parallel columns, constant entries, and are
-solutions, corrupted solutions or neither.
+solutions, corrupted solutions or neither.  Expanded tuples whose entries
+depend on fewer linear forms than there are variables are checked in
+those forms, so some tuples are built that way, with columns that mix
+the variables.
 """
 
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import strategies
 from consistency_reference import (
@@ -26,9 +29,11 @@ from weylshift.consistency import (
     check_binary,
     check_factored,
     check_nonsymmetric,
+    check_symmetric,
     check_ternary,
     unsymmetrize,
 )
+from weylshift.intlinalg import matmul, rational_inverse
 from weylshift.multiquiver import build_solution, symmetrized_solution
 from weylshift.orbital import FactoredPoly, FactoredSolution
 from weylshift.poly import Poly, merge_factors
@@ -70,22 +75,22 @@ def monic_factors(nvars: int):
 
 
 @st.composite
-def factored_tuples(draw):
-    """Entries with a unit and up to three factors each, drawn from shifted
-    copies of one base factor (so that some identities hold) and from free
-    factors; an entry with no factors is constant."""
+def factored_tuples(draw, max_factors: int = 3, max_mult: int = 2):
+    """Entries with a unit and up to max_factors factors each, drawn from
+    shifted copies of one base factor (so that some identities hold) and
+    from free factors; an entry with no factors is constant."""
     sys = draw(systems())
     m, n = sys.nvars, sys.nshifts
     base = draw(monic_factors(m))
     entries = []
     for _ in range(n):
         factors = []
-        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        for _ in range(draw(st.integers(min_value=0, max_value=max_factors))):
             if draw(st.booleans()):
                 q = base.shift(sys.combo([draw(HALVES) for _ in range(n)], range(n)))
             else:
                 q = draw(monic_factors(m))
-            factors.append((q, draw(st.integers(min_value=1, max_value=2))))
+            factors.append((q, draw(st.integers(min_value=1, max_value=max_mult))))
         unit = draw(strategies.nonzero_rationals)
         entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items(), unit))
     return FactoredSolution(sys, tuple(entries))
@@ -142,6 +147,48 @@ beta_solutions = strategies.betas().map(symmetrized_solution)
 factored = st.one_of(factored_tuples(), beta_solutions, corrupted(beta_solutions))
 
 
+@st.composite
+def unimodular(draw, m: int):
+    """An integer m x m matrix of determinant +-1 that mixes the variables:
+    the identity with rows swapped and multiples of rows added to others."""
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(min_value=m, max_value=2 * m))):
+        i, j = draw(st.permutations(range(m)))[:2]
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows[j] = [b + k * a for a, b in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def tuples_in_fewer_forms(draw):
+    """A factored tuple in r variables y, expanded and composed with the
+    first r coordinates of y = Mu for a unimodular M in m > r variables.
+    The columns are M^-1 applied to the small tuple's columns stacked on
+    free rows, so they mix the variables, and shifting an entry by a column
+    shifts the small entry by its small column: solutions stay solutions.
+    A corrupted copy adds a constant to one entry, which keeps the
+    translations that fix every entry, or multiplies it by u_j - c, which
+    in general shrinks them."""
+    one_row_betas = strategies.betas().filter(lambda beta: len(beta) == 1)
+    fs = draw(st.one_of(factored_tuples(max_factors=2, max_mult=1), one_row_betas.map(symmetrized_solution)))
+    r, n = fs.sys.nvars, fs.sys.nshifts
+    m = r + draw(st.integers(min_value=1, max_value=2))
+    mix = draw(unimodular(m))
+    free = [[draw(HALVES) for _ in range(n)] for _ in range(m - r)]
+    sys = ShiftSystem(matmul(rational_inverse(mix), [*fs.sys.alpha, *free]))
+    forms = [sum((a * Poly.variable(m, j) for j, a in enumerate(row) if a), Poly.zero(m)) for row in mix[:r]]
+    polys = [e.expand().compose(forms) for e in fs.entries]
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    corruption = draw(st.sampled_from(["none", "constant", "factor"]))
+    if corruption == "constant":
+        polys[k] = polys[k] + draw(strategies.nonzero_rationals)
+        assume(not polys[k].is_zero)
+    elif corruption == "factor":
+        j = draw(st.integers(min_value=0, max_value=m - 1))
+        polys[k] = polys[k] * (Poly.variable(m, j) - draw(strategies.rationals))
+    return SolutionTuple(sys, tuple(polys))
+
+
 def assert_matches_reference(fs: FactoredSolution):
     sol = fs.expand()
     assert listed(check_binary(sol)) == listed(reference_binary(sol))
@@ -160,6 +207,17 @@ def test_checkers_match_reference(fs):
 @given(fs=partly_fixed_tuples())
 def test_checkers_match_reference_where_a_direction_fixes_some_factors(fs):
     assert_matches_reference(fs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sol=tuples_in_fewer_forms())
+def test_checkers_match_reference_where_entries_depend_on_fewer_forms(sol):
+    assert listed(check_binary(sol)) == listed(reference_binary(sol))
+    assert listed(check_ternary(sol)) == listed(reference_ternary(sol))
+    assert listed(check_symmetric(sol)) == listed(reference_symmetric(sol))
+    assert listed(check_nonsymmetric(sol)) == listed(reference_nonsymmetric(sol))
+    full = unsymmetrize(sol)
+    assert listed(check_nonsymmetric(full)) == listed(reference_nonsymmetric(full))
 
 
 @settings(max_examples=40, deadline=None)

@@ -94,13 +94,12 @@ def cmd_decompose(args) -> int:
     name, entry = doc.only_tuple(args.tuple)
     factored = entry.as_factored()
     pieces = decompose(factored)
+    described = [(p, support_pair(p), stabilizer_lattice(factored.sys, p.generator, p.indices)) for p in pieces]
     print(f"tuple {name}: {len(pieces)} orbital piece(s)")
-    for k, piece in enumerate(pieces, start=1):
-        pair = support_pair(piece)
+    for k, (piece, pair, stab) in enumerate(described, start=1):
         pair_text = (
             f"({pair[0] + 1},{pair[1] + 1})" if pair is not None else "trivial"
         )
-        stab = stabilizer_lattice(factored.sys, piece.generator, piece.indices)
         stab_text = " ".join(str(v) for v in stab) if stab else "trivial"
         print(f"piece {k}: support pair {pair_text}")
         print(f"  generator: {format_poly(piece.generator)}")
@@ -164,6 +163,7 @@ def cmd_multiquiver(args) -> int:
         return 2
     sol = build_solution(beta)
     sym = symmetrized_solution(beta)
+    families = residue_families(beta)
     print(f"rows: {len(beta)}, directions: {len(beta[0])}")
     print("solution (full-shift form):")
     for i, p in enumerate(sol.polys, start=1):
@@ -171,7 +171,6 @@ def cmd_multiquiver(args) -> int:
     print("symmetrized solution:")
     for i, e in enumerate(sym.entries, start=1):
         print(f"  p{i} = {format_factored(e)}")
-    families = residue_families(beta)
     print(f"expected piece count: {expected_piece_count(beta)}")
     for fam in families:
         side = " (one-sided)" if fam.one_sided else ""

@@ -10,12 +10,13 @@ symmetrized tuple, with each witness shifted back.
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
-row echelon basis of V's annihilator, with pivot columns J.  Then u minus
-Lu placed on the columns J lies in V, so each entry p(u) is P(Lu), where
-P is p with every variable outside J set to 0.  Shifting p by t is
-shifting P by Lt and L is onto, so an identity holds in u exactly when it
-holds in y = Lu.  The same directions move each entry, since grad p is
-L^T grad P, and a witness D(y) is D(Lu) in u.
+row echelon basis, with pivot columns J, of V's annihilator: the span of
+the entries' gradient rows, one per monomial of each grad p, so V itself
+is never built.  Then u minus Lu placed on the columns J lies in V, so
+each entry p(u) is P(Lu), where P is p with every variable outside J set
+to 0.  Shifting p by t is shifting P by Lt and L is onto, so an identity
+holds in u exactly when it holds in y = Lu.  The same directions move
+each entry, since grad p is L^T grad P, and a witness D(y) is D(Lu) in u.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
-from operator import mul
-from typing import Sequence
+from math import prod
+from typing import Iterator, Sequence
 
-from .intlinalg import integer_kernel
+from .intlinalg import rref
 from .poly import EXPONENT_LIMIT, FactoredPoly, Poly, merge_factors, sum_terms, variable_key
 from .shifts import ShiftSystem, half_shift, moving_directions
 
@@ -175,12 +175,9 @@ def _slots(m: int) -> list[int]:
     return [variable_key(m, j).bit_length() - 1 for j in range(m)]
 
 
-def _invariant_basis(polys: Sequence[Poly], m: int) -> list[list[int]]:
-    """An integer basis of the translations w with <grad p, w> = 0 for every
-    p of polys, empty as soon as none but 0 is left.  One pass over each p's
-    terms gathers its gradient rows, one per monomial of grad p; a row with
-    a nonzero dot product against the basis cuts the basis by one."""
-    basis = [[int(i == j) for j in range(m)] for i in range(m)]
+def _gradient_rows(polys: Sequence[Poly], m: int) -> Iterator[list[int]]:
+    """The rows of grad p, one per monomial, for each p of polys in turn,
+    gathered in one pass over p's terms."""
     slots = list(enumerate(_slots(m)))
     for p in polys:
         rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)
@@ -188,34 +185,25 @@ def _invariant_basis(polys: Sequence[Poly], m: int) -> list[list[int]]:
             for j, s in slots:
                 if e := k >> s & _EXPONENT:
                     rows[k - (1 << s)][j] += c * e
-        for row in rows.values():
-            dots = [sum(map(mul, row, v)) for v in basis]
-            t = next((i for i, d in enumerate(dots) if d), None)
-            if t is not None:
-                pivot, dt = basis[t], dots[t]
-                cut = [[dt * a - d * b for a, b in zip(v, pivot)] for v, d in zip(basis, dots) if v is not pivot]
-                basis = [[a // gcd(*v) for a in v] for v in cut]
-                if not basis:
-                    return basis
-    return basis
+        yield from rows.values()
 
 
-def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, list[Poly] | None]:
+def linear_forms(rows: Sequence[Sequence[Fraction]]) -> tuple[Poly, ...]:
+    """The linear form sum_j row[j] u_j of each row, in len(row) variables."""
+    return tuple(
+        sum_terms(len(row), [(a.numerator, a.denominator, variable_key(len(row), j)) for j, a in enumerate(row) if a])
+        for row in rows
+    )
+
+
+def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, tuple[Poly, ...] | None]:
     """sol in the coordinates y = Lu of the module docstring, and the forms
     (Lu)_i in u; sol itself and None when its entries depend on every
     variable or on none."""
     m = sol.sys.nvars
-    basis = _invariant_basis(sol.polys, m)
-    if not 0 < len(basis) < m:
+    cols, rows = rref(_gradient_rows(sol.polys, m), m)
+    if not 0 < len(cols) < m:
         return sol, None
-    # L: the annihilator's HNF basis, divided by its pivots and cleared above them
-    rows = [list(v) for v in integer_kernel(basis, m)]
-    cols = [next(j for j, a in enumerate(v) if a) for v in rows]
-    for i, j in enumerate(cols):
-        if rows[i][j] != 1:
-            rows[i] = [Fraction(a, rows[i][j]) for a in rows[i]]
-        for h in range(i):
-            rows[h] = [a - rows[h][j] * b for a, b in zip(rows[h], rows[i])]
     alpha = tuple(tuple(sum(a * x for a, x in zip(row, col) if a) for col in zip(*sol.sys.alpha)) for row in rows)
     slots, r = _slots(m), len(cols)
     outside = sum(_EXPONENT << s for j, s in enumerate(slots) if j not in cols)
@@ -226,8 +214,7 @@ def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, list[Poly] | N
         kept = [(k, c) for k, c in p._terms.items() if not k & outside]
         return sum_terms(r, [(c, p._den, sum((k >> s & _EXPONENT) << t for s, t in moves)) for k, c in kept])
 
-    forms = [sum_terms(m, [(a.numerator, a.denominator, 1 << s) for a, s in zip(row, slots) if a]) for row in rows]
-    return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), forms
+    return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), linear_forms(rows)
 
 
 def _check_expanded(sol: SolutionTuple, *kinds, nonsym: bool = False) -> CheckReport:

@@ -18,20 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .consistency import CheckFailure, CheckReport, SolutionTuple
+from .consistency import CheckFailure, CheckReport, SolutionTuple, linear_forms
 from .intlinalg import matmul, rational_inverse
-from .poly import Poly, sum_terms, variable_key
+from .poly import Poly
 from .shifts import ShiftSystem
 
 Matrix = Sequence[Sequence[Fraction | int]]
-
-
-def _substitution_images(matrix: Sequence[Sequence[Fraction]]) -> tuple[Poly, ...]:
-    m = len(matrix)
-    return tuple(
-        sum_terms(m, ((c.numerator, c.denominator, variable_key(m, k)) for k, c in enumerate(row) if c))
-        for row in matrix
-    )
 
 
 def _with_inverse(g: Matrix) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -75,7 +67,7 @@ class AutomorphismSpec:
 def linear_automorphism(g: Matrix) -> AutomorphismSpec:
     """The automorphism witnessing the action of g: substitution by g^{-1}."""
     rows, ginv = _with_inverse(g)
-    return AutomorphismSpec(_substitution_images(ginv), _substitution_images(rows))
+    return AutomorphismSpec(linear_forms(ginv), linear_forms(rows))
 
 
 def check_equivalence(
@@ -119,6 +111,6 @@ def apply_linear(g: Matrix, sol: SolutionTuple) -> SolutionTuple:
         raise ValueError("matrix must be square of the variable count")
     rows, ginv = _with_inverse(g)
     sys2 = ShiftSystem(matmul(rows, sol.sys.alpha))
-    images = _substitution_images(ginv)
+    images = linear_forms(ginv)
     polys2 = tuple(p.compose(images) for p in sol.polys)
     return SolutionTuple(sys2, polys2)

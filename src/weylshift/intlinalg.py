@@ -3,13 +3,15 @@
 Everything here works over plain Python ints and Fractions.  Lattices are
 handled through row-style Hermite normal form: pivots positive, entries
 above each pivot reduced into [0, pivot), rows ordered by pivot column.
+Besides the lattice work, `rref` is the one elimination over Q, which
+`rational_inverse` and the consistency checks' change of coordinates use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
 
@@ -166,24 +168,43 @@ def solve_integer(
     return system.solve(rhs), system.kernel
 
 
+def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Fraction-free Gauss-Jordan elimination (Cohen, GTM 138, 2.2): the
+    pivot columns, ascending, and the reduced row echelon basis, each row
+    divided by its pivot, of the span over Q of integer rows with pivots in
+    the first `width` columns.  Reading stops once each of those is a pivot.
+    Each kept row is zero at every other pivot and divided by its content."""
+    kept: dict[int, list[int]] = {}  # pivot column -> row
+    for row in rows:
+        for j, b in kept.items():
+            if c := row[j]:
+                row = [b[j] * x - c * y for x, y in zip(row, b)]
+        j = next((j for j in range(width) if row[j]), None)
+        if j is None:
+            continue
+        g = gcd(*row)
+        row = [x // g for x in row]
+        for i, b in kept.items():
+            if c := b[j]:
+                b = [row[j] * x - c * y for x, y in zip(b, row)]
+                g = gcd(*b)
+                kept[i] = [x // g for x in b]
+        kept[j] = row
+        if len(kept) == width:
+            break
+    return sorted(kept), [[Fraction(x, kept[j][j]) for x in kept[j]] for j in sorted(kept)]
+
+
 def rational_inverse(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Exact inverse of a square rational matrix, or None when singular."""
+    """Exact inverse of a square rational matrix, or None when singular:
+    the right half of the rref of [A | I], each row scaled to integers."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    if any(len(row) != 2 * n for row in aug):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    scales = [lcm(*[Fraction(x).denominator for x in row]) for row in matrix]
+    aug = [[int(x * s) for x in row] + [s * (i == j) for j in range(n)] for i, (row, s) in enumerate(zip(matrix, scales))]
+    cols, rows = rref(aug, n)
+    return tuple(tuple(row[n:]) for row in rows) if len(cols) == n else None
 
 
 def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:

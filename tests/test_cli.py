@@ -559,3 +559,31 @@ def test_internal_value_error_propagates(monkeypatch):
     monkeypatch.setattr(cli, "check_factored", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["verify", STAIR, "--tuple", "main"])
+
+
+def _factored_gl3(tmp_path, *factors) -> str:
+    entries = [{"unit": 1, "factors": [] if f is None else [[f, 1]]} for f in factors]
+    return _gl3_with(tmp_path, tuples={"t": {"form": "factored", "entries": entries}})
+
+
+@pytest.mark.parametrize(
+    "factors, entry",
+    [(("u1 + u2", "u1 + u2", "u1 + u2"), 1), (("u1", None, "u1"), 2)],
+)
+def test_decompose_of_a_piece_with_a_moved_constant_entry_prints_nothing(tmp_path, capsys, factors, entry):
+    # decompose succeeds; the support pair of a piece then fails
+    path = _factored_gl3(tmp_path, *factors)
+    assert main(["decompose", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: entry {entry} is constant but direction {entry} moves the generator" in captured.err
+
+
+def test_multiquiver_with_a_zero_beta_row_prints_nothing(tmp_path, capsys):
+    # the solutions build; the residue families then reject the zero row
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "alpha": [[1, 0], [0, 1]], "beta": [[1, -1], [0, 0]]}))
+    assert main(["multiquiver", "--beta", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: row 2 is zero" in captured.err

@@ -163,13 +163,19 @@ def test_every_verb_exits_zero_one_or_two(case):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
         argv = [path if a == "FILE" else a for a in argv]
+        output = os.path.join(tmp, "out")
         if argv[0] not in ("verify", "decompose", "multiquiver", "equiv"):
-            argv += ["-o", os.path.join(tmp, "out")]
+            argv += ["-o", output]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         elapsed = time.perf_counter() - start
+        wrote = os.path.exists(output)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert elapsed < SECONDS_PER_CASE, argv
+    # unusable input leaves no partial report behind
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert not wrote, argv

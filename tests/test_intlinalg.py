@@ -1,9 +1,11 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from weylshift import intlinalg
 from weylshift.intlinalg import (
     IntegerSystem,
     _echelon,
@@ -12,6 +14,7 @@ from weylshift.intlinalg import (
     lattice_contains,
     matmul,
     rational_inverse,
+    rref,
     solve_integer,
 )
 
@@ -261,3 +264,112 @@ def test_integer_system_reduce_is_constant_on_cosets(case, shift):
         assert [b - sum((a * c for a, c in zip(row, x)), Fraction(0)) for b, row in zip(rhs, matrix)] == list(residual)
         assert system.reduce(residual)[1] == residual
         assert (system.solve(rhs) is None) == any(residual)
+
+
+@st.composite
+def spanning_rows(draw):
+    """(width, rows): a few random rows, integer combinations of them and
+    repeats of any, shuffled, so the rank is often below the row count
+    and below the width."""
+    width = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(small_ints, min_size=width, max_size=width), min_size=1, max_size=4))
+    combos = draw(st.lists(st.lists(small_ints, min_size=len(base), max_size=len(base)), max_size=3))
+    rows = base + [[sum(c * b[j] for c, b in zip(combo, base)) for j in range(width)] for combo in combos]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return width, draw(st.permutations(rows))
+
+
+def _rref_reference(rows, width):
+    """The saturated lattice of the row span, as the kernel of the kernel,
+    each row divided by its pivot and cleared above the later pivots."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    basis = [[Fraction(x) for x in v] for v in integer_kernel(integer_kernel(matrix, width), width)]
+    cols = [next(j for j, a in enumerate(v) if a) for v in basis]
+    for i, j in enumerate(cols):
+        basis[i] = [a / basis[i][j] for a in basis[i]]
+        for h in range(i):
+            basis[h] = [a - basis[h][j] * b for a, b in zip(basis[h], basis[i])]
+    return cols, basis
+
+
+@given(spanning_rows())
+def test_rref_matches_the_kernel_of_the_kernel(case):
+    width, rows = case
+    assert rref(rows, width) == _rref_reference(rows, width)
+
+
+@given(spanning_rows(), st.integers(1, 12))
+def test_rref_divides_kept_rows_by_their_content(case, factor):
+    # the numerators each basis row is read from share no factor, however
+    # large a factor the input rows share
+    width, rows = case
+    seen = []
+
+    def fraction(x, pivot):
+        seen.append(x)
+        return Fraction(x, pivot)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intlinalg, "Fraction", fraction)
+        cols, _ = rref([[factor * x for x in row] for row in rows], width)
+    assert len(seen) == width * len(cols)
+    for k in range(len(cols)):
+        assert gcd(*seen[k * width:(k + 1) * width]) == 1
+
+
+def test_rref_examples():
+    assert rref([], 2) == ([], [])
+    assert rref([[0, 0], [0, 0]], 2) == ([], [])
+    assert rref([[2, 4], [3, 6]], 2) == ([0], [[1, 2]])
+    assert rref([[0, 3, 1], [6, 0, 2]], 3) == ([0, 1], [[1, 0, Fraction(1, 3)], [0, 1, Fraction(1, 3)]])
+    # a row that is zero on the first `width` columns once reduced is dropped
+    assert rref([[1, 2, 0], [2, 4, 5]], 2) == ([0], [[1, 2, 0]])
+
+
+def test_rref_stops_reading_at_full_rank():
+    def rows():
+        yield [2, 4, 0]
+        yield [1, 2, 0]
+        yield [0, 3, 1]
+        yield [1, 0, 1]
+        raise AssertionError("read past full rank")
+
+    assert rref(rows(), 3) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@st.composite
+def rational_matrices(draw, singular: bool):
+    """Square matrices of small fractions; singular ones have a row that is
+    a rational combination of the others."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, small_ints, st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if singular:
+        combo = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * row[j] for c, row in zip(combo, rows)), Fraction(0)) for j in range(n)]
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+@given(rational_matrices(singular=False))
+def test_rational_inverse_inverts(matrix):
+    inv = rational_inverse(matrix)
+    n = len(matrix)
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    if inv is None:
+        # singular: the rows have a nonzero rational relation
+        assert integer_kernel([list(col) for col in zip(*matrix)], n)
+    else:
+        assert matmul(inv, matrix) == identity
+        assert matmul(matrix, inv) == identity
+
+
+@given(rational_matrices(singular=True))
+def test_rational_inverse_of_a_singular_matrix_is_none(matrix):
+    assert rational_inverse(matrix) is None
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2]], [[1], [2]], [[1, 2, 3], [4, 5, 6], [7, 8]]])
+def test_rational_inverse_of_a_non_square_matrix_raises(matrix):
+    with pytest.raises(ValueError, match="not square"):
+        rational_inverse([[Fraction(x) for x in row] for row in matrix])

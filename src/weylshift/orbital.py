@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import Iterable, Sequence
 
 from .consistency import (
     CheckFailure,
@@ -97,18 +98,33 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
     ]
 
 
+def _offsets(
+    piece: OrbitalPiece, which: Iterable[int], indices: Sequence[int]
+) -> list[tuple[int, Poly, IntVec | None]]:
+    """Each factor of the entries `which` as its entry index, its
+    pull-back by half that entry's direction, and the offset over
+    `indices` that shifts the monic generator onto the pull-back, or None
+    off the generator's orbit; one `orbit_forms` call finds every form."""
+    sys, entries = piece.solution.sys, piece.solution.entries
+    bases = [(i, half_shift(sys, i, -1, q)) for i in which for q, _ in entries[i].factors]
+    (gen_form, k0), *forms = orbit_forms(
+        sys, [piece.generator.make_monic()[1]] + [base for _, base in bases], indices
+    )
+    return [
+        (i, base, tuple(a - b for a, b in zip(k0, k)) if form == gen_form else None)
+        for (i, base), (form, k) in zip(bases, forms)
+    ]
+
+
 def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     """Membership of every factor in the piece's orbit, then the full
     binary and ternary checks, decided on the factors."""
-    sys = piece.solution.sys
+    sys, entries = piece.solution.sys, piece.solution.entries
     gen_monic = piece.generator.make_monic()[1]
-    entries = piece.solution.entries
-    bases = [(i, half_shift(sys, i, -1, q)) for i, e in enumerate(entries) for q, _ in e.factors]
-    (gen_form, _), *forms = orbit_forms(sys, [gen_monic] + [base for _, base in bases], piece.indices)
     failures = tuple(
         CheckFailure("membership", (i,), base - gen_monic)
-        for (i, base), (form, _) in zip(bases, forms)
-        if form != gen_form
+        for i, base, offset in _offsets(piece, range(sys.nshifts), piece.indices)
+        if offset is None
     )
     return CheckReport(failures).merged(check_factored(sys, entries))
 

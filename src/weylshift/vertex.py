@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .consistency import CheckFailure, CheckReport
@@ -27,19 +26,13 @@ from .orbital import (
     FactoredSolution,
     OrbitalPiece,
     StructureError,
+    _offsets,
     _place,
     support_pair,
 )
 from .parser import _MAX_DEGREE
-from .poly import FactoredPoly, Poly, merge_factors
-from .shifts import (
-    ShiftSystem,
-    half_shift,
-    moving_directions,
-    orbit_forms,
-    same_orbit,
-    stabilizer_lattice,
-)
+from .poly import FactoredPoly, Poly
+from .shifts import ShiftSystem, moving_directions, same_orbit, stabilizer_lattice
 
 Key = tuple[int, int]
 
@@ -149,7 +142,8 @@ def decode(config: VertexConfig) -> OrbitalPiece:
     by (x/2) column(i) + (y/2) column(j), raised to mu, to entry i when x
     is odd and to entry j when y is odd.  A generator with leading
     coefficient c contributes c^mu to the entry's unit, so the expanded
-    entries are exact products of shifts of the generator itself.
+    entries are exact products of shifts of the generator itself.  No
+    entry may pass the parser's degree bound.
     """
     report = validate(config)
     if not report.passed:
@@ -164,8 +158,10 @@ def decode(config: VertexConfig) -> OrbitalPiece:
     entries = []
     for k in range(sys.nshifts):
         placed = buckets.get(k, [])
-        unit = lead ** sum(mult for _, mult in placed)
-        entries.append(FactoredPoly.from_factors(sys.nvars, placed, unit))
+        total = sum(mult for _, mult in placed)
+        if (degree := total * gen_monic.degree()) > _MAX_DEGREE:
+            raise StructureError(f"decoded entry {k + 1} has degree {degree}, past the limit {_MAX_DEGREE}")
+        entries.append(FactoredPoly.from_factors(sys.nvars, placed, lead ** total))
     return OrbitalPiece(config.generator, config.pair, FactoredSolution(sys, tuple(entries)))
 
 
@@ -178,16 +174,11 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
     a solution.
     """
     pair = _support(piece)
-    sys, entries = piece.solution.sys, piece.solution.entries
-    placed = [(idx, half_shift(sys, idx, -1, q)) for idx in pair for q, _ in entries[idx].factors]
-    (gen_form, k0), *forms = orbit_forms(
-        sys, [piece.generator.make_monic()[1]] + [base for _, base in placed], pair
-    )
-    offsets: dict[int, list[tuple[int, int]]] = {idx: [] for idx in pair}
-    for (idx, _), (form, k) in zip(placed, forms):
-        if form != gen_form:
+    offsets: dict[int, list[IntVec]] = {idx: [] for idx in pair}
+    for idx, _, offset in _offsets(piece, pair, pair):
+        if offset is None:
             raise StructureError(f"factor of entry {idx + 1} does not sit on the orbit over the pair")
-        offsets[idx].append((k0[0] - k[0], k0[1] - k[1]))
+        offsets[idx].append(offset)
     return _placed_config(piece, pair, offsets)
 
 
@@ -216,49 +207,27 @@ def _placed_config(
     return config
 
 
-def _same_product(parts: Sequence[FactoredPoly], whole: FactoredPoly) -> bool:
-    """Whether the product of `parts` equals `whole`.
-
-    Equal units and equal factor multisets decide it without expanding;
-    factors need not be irreducible, so only a mismatch is expanded.
-    """
-    joined = FactoredPoly.from_factors(
-        whole.nvars,
-        merge_factors(f for part in parts for f in part.factors).items(),
-        prod(part.unit for part in parts),
-    )
-    if joined.unit == whole.unit and dict(joined.factors) == dict(whole.factors):
-        return True
-    return joined.expand() == whole.expand()
-
-
 def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
     """Decompose a factored solution and encode every piece: one
     configuration per piece, in the order of `decompose`.
 
     Each factor is placed on its grid from the offset over all directions
-    that decomposing found for it; its pair components are the ones
-    `encode` finds up to the pair's stabilizer, which `canonical_key`
-    removes, and the directions outside the pair fix the generator.  As a
-    final audit each piece must decode back to itself and the pieces
-    must multiply back to the monic part of the input, entry by entry (the
-    entries' units cancel in both identities and are dropped); a piece with
-    trivial support is rejected since it has no grid picture.
+    that decomposing found for it, and the placement is exact by
+    construction.  The pieces split each entry's monic factors between
+    them, so they multiply back to the input.  `support_pair` proves that
+    every direction outside the pair fixes the generator, so the pair
+    components of an offset place the factor, and they differ from the
+    ones `encode` finds over the pair only by a stabilizer element, which
+    `canonical_key` removes; each edge therefore decodes to the factor it
+    was placed from.  The tests check both against `encode` and `decode`.
+    A piece with trivial support is rejected since it has no grid
+    picture, and a non-solution fails conservation.
     """
-    placed = _place(sol)
     configs = []
-    for piece, offsets in placed:
+    for piece, offsets in _place(sol):
         i, j = pair = _support(piece)
-        config = _placed_config(piece, pair, {idx: [(k[i], k[j]) for k in offsets[idx]] for idx in pair})
-        roundtrip = decode(config)
-        pairs = zip(roundtrip.solution.entries, piece.solution.entries)
-        if not all(_same_product([got], want) for got, want in pairs):
-            raise StructureError("decode(encode(piece)) changed the piece")
-        configs.append(config)
-    for k, entry in enumerate(sol.entries):
-        monic = FactoredPoly(entry.nvars, Fraction(1), entry.factors)
-        if not _same_product([piece.solution.entries[k] for piece, _ in placed], monic):
-            raise StructureError("pieces do not multiply back to the input")
+        on_pair = {idx: [(k[i], k[j]) for k in offsets[idx]] for idx in pair}
+        configs.append(_placed_config(piece, pair, on_pair))
     return tuple(configs)
 
 

@@ -494,6 +494,34 @@ def test_decode_of_an_unbuildable_config_exits_two(tmp_path, capsys, generator, 
     assert f"configs.c: {message}" in _exits_two_with_error(["decode", path], capsys)
 
 
+def _loop_of_multiplicity(tmp_path, generator, mult) -> str:
+    edges = [[1, 0, mult], [2, 1, mult]]
+    return _gl3_with(tmp_path, configs={"c": {"generator": generator, "pair": [1, 2], "edges": edges}})
+
+
+@pytest.mark.parametrize("generator", ["3*u1", "u1"])
+def test_decode_past_the_degree_limit_exits_two_at_once(tmp_path, capsys, generator):
+    # printing the unit 3^3000000 would pass the int-to-str digit limit
+    path = _loop_of_multiplicity(tmp_path, generator, 3_000_000)
+    out = tmp_path / "d.json"
+    start = time.process_time()
+    assert main(["decode", path, "-o", str(out)]) == 2
+    assert time.process_time() - start < 1.0
+    got = capsys.readouterr()
+    assert got.out == "" and "Traceback" not in got.err
+    assert got.err.startswith("error:")
+    assert "decoded entry 1 has degree 3000000, past the limit 1000" in got.err
+    assert not out.exists()
+
+
+def test_decode_at_the_degree_limit_verifies_and_classifies(tmp_path, capsys):
+    dec = str(tmp_path / "d.json")
+    assert main(["decode", _loop_of_multiplicity(tmp_path, "3*u1", 1000), "-o", dec]) == 0
+    assert main(["verify", dec]) == 0
+    assert main(["classify", dec]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_render_of_a_far_off_config_exits_two(tmp_path, capsys):
     # a valid 1-loop picture moved 2*10^6 up in doubled coordinates
     config = tmp_path / "config.json"

@@ -16,7 +16,7 @@ from weylshift.orbital import (
     decompose,
 )
 from weylshift.parser import parse_poly
-from weylshift.poly import Poly
+from weylshift.poly import Poly, merge_factors
 from weylshift.shifts import ShiftSystem
 from weylshift.vertex import (
     VertexConfig,
@@ -25,7 +25,6 @@ from weylshift.vertex import (
     corners,
     decode,
     encode,
-    _same_product,
     random_config,
     same_config,
     validate,
@@ -273,67 +272,6 @@ def test_classify_staircase_matches_figure(staircase_file, staircase_config):
     assert same_config(config, fig_monic)
 
 
-def _regroup_decode(decode_fn):
-    """decode, with the first two factors of every entry that has two
-    multiplied into one reducible factor: the same products, other
-    multisets of factors."""
-
-    def regrouping(config):
-        piece = decode_fn(config)
-        entries = []
-        for e in piece.solution.entries:
-            if len(e.factors) >= 2:
-                (q1, m1), (q2, m2), *rest = e.factors
-                factors = [(q1 * q2, 1), (q1, m1 - 1), (q2, m2 - 1), *rest]
-                e = FactoredPoly.from_factors(e.nvars, [f for f in factors if f[1]], e.unit)
-            entries.append(e)
-        return OrbitalPiece(
-            piece.generator, piece.indices, FactoredSolution(piece.solution.sys, tuple(entries))
-        )
-
-    return regrouping
-
-
-def test_classify_audit_expands_only_on_a_mismatch(monkeypatch, staircase_file):
-    import weylshift.vertex as vertex
-
-    fs = staircase_file.tuples["main_monic"].as_factored()
-    want = classify(fs)
-    monkeypatch.setattr(vertex, "decode", _regroup_decode(decode))
-    assert classify(fs) == want  # the multisets differ, the products agree
-
-
-def test_classify_audit_rejects_a_changed_piece(monkeypatch, gl3_file):
-    import weylshift.vertex as vertex
-
-    def dropping(config):
-        piece = decode(config)
-        first, *rest = piece.solution.entries
-        smaller = FactoredPoly.from_factors(first.nvars, first.factors[1:], first.unit)
-        return OrbitalPiece(
-            piece.generator, piece.indices, FactoredSolution(piece.solution.sys, (smaller, *rest))
-        )
-
-    monkeypatch.setattr(vertex, "decode", dropping)
-    with pytest.raises(StructureError, match="changed the piece"):
-        classify(gl3_file.tuples["gl3_sym"].as_factored())
-
-
-def test_classify_audit_rejects_missing_pieces(monkeypatch, gl3_file):
-    import weylshift.vertex as vertex
-
-    place = vertex._place
-
-    def dropping_last(sol):
-        placed = place(sol)
-        assert len(placed) == 2
-        return placed[:-1]
-
-    monkeypatch.setattr(vertex, "_place", dropping_last)
-    with pytest.raises(StructureError, match="do not multiply back"):
-        classify(gl3_file.tuples["gl3_sym"].as_factored())
-
-
 # gl3 generators with the pair that moves each; the third direction fixes
 # each one, and offsets with distinct fractional parts give distinct orbits
 GL3_FAMILIES = [("u1", (0, 1)), ("u2", (1, 2)), ("u1 + u2", (0, 2))]
@@ -385,7 +323,14 @@ def superpositions(draw):
 @settings(max_examples=60, deadline=None)
 @given(superpositions())
 def test_classify_matches_encode_of_each_piece(sol):
-    assert classify(sol) == tuple(encode(piece) for piece in decompose(sol))
+    configs = classify(sol)
+    assert configs == tuple(encode(piece) for piece in decompose(sol))
+    # the configs decode back to exactly the input's monic factors
+    decoded = [decode(config).solution.entries for config in configs]
+    for k, entry in enumerate(sol.entries):
+        placed = merge_factors(f for entries in decoded for f in entries[k].factors)
+        assert placed == merge_factors(entry.factors)
+    assert all(e.unit == 1 for entries in decoded for e in entries)
 
 
 def test_classify_places_every_factor_once(monkeypatch):
@@ -419,16 +364,7 @@ def test_classify_places_every_factor_once(monkeypatch):
     assert len(classify(sol)) == 9
     assert calls["orbit_forms"] == 1
     assert calls["half_shift"] == sum(len(entry.factors) for entry in sol.entries)
-    assert calls["decode"] == 9  # the round-trip audit still runs on every piece
-
-
-def test_same_product_on_several_parts():
-    whole = _fp("u1^2 - 1")
-    assert _same_product([_fp("u1 - 1"), _fp("u1 + 1")], whole)
-    assert _same_product([_fp("u1 + 1", "u1 - 1")], whole)
-    assert not _same_product([_fp("u1 - 1"), _fp("u1 + 2")], whole)
-    assert not _same_product([_fp("u1 - 1"), _fp("u1 + 1")], FactoredPoly.from_factors(2, whole.factors, -1))
-    assert _same_product([], FactoredPoly.from_factors(2, ()))
+    assert calls["decode"] == 0
 
 
 def test_random_config_is_reproducible():

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial expression strings.
+"""Parser for polynomial expression strings.
 
 Grammar (whitespace ignored, no implicit multiplication):
 
@@ -12,14 +12,28 @@ A variable is the letter 'u' followed by a 1-based index, a rational is
 keeps parse and format mutually inverse on canonical forms whose leading
 coefficient is negative.
 
-One pass builds a sum.  A term stays a monomial (numerator, denominator,
-packed key) while its factors are numbers, variables and their powers,
-so a product of monomials is one multiply and one key add, and a power
-of one is a power of its coefficient and a multiple of its key.  A term
-becomes a Poly only when it meets a parenthesized group, and from there
-multiplies as Polys do.  A sum gathers all its terms, monomials and
-Polys, and normalises once (poly.sum_terms), so its cost is linear in
-its length.
+Text in format_poly's canonical form, a flat sum of monomials with single
+spaces around '+' and '-', takes a short path.  Every problem file the
+tool writes holds such text, and expanded entries are long.  One regular
+expression tests the whole text for that form; on a match, the text is
+split on spaces and '*' into the (numerator, denominator, packed key)
+monomials that the descent would build, in the same order, and they are
+summed with one poly.sum_terms call.  So both paths give the same Poly,
+down to the order of its terms.  Where the descent would raise (a
+variable out of range, a degree past the bound, a zero denominator, a
+number too long to read), the short path steps aside and the descent
+raises its ParseError at its position.
+
+All other text goes to a recursive descent over tokens: parentheses,
+powers of numbers, other spacing, a leading '+'.  It is the only reader
+of parenthesised groups, which factored entries and hand-written files
+use.  A term stays a monomial while its factors are numbers, variables
+and their powers, so a product of monomials is one multiply and one key
+add, and a power of one is a power of its coefficient and a multiple of
+its key.  A term becomes a Poly only when it meets a parenthesized group,
+and from there multiplies as Polys do.  A sum gathers all its terms,
+monomials and Polys, and normalises once (poly.sum_terms), so its cost is
+linear in its length.
 
 Every power and product is bounded before it is taken: by nesting
 depth, degree, the bits of a power of a constant, the term count of the
@@ -133,6 +147,14 @@ class _Parser:
         kind, val, at = self.take()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", at)
+
+    def parse(self) -> Poly:
+        """The whole text as one expression."""
+        result = self.expr()
+        kind, val, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {val!r}", at)
+        return result
 
     def expr(self) -> Poly:
         """The sum of the terms, normalised once."""
@@ -284,14 +306,76 @@ def _check_terms(degree: int, operands: tuple[Poly, ...], at: int) -> None:
         raise ParseError(f"up to {bound} terms pass the limit {_MAX_TERMS}", at)
 
 
+# format_poly's form: a flat sum of terms a, a/b, a*M, a/b*M or M, where a
+# monomial M is u<i> or u<i>^<e> joined by '*', and every '+' or '-' but a
+# leading '-' stands between single spaces.  Each repeat starts at a
+# character that no digit run can take, so a failed match backtracks in
+# linear time.
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
+_MONOMIAL = r"u[0-9]+(?:\^[0-9]+)?(?:\*u[0-9]+(?:\^[0-9]+)?)*"
+_TERM = rf"(?:{_NUMBER}(?:\*{_MONOMIAL})?|{_MONOMIAL})"
+_CANONICAL = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
+
+
+def _canonical_terms(text: str, nvars: int) -> list[Monomial] | None:
+    """The signed monomials of text in _CANONICAL's form, in text order,
+    as _Parser.expr builds them; None where the descent raises instead:
+    a variable out of range, a degree past _MAX_DEGREE, a zero
+    denominator or a number past the interpreter's limit on digits."""
+    sign = 1
+    if text[0] == "-":
+        sign, text = -1, text[1:]
+    pieces = text.split(" ")
+    signs = [sign, *(-1 if op == "-" else 1 for op in pieces[1::2])]
+    powers: dict[str, tuple[int, int]] = {}  # "u<i>^<e>" -> (key, degree)
+    monomials: list[Monomial] = []
+    try:
+        for sign, term in zip(signs, pieces[::2]):
+            factors = term.split("*")
+            num = den = 1
+            if factors[0][0] != "u":
+                a, _, b = factors.pop(0).partition("/")
+                num = int(a)
+                if b:
+                    den = int(b)
+                    if den == 0:
+                        return None
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+            key = deg = 0
+            for f in factors:
+                power = powers.get(f)
+                if power is None:
+                    power = powers[f] = _power(f, nvars)
+                key += power[0]
+                deg += power[1]
+            if deg > _MAX_DEGREE:
+                return None
+            monomials.append((sign * num, den, key))
+    except ValueError:  # out of range (see _power) or past the limit on digits
+        return None
+    return monomials
+
+
+def _power(factor: str, nvars: int) -> tuple[int, int]:
+    """The key and degree of 'u<i>' or 'u<i>^<e>'; ValueError for a
+    variable out of range, as for a number past the limit on digits."""
+    name, _, e = factor.partition("^")
+    index, k = int(name[1:]), int(e or 1)
+    if not 1 <= index <= nvars:
+        raise ValueError(factor)
+    return variable_key(nvars, index - 1) * k, k
+
+
 def parse_poly(text: str, nvars: int) -> Poly:
-    """Parse an expression string into a Poly in nvars variables."""
-    p = _Parser(text, nvars)
-    result = p.expr()
-    kind, val, at = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {val!r}", at)
-    return result
+    """Parse an expression string into a Poly in nvars variables.  Text in
+    format_poly's form is split, not tokenized; it gives the Poly the
+    descent gives, and falls to the descent wherever that raises."""
+    if _CANONICAL.fullmatch(text):
+        monomials = _canonical_terms(text, nvars)
+        if monomials is not None:
+            return sum_terms(nvars, monomials)
+    return _Parser(text, nvars).parse()
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")

@@ -461,6 +461,18 @@ def _exits_two_with_error(argv, capsys):
     return err
 
 
+def test_a_long_entry_canonical_up_to_its_end_exits_two_at_once(tmp_path, capsys):
+    # 1 MB in format_poly's form but for its last character
+    entry = "u1 + " * 200_000 + "("
+    path = _gl3_with(tmp_path, tuples={"t": {"form": "sym", "polys": [entry, "u1", "u2"]}})
+    start = time.process_time()
+    assert main(["verify", path]) == 2
+    assert time.process_time() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "(at position 1000001)" in err
+
+
 def test_zero_entry_in_a_tuple_exits_two(tmp_path, capsys):
     path = _gl3_with(tmp_path, tuples={"z": {"form": "sym", "polys": ["0", "u1", "u2"]}})
     assert "tuples.z: entries must be nonzero" in _exits_two_with_error(["verify", path], capsys)

@@ -1,8 +1,12 @@
+import glob
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import DATA, GOLDEN
+from weylshift import parser
 from weylshift.parser import ParseError, parse_poly, parse_rational
 from weylshift.poly import Poly, format_poly
 
@@ -187,6 +191,60 @@ def test_a_long_sum_parses_in_linear_time():
     got = p(text, 3)
     assert time.process_time() - start < 2.0
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def formatted_texts():
+    """Every string in the test data and the CLI golden files that is in
+    format_poly's form, and the formatted (u1 + 2*u2 - 3*u3 + 1/3)^45:
+    17,296 terms in 781 KB."""
+    texts = set()
+    files = glob.glob(f"{DATA}/*.json") + glob.glob(f"{GOLDEN}/cli/*.txt")
+    for path in files:
+        with open(path, encoding="utf-8") as handle:
+            for text in re.findall(r'"([^"\\]*)"', handle.read()):
+                try:
+                    if format_poly(p(text, 3)) == text:
+                        texts.add(text)
+                except ParseError:
+                    pass
+    long_entry = format_poly(p("u1 + 2*u2 - 3*u3 + 1/3", 3) ** 45)
+    return [*sorted(texts), long_entry]
+
+
+def test_formatted_text_never_reaches_the_descent(formatted_texts, monkeypatch):
+    assert len(formatted_texts) > 30 and len(formatted_texts[-1]) > 780_000
+    want = [parser._Parser(text, 3).parse() for text in formatted_texts]
+
+    def no_tokens(text):
+        raise AssertionError(f"tokenized {text[:40]!r}")
+
+    monkeypatch.setattr(parser, "_tokenize", no_tokens)
+    got = [p(text, 3) for text in formatted_texts]
+    assert [(q._den, list(q._terms.items())) for q in got] == [(q._den, list(q._terms.items())) for q in want]
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        ("u1 + " * 160_000 + "(", "expected a number, variable, or parenthesized group (at position 800001)"),
+        ("-u1^2*u3" + " - 5/7*u2^3*u1" * 25_000 + " +", "expected a number, variable, or parenthesized group"),
+        (" + ".join(["1" * 4000] * 250), 250 * int("1" * 4000)),
+        (" + ".join(["1" * 4000] * 250) + " + (", "expected a number, variable, or parenthesized group"),
+    ],
+    ids=["sum-then-paren", "products-then-plus", "long-literals", "long-literals-then-paren"],
+)
+def test_text_canonical_up_to_its_end_parses_in_bounded_time(text, outcome):
+    # up to 1 MB that the canonical form matches but for its last few
+    # characters: the failed match must not backtrack super-linearly, and
+    # the descent then reads the text in linear time
+    start = time.process_time()
+    try:
+        got = p(text, 3).constant_value()
+    except ParseError as e:
+        got = str(e)
+    assert time.process_time() - start < 1.0
+    assert outcome == got if isinstance(outcome, int) else outcome in got
 
 
 def test_whitespace_is_free():

@@ -10,13 +10,23 @@ term count), and some have a character inserted or deleted.  Both
 parsers must give the same Poly, or the same ParseError message and
 position.  No input comes near the work budget, which the reference
 does not have.
+
+A third of the inputs are format_poly's text of random Polys, which
+parse_poly reads without its descent, some of them mutated just off that
+form or into what the descent rejects.  On those parse_poly must also
+give what the package's own descent gives, down to the order of the
+terms.
 """
+
+import re
+from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from parser_reference import reference_parse_poly
-from weylshift.parser import ParseError, parse_poly
+from weylshift.parser import ParseError, _Parser, parse_poly
+from weylshift.poly import Poly, format_poly
 
 NVARS = 3
 
@@ -59,29 +69,78 @@ LEAVES = st.one_of(NUMBERS, FRACTIONS, VARIABLES, VARIABLES, VARIABLES)
 EXPRESSIONS = st.recursive(LEAVES, _extend, max_leaves=10)
 
 
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**40), 10**40),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
+)
+FORMATTED = st.dictionaries(
+    st.tuples(*[st.integers(0, 12)] * NVARS), COEFFICIENTS, max_size=8
+).map(lambda terms: format_poly(Poly(NVARS, terms)))
+# each set into the text as a term or a factor: variables out of range,
+# zero and unreduced denominators, a number past the interpreter's limit
+# on digits, degrees past the bound, a power of a power, leading zeros
+PIECES = st.sampled_from(
+    ["u0", "u4", "1/0", "0/0", "2/4", "0/7", "1" * 4301, "u1^1001", "u1^600*u1^401", "u1^2^3", "u01^007"]
+)
+
+
+@st.composite
+def formatted(draw):
+    """format_poly's text, sometimes mutated."""
+    text = draw(FORMATTED)
+    mutation = draw(st.integers(0, 5))
+    if mutation == 1:  # a doubled or a missing space
+        spaces = [i for i, ch in enumerate(text) if ch == " "]
+        if spaces:
+            at = draw(st.sampled_from(spaces))
+            text = text[:at] + draw(st.sampled_from(["  ", ""])) + text[at + 1 :]
+    elif mutation == 2:  # a new term, or a new factor of a term
+        piece = draw(PIECES)
+        ends = [m.start() for m in re.finditer(" [+-] ", text)] + [len(text)]
+        at = draw(st.sampled_from([0, *ends]))
+        joint = draw(st.sampled_from([" + ", " - ", "*"]))
+        text = piece + joint + text if at == 0 else text[:at] + joint + piece + text[at:]
+    elif mutation == 3:
+        text += draw(st.sampled_from([" +", " -"]))
+    elif mutation == 4:
+        text = _edit(draw, text, "+-*^()/ u10")
+    return text
+
+
+def _edit(draw, text, chars):
+    """text with one of chars inserted or one character deleted."""
+    at = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:at] + draw(st.sampled_from(chars)) + text[at:]
+    return text[:at] + text[at + 1 :]
+
+
 @st.composite
 def expressions(draw):
+    if draw(st.integers(0, 2)) == 0:
+        return draw(formatted())
     text = draw(st.sampled_from(["", "-", "+"])) + draw(EXPRESSIONS)
     if draw(st.integers(0, 9)) == 0:
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(BOUNDS) + text[at:]
     if draw(st.integers(0, 4)) == 0:
-        at = draw(st.integers(0, len(text)))
-        if draw(st.booleans()):
-            text = text[:at] + draw(st.sampled_from("+-*^()/ u1$")) + text[at:]
-        else:
-            text = text[:at] + text[at + 1 :]
+        text = _edit(draw, text, "+-*^()/ u1$")
     if draw(st.booleans()):
         text = text.replace(" ", "")
     return text
 
 
-def _outcome(parse, text):
+def _outcome(parse, text, terms=dict):
     try:
         p = parse(text, NVARS)
     except ParseError as e:
         return "error", str(e), e.position
-    return "poly", p.nvars, p._den, p._terms
+    return "poly", p.nvars, p._den, terms(p._terms.items())
+
+
+def _descent(text, nvars):
+    return _Parser(text, nvars).parse()
 
 
 @settings(max_examples=300)
@@ -91,3 +150,14 @@ def _outcome(parse, text):
 @example("(u1 + 2*u2 - 3*u3 + 1/3)^4 - (u1 + 2*u2 - 3*u3 + 1/3)^2*(u1 + 2*u2 - 3*u3 + 1/3)^2")
 def test_parse_poly_matches_the_reference(text):
     assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
+
+
+@settings(max_examples=300)
+@given(formatted())
+@example("-u1^12*u2 + 2/4*u3 - 1")
+@example("2/4*u1 + 1/2*u2 + 3/4*u3")  # unreduced, the first term would come over 4
+@example("u1^600*u1^401 + u2")
+@example("u1 + 1" + "0" * 4300)
+def test_parse_poly_matches_its_descent_on_formatted_text(text):
+    # the list of terms pins their order too
+    assert _outcome(parse_poly, text, list) == _outcome(_descent, text, list)

@@ -82,10 +82,6 @@ def _negated(vec):
     return tuple(-v for v in vec)
 
 
-def _halves(sys: ShiftSystem) -> list[tuple]:
-    return [tuple(a / 2 for a in sys.column(i)) for i in range(sys.nshifts)]
-
-
 def _entries(sol: SolutionTuple) -> list[FactoredPoly]:
     """Each expanded entry as its value when it is constant, and otherwise
     as its leading coefficient times its monic self."""
@@ -103,7 +99,8 @@ def _entries(sol: SolutionTuple) -> list[FactoredPoly]:
 # (entry, shift vector) pairs and stands for the product of those entries
 # shifted by those vectors.  A kind lists its identities from the
 # half-columns and the moving set of each entry: the directions that move
-# some factor of it.
+# some factor of it.  Half-column i is the integer column i of the system
+# over twice its denominator, and every shift vector is read over that.
 
 
 def _binary(halves, moving):
@@ -145,11 +142,10 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     the expanded left side minus the expanded right side, decides it.  A
     side's unit is the product of its entries' units.
     """
-    halves = _halves(sys)
     moving = [set(moving_directions(sys, [q for q, _ in e.factors])) for e in entries]
 
     def moved(side) -> list[tuple[Poly, int]]:
-        return [(q.shift(vec), m) for k, vec in side for q, m in entries[k].factors]
+        return [(q.shift(vec, 2 * sys.den), m) for k, vec in side for q, m in entries[k].factors]
 
     def expand(side, merged: dict[Poly, int]) -> Poly:
         unit = prod(entries[k].unit for k, _ in side)
@@ -157,7 +153,7 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
 
     failures = []
     for kind in kinds:
-        for relation, indices, lhs, rhs in kind(halves, moving):
+        for relation, indices, lhs, rhs in kind(sys.columns, moving):
             left, right = merge_factors(moved(lhs)), merge_factors(moved(rhs))
             if left == right:
                 continue
@@ -227,11 +223,11 @@ def _check_expanded(sol: SolutionTuple, *kinds, nonsym: bool = False) -> CheckRe
     for f in _decide(sol.sys, _entries(symmetrize(sol) if nonsym else sol), *kinds):
         relation, witness = f.relation, f.witness
         if nonsym:
-            halves = _halves(sol.sys)
+            halves = sol.sys.columns
             vec = [a + b for a, b in zip(halves[f.indices[0]], halves[f.indices[1]])]
             if relation == "ternary":
                 vec = [v - c for v, c in zip(vec, halves[f.indices[2]])]
-            relation, witness = "nonsym-" + relation, witness.shift(vec)
+            relation, witness = "nonsym-" + relation, witness.shift(vec, 2 * sol.sys.den)
         if forms:
             witness = witness.compose(forms)
         failures.append(CheckFailure(relation, f.indices, witness))

@@ -62,13 +62,14 @@ def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
     The anchor of each piece is the pulled-back first factor of its lowest
     nonconstant entry, so the output order and anchors are deterministic.
     """
-    return [piece for piece, _ in _place(sol)]
+    return [piece for piece, *_ in _place(sol)]
 
 
-def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]]]:
+def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]], tuple[IntVec, ...]]]:
     """The pieces of `decompose`, each with the integer offsets over all
     directions that shift its anchor onto its pulled-back factors, listed
-    per entry in factor order.
+    per entry in factor order, and a basis of its anchor's stabilizer
+    over all directions, as `orbit_forms` found them.
 
     Every factor is pulled back once and every normal form is found in
     one `orbit_forms` call: a factor whose base shifts by k onto the form
@@ -80,11 +81,11 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
     placed = [(i, f, half_shift(sys, i, -1, f[0])) for i, e in enumerate(sol.entries) for f in e.factors]
     forms = orbit_forms(sys, [base for *_, base in placed], full)
     # keyed by the orbit's normal form; the first factor seen is the anchor
-    groups: dict[Poly, tuple[Poly, IntVec, list[list[tuple[Poly, int]]], list[list[IntVec]]]] = {}
-    for (i, factor, base), (form, k) in zip(placed, forms):
+    groups: dict[Poly, tuple[Poly, IntVec, tuple[IntVec, ...], list[list[tuple[Poly, int]]], list[list[IntVec]]]] = {}
+    for (i, factor, base), (form, k, stab) in zip(placed, forms):
         if form not in groups:
-            groups[form] = (base, k, [[] for _ in full], [[] for _ in full])
-        _, k_anchor, factors, offsets = groups[form]
+            groups[form] = (base, k, stab, [[] for _ in full], [[] for _ in full])
+        _, k_anchor, _, factors, offsets = groups[form]
         factors[i].append(factor)
         offsets[i].append(tuple(a - b for a, b in zip(k_anchor, k)))
     return [
@@ -93,8 +94,9 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
                 FactoredPoly.from_factors(sys.nvars, bucket) for bucket in factors
             ))),
             offsets,
+            stab,
         )
-        for anchor, _, factors, offsets in groups.values()
+        for anchor, _, stab, factors, offsets in groups.values()
     ]
 
 
@@ -107,12 +109,12 @@ def _offsets(
     off the generator's orbit; one `orbit_forms` call finds every form."""
     sys, entries = piece.solution.sys, piece.solution.entries
     bases = [(i, half_shift(sys, i, -1, q)) for i in which for q, _ in entries[i].factors]
-    (gen_form, k0), *forms = orbit_forms(
+    (gen_form, k0, _), *forms = orbit_forms(
         sys, [piece.generator.make_monic()[1]] + [base for _, base in bases], indices
     )
     return [
         (i, base, tuple(a - b for a, b in zip(k0, k)) if form == gen_form else None)
-        for (i, base), (form, k) in zip(bases, forms)
+        for (i, base), (form, k, _) in zip(bases, forms)
     ]
 
 

@@ -168,8 +168,7 @@ class Poly:
             key = _pack(tuple(exp), self.nvars)
         except ValueError:
             return _ZERO
-        v = self._terms.get(key)
-        return _ZERO if v is None else Fraction(v, self._den)
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -206,17 +205,17 @@ class Poly:
     def make_monic(self) -> tuple[Fraction, "Poly"]:
         """Split off the lex-leading coefficient c, returning (c, p/c)."""
         c = self.leading_coefficient()
-        if c == 1:
-            return _ONE, self
-        # p/c = (numerators / den) / (lead / den) = numerators / lead
-        lead = self._terms[max(self._terms)]
-        sign = -1 if lead < 0 else 1
-        terms = {k: sign * v for k, v in self._terms.items()}
-        return c, Poly._raw(self.nvars, *_reduced(terms, sign * lead))
+        return (_ONE, self) if c == 1 else (c, self * (1 / c))
 
     def homogeneous_part(self, d: int) -> "Poly":
-        terms = {k: v for k, v in self._terms.items() if _degree(k) == d}
-        return Poly._raw(self.nvars, *_reduced(terms, self._den))
+        return self.homogeneous_parts().get(d, Poly.zero(self.nvars))
+
+    def homogeneous_parts(self) -> dict[int, "Poly"]:
+        """The nonzero homogeneous part of each degree, from one pass."""
+        parts: dict[int, dict[int, int]] = {}
+        for k, v in self._terms.items():
+            parts.setdefault(_degree(k), {})[k] = v
+        return {d: Poly._raw(self.nvars, *_reduced(t, self._den)) for d, t in parts.items()}
 
     def used_variables(self) -> set[int]:
         mask = reduce(or_, self._terms, 0)
@@ -256,11 +255,8 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly.zero(self.nvars)
-            n = other.numerator
-            terms = {k: v * n for k, v in self._terms.items()}
-            return Poly._raw(self.nvars, *_reduced(terms, self._den * other.denominator))
+            terms = {k: v * other.numerator for k, v in self._terms.items()}
+            return Poly._normal(self.nvars, terms, self._den * other.denominator)
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
         a, b = self._terms, other._terms
@@ -311,11 +307,11 @@ class Poly:
     # ------------------------------------------------------------------
     # calculus and substitution
 
-    def directional(self, vec: Sequence[Scalar]) -> "Poly":
-        """The directional derivative <grad p, vec>, in one pass over the
-        terms, with vec's entries brought over one denominator."""
-        out, den = self._directional_terms(vec)
-        return Poly._normal(self.nvars, out, den)
+    def directional(self, vec: Sequence[Scalar], den: int = 1) -> "Poly":
+        """The directional derivative <grad p, vec / den>, in one pass over
+        the terms, with vec's entries brought over one denominator."""
+        out, scale = self._directional_terms(vec)
+        return Poly._normal(self.nvars, out, scale * den)
 
     def _directional_terms(self, vec: Sequence[Scalar]) -> tuple[dict[int, int], int]:
         """The integer coefficients of `directional(vec)` by packed key,
@@ -354,18 +350,19 @@ class Poly:
         scale = lcm(*(t.denominator for _, t in pairs))
         return sum(v * t.numerator * (scale // t.denominator) for v, t in pairs), scale
 
-    def shift(self, offsets: Sequence[Scalar]) -> "Poly":
-        """Return p(u1 - t1, ..., um - tm) for t = offsets, expanded exactly:
-        p - <grad p, t> when p has degree at most 1, so only the constant term
-        moves, and otherwise one pass of binomial rows per moved variable."""
+    def shift(self, offsets: Sequence[Scalar], den: int = 1) -> "Poly":
+        """Return p(u1 - t1, ..., um - tm) for t = offsets / den, offsets ints
+        or Fractions and den a positive int, expanded exactly: p - <grad p, t>
+        when p has degree at most 1, so only the constant term moves, and
+        otherwise one pass of binomial rows per moved variable."""
         m = self.nvars
         if len(offsets) != m:
             raise ValueError("offset length mismatch")
         drop = self._linear_drop(offsets)
         if drop is not None:
             num, scale = drop  # the drop is a constant: one monomial at key 0
-            return sum_terms(m, ((-num, self._den * scale, 0),), ((1, self),)) if num else self
-        terms, den = self._terms, self._den
+            return sum_terms(m, ((-num, self._den * scale * den, 0),), ((1, self),)) if num else self
+        terms, tden = self._terms, self._den
         for j, t in enumerate(offsets):
             if not t:
                 continue
@@ -373,8 +370,9 @@ class Poly:
             top = max([(k >> s) & _MASK for k in terms], default=0)
             if not top:
                 continue
-            # with t = -a/b: b^top * (u - t)^e = sum_k C(e,k) a^(e-k) b^(top-e+k) u^k
-            a, b = -t.numerator, t.denominator
+            # with t = -a/b in lowest terms: b^top * (u - t)^e = sum_k C(e,k) a^(e-k) b^(top-e+k) u^k
+            g = gcd(t.numerator, t.denominator * den)
+            a, b = -t.numerator // g, t.denominator * den // g
             pb = [b**i for i in range(top + 1)]
             rows = {}
             out = {}
@@ -390,10 +388,10 @@ class Poly:
                 for step, r in row:
                     nk = base + step
                     out[nk] = get(nk, 0) + c * r
-            terms, den = out, den * pb[top]
+            terms, tden = out, tden * pb[top]
         if terms is self._terms:
             return self
-        return Poly._normal(m, terms, den)
+        return Poly._normal(m, terms, tden)
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute images[j] for u_{j+1}; images live in a common ring."""

@@ -3,14 +3,17 @@
 A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
-point k of Z^n acts by the shift `combo(k, range(n))`.  The directions that
-move a polynomial, the HNF bases of stabilizer lattices and the normal
-forms that decide orbit membership live here.
+point k of Z^n acts by the shift `combo(k, range(n))`.  The work here
+builds shift vectors in integers, over the system's common denominator
+(twice it for half-steps), and hands them to `Poly.shift` and
+`Poly.directional` with that denominator.  The directions that move a
+polynomial, the HNF bases of stabilizer lattices and the normal forms
+that decide orbit membership, with each form's stabilizer, live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -22,15 +25,27 @@ from .poly import Poly, Scalar, coefficient_rows, monomial_index, numerators_on
 @dataclass(frozen=True)
 class ShiftSystem:
     """m variables, n shift directions; alpha has m rows and n columns of
-    Fractions.  from_rows converts rows of ints or other rationals."""
+    Fractions.  from_rows converts rows of ints or other rationals.
+
+    Construction also sets den, the least positive common denominator of
+    alpha, and columns, column i of alpha times den as ints; they follow
+    from alpha and take no part in == or hash."""
 
     alpha: tuple[tuple[Fraction, ...], ...]
+    den: int = field(init=False, repr=False, compare=False)
+    columns: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alpha or not self.alpha[0]:
             raise ValueError("need at least one variable and one shift")
         if any(len(r) != self.nshifts for r in self.alpha):
             raise ValueError("alpha rows must all have the same length")
+        # lists, not generator expressions: with those, a long run of verify
+        # calls held a few hundred KiB more resident memory (Python 3.11)
+        den = lcm(*[a.denominator for row in self.alpha for a in row])
+        object.__setattr__(self, "den", den)
+        scaled = [[a.numerator * (den // a.denominator) for a in row] for row in self.alpha]
+        object.__setattr__(self, "columns", tuple(zip(*scaled)))
 
     @property
     def nvars(self) -> int:
@@ -48,27 +63,24 @@ class ShiftSystem:
         """Shift vector of direction i (0-based)."""
         return tuple(row[i] for row in self.alpha)
 
+    def vector(self, coeffs: Sequence[int], indices: Sequence[int]) -> IntVec:
+        """den times the combination sum_k coeffs[k] * column(indices[k]),
+        for integer coeffs: the shift by coeffs over indices, over den."""
+        return _combine(coeffs, [self.columns[i] for i in indices], self.nvars)
+
     def combo(self, coeffs: Sequence[Scalar], indices: Sequence[int]) -> tuple[Fraction, ...]:
-        """Linear combination sum_k coeffs[k] * column(indices[k]), summed in
-        integers over one common denominator."""
-        terms = [(c, i) for c, i in zip(coeffs, indices, strict=True) if c]
-        cden = lcm(*(c.denominator for c, _ in terms))
-        aden = lcm(*(row[i].denominator for row in self.alpha for _, i in terms))
-        sums = [0] * self.nvars
-        for c, i in terms:
-            c = c.numerator * (cden // c.denominator)
-            for j, row in enumerate(self.alpha):
-                a = row[i]
-                sums[j] += c * a.numerator * (aden // a.denominator)
-        den = cden * aden
-        return tuple(Fraction(n, den) for n in sums)
+        """Linear combination sum_k coeffs[k] * column(indices[k]): the
+        integer `vector` over the coefficients' common denominator, divided."""
+        cden = lcm(*(c.denominator for c in coeffs))
+        vec = self.vector([c.numerator * (cden // c.denominator) for c in coeffs], indices)
+        return tuple(Fraction(n, cden * self.den) for n in vec)
 
 
 def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:
     """Apply the half-step of direction i: p shifted by sign * column(i)/2."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return p.shift([sign * a / 2 for a in sys.column(i)])
+    return p.shift([sign * a for a in sys.columns[i]], 2 * sys.den)
 
 
 def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
@@ -86,10 +98,11 @@ def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
 
 def moving_directions(sys: ShiftSystem, polys: Sequence[Poly], exclude: Sequence[int] = ()) -> list[int]:
     """The directions outside `exclude` whose column moves some q of
-    `polys`, in increasing order; every other direction fixes them all."""
+    `polys`, in increasing order; every other direction fixes them all.
+    Scaling a column keeps what it fixes, so the integer ones are tested."""
     return [
         i
-        for i, col in enumerate(zip(*sys.alpha))
+        for i, col in enumerate(sys.columns)
         if i not in exclude and not all(is_fixed_by_shift(q, col) for q in polys)
     ]
 
@@ -98,9 +111,10 @@ def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> tup
     """HNF basis of the lattice of integer vectors k (over the given
     directions) whose combined shift fixes q, computed via the gradient
     criterion.  The lattice is saturated and its HNF basis is unique, so
-    the basis identifies it and its length is its rank."""
+    the basis identifies it and its length is its rank.  The integer
+    columns have the same kernel as alpha's."""
     indices = list(indices)
-    matrix = coefficient_rows([q.directional(sys.column(i)) for i in indices])
+    matrix = coefficient_rows([q.directional(sys.columns[i]) for i in indices])
     return integer_kernel(matrix, len(indices))
 
 
@@ -111,58 +125,65 @@ _Step = tuple[dict[int, int], IntegerSystem, tuple[IntVec, ...]]
 
 def orbit_forms(
     sys: ShiftSystem, polys: Sequence[Poly], indices: Sequence[int]
-) -> list[tuple[Poly, IntVec]]:
-    """For each q, (r, k) with q shifted by the integer k over the given
-    directions equal to r, the same r for every q of one orbit.
+) -> list[tuple[Poly, IntVec, tuple[IntVec, ...]]]:
+    """For each q, (r, k, stab) with q shifted by the integer k over the
+    given directions equal to r, the same r for every q of one orbit, and
+    stab a basis, not always in HNF, of q's stabilizer over them.
 
     r is found one degree at a time from the top: shifting by sum_j t_j
     free[j] changes the degree d-1 part by -sum_j t_j <grad(top), shift of
     free[j]>, so that part is reduced modulo the integer span of those
     pairings.  Each step is factored once per call, keyed by the top form
     and the free directions; those it leaves free fix every degree down
-    to d, so the next step works one degree lower.
+    to d, so the next step works one degree lower, and the directions
+    free after degree 1 fix q: they are stab.  q is split by degree once,
+    and again at each step after one that shifted it.
     """
     indices = tuple(indices)
     s = len(indices)
     identity = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
     steps: dict[tuple, _Step] = {}
     forms = []
+    zero = Poly.zero(sys.nvars)
     for q in polys:
         if q.is_zero:
             raise ValueError("orbit queries need nonzero polynomials")
         k = (0,) * s
         free = identity
-        for d in range(q.degree(), 0, -1):
-            top = q.homogeneous_part(d)
-            if top.is_zero:
+        parts = q.homogeneous_parts()
+        for d in range(max(parts), 0, -1):
+            parts = parts or q.homogeneous_parts()
+            top = parts.get(d)
+            if top is None:
                 continue
             key = (top, free)
             step = steps.get(key)
             if step is None:
                 step = steps[key] = _orbit_step(sys, top, indices, free)
             rows, system, next_free = step
-            t, _ = system.reduce(*numerators_on(q.homogeneous_part(d - 1), rows))
+            t, _ = system.reduce(*numerators_on(parts.get(d - 1, zero), rows))
             shift = _combine(t, free, s)
             if any(shift):
                 k = tuple(a + b for a, b in zip(k, shift))
-                q = q.shift(sys.combo(shift, indices))
+                q = q.shift(sys.vector(shift, indices), sys.den)
+                parts = {}  # split again if a step is left
             free = next_free
             if not free:
                 break
-        forms.append((q, k))
+        forms.append((q, k, free))
     return forms
 
 
 def same_orbit(sys: ShiftSystem, q: Poly, q2: Poly, indices: Sequence[int]) -> IntVec | None:
     """One integer k over the given directions with q shifted by k equal to
     q2, or None when their normal forms differ and there is none."""
-    (r, k), (r2, k2) = orbit_forms(sys, (q, q2), indices)
+    (r, k, _), (r2, k2, _) = orbit_forms(sys, (q, q2), indices)
     return tuple(a - b for a, b in zip(k, k2)) if r == r2 else None
 
 
 def _orbit_step(sys: ShiftSystem, top: Poly, indices: tuple[int, ...], free: tuple[IntVec, ...]) -> _Step:
     """The factored degree d-1 pairings of `orbit_forms` for a top form."""
-    pairings = [top.directional(sys.combo(w, indices)) for w in free]
+    pairings = [top.directional(sys.vector(w, indices), sys.den) for w in free]
     system = IntegerSystem(coefficient_rows(pairings), len(free))
     return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .consistency import CheckFailure, CheckReport
-from .intlinalg import IntVec
+from .intlinalg import IntVec, hnf
 from .orbital import (
     FactoredSolution,
     OrbitalPiece,
@@ -35,6 +34,7 @@ from .poly import FactoredPoly, Poly
 from .shifts import ShiftSystem, moving_directions, same_orbit, stabilizer_lattice
 
 Key = tuple[int, int]
+Edges = Iterable[tuple[int, int, int]] | Mapping[Key, int]
 
 
 def canonical_key(lattice: tuple[IntVec, ...], key: Key) -> Key:
@@ -81,14 +81,20 @@ class VertexConfig:
         sys: ShiftSystem,
         generator: Poly,
         pair: Sequence[int],
-        edges: Iterable[tuple[int, int, int]] | Mapping[Key, int],
+        edges: Edges,
     ) -> "VertexConfig":
         i, j = pair
         if not 0 <= i < j < sys.nshifts:
             raise ValueError("pair must be two distinct direction indices in order")
         if generator.is_zero:
             raise ValueError("generator must be nonzero")
-        lattice = stabilizer_lattice(sys, generator, (i, j))
+        return cls._on_lattice(sys, generator, (i, j), stabilizer_lattice(sys, generator, (i, j)), edges)
+
+    @classmethod
+    def _on_lattice(
+        cls, sys: ShiftSystem, generator: Poly, pair: tuple[int, int], lattice: tuple[IntVec, ...], edges: Edges
+    ) -> "VertexConfig":
+        """`build` given the HNF basis of the generator's stabilizer over the pair."""
         if len(lattice) > 1:
             raise ValueError("both directions fix the generator; no grid geometry")
         items = edges.items() if isinstance(edges, Mapping) else ((k[:2], k[2]) for k in edges)
@@ -102,7 +108,7 @@ class VertexConfig:
             ck = canonical_key(lattice, (int(key[0]), int(key[1])))
             merged[ck] = merged.get(ck, 0) + mult
         packed = tuple((x, y, m) for (x, y), m in sorted(merged.items()))
-        return cls(sys, generator, (i, j), lattice, packed)
+        return cls(sys, generator, pair, lattice, packed)
 
     @property
     def multiplicities(self) -> dict[Key, int]:
@@ -153,7 +159,7 @@ def decode(config: VertexConfig) -> OrbitalPiece:
     lead, gen_monic = config.generator.make_monic()
     buckets: dict[int, list[tuple[Poly, int]]] = {i: [], j: []}
     for x, y, mult in config.edges:
-        factor = gen_monic.shift(sys.combo((Fraction(x, 2), Fraction(y, 2)), (i, j)))
+        factor = gen_monic.shift(sys.vector((x, y), (i, j)), 2 * sys.den)
         buckets[i if x % 2 else j].append((factor, mult))
     entries = []
     for k in range(sys.nshifts):
@@ -179,7 +185,7 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
         if offset is None:
             raise StructureError(f"factor of entry {idx + 1} does not sit on the orbit over the pair")
         offsets[idx].append(offset)
-    return _placed_config(piece, pair, offsets)
+    return _placed_config(piece, pair, offsets, stabilizer_lattice(piece.solution.sys, piece.generator, pair))
 
 
 def _support(piece: OrbitalPiece) -> tuple[int, int]:
@@ -190,18 +196,22 @@ def _support(piece: OrbitalPiece) -> tuple[int, int]:
 
 
 def _placed_config(
-    piece: OrbitalPiece, pair: tuple[int, int], offsets: Mapping[int, Sequence[tuple[int, int]]]
+    piece: OrbitalPiece,
+    pair: tuple[int, int],
+    offsets: Mapping[int, Sequence[tuple[int, int]]],
+    lattice: tuple[IntVec, ...],
 ) -> VertexConfig:
     """The validated configuration of a piece whose generator the shift by
     offsets[idx][n] over the pair carries onto the pulled-back n-th factor
-    of entry idx."""
+    of entry idx; lattice is the HNF basis of the generator's stabilizer
+    over the pair."""
     i, _ = pair
     edges: dict[Key, int] = {}
     for idx in pair:
         for (_, mult), (a, b) in zip(piece.solution.entries[idx].factors, offsets[idx], strict=True):
             key = (2 * a + 1, 2 * b) if idx == i else (2 * a, 2 * b + 1)
             edges[key] = edges.get(key, 0) + mult
-    config = VertexConfig.build(piece.solution.sys, piece.generator, pair, edges)
+    config = VertexConfig._on_lattice(piece.solution.sys, piece.generator, pair, lattice, edges)
     if not validate(config).passed:
         raise StructureError("conservation fails; the piece is not a solution")
     return config
@@ -219,15 +229,18 @@ def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
     components of an offset place the factor, and they differ from the
     ones `encode` finds over the pair only by a stabilizer element, which
     `canonical_key` removes; each edge therefore decodes to the factor it
-    was placed from.  The tests check both against `encode` and `decode`.
+    was placed from.  For the same reason the stabilizer over the pair is
+    the projection onto it of the one over all directions that placing
+    found, and its HNF is the configuration's lattice.  The tests check
+    all three against `encode`, `decode` and `stabilizer_lattice`.
     A piece with trivial support is rejected since it has no grid
     picture, and a non-solution fails conservation.
     """
     configs = []
-    for piece, offsets in _place(sol):
+    for piece, offsets, stab in _place(sol):
         i, j = pair = _support(piece)
         on_pair = {idx: [(k[i], k[j]) for k in offsets[idx]] for idx in pair}
-        configs.append(_placed_config(piece, pair, on_pair))
+        configs.append(_placed_config(piece, pair, on_pair, hnf([(k[i], k[j]) for k in stab])))
     return tuple(configs)
 
 
@@ -288,7 +301,7 @@ def random_config(
                 key = (x + 1, y)
                 x += 2
             edges[key] = edges.get(key, 0) + 1
-    return VertexConfig.build(sys, generator, (i, j), edges)
+    return VertexConfig._on_lattice(sys, generator, (i, j), lattice, edges)
 
 
 def same_config(a: VertexConfig, b: VertexConfig) -> bool:

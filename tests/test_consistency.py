@@ -103,9 +103,9 @@ def _shifted_nvars(monkeypatch, check, sol) -> set[int]:
     seen = set()
     shift = Poly.shift
 
-    def recorded(p, vec):
+    def recorded(p, *args):
         seen.add(p.nvars)
-        return shift(p, vec)
+        return shift(p, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(Poly, "shift", recorded)

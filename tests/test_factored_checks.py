@@ -42,9 +42,9 @@ class Counting:
             self.products += 1
             return self.mul(a, b)
 
-        def counted_shift(p, vec):
+        def counted_shift(p, *args):
             self.shifts += 1
-            return self.shift(p, vec)
+            return self.shift(p, *args)
 
         Poly.__mul__, Poly.shift = counted_mul, counted_shift
         return self

@@ -253,6 +253,25 @@ def test_linear_shift_matches_reference(a, t):
     assert agrees(pa.shift(t), ref_shift(ra, t))
 
 
+# Shift vectors are built as integers over a common denominator; ints or
+# Fractions over a positive den must give exactly what their quotients give,
+# on the closed form for degree at most 1 and on the binomial rows.
+@given(
+    a=st.one_of(TERMS, linear_terms()),
+    ints=st.lists(st.integers(-12, 12), min_size=M, max_size=M),
+    fracs=strategies.shift_vectors(M),
+    den=st.integers(1, 12),
+)
+def test_shift_and_directional_over_a_denominator_match_fractions(a, ints, fracs, den):
+    pa, ra = both(a)
+    for vec in (ints, fracs):
+        quotients = [Fraction(x) / den for x in vec]
+        assert pa.shift(vec, den) == pa.shift(quotients)
+        assert agrees(pa.shift(vec, den), ref_shift(ra, quotients))
+        assert pa.directional(vec, den) == pa.directional(quotients)
+        assert agrees(pa.directional(vec, den), ref_directional(ra, quotients))
+
+
 @st.composite
 def linear_fixing_cases(draw):
     """A polynomial of degree at most 1 and a direction; half the time the

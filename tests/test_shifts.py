@@ -14,13 +14,14 @@ from hypothesis import assume, given
 
 import strategies
 from orbit_reference import reference_same_orbit
-from weylshift.intlinalg import lattice_contains
+from weylshift.intlinalg import hnf, integer_kernel, lattice_contains
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
 from weylshift.shifts import (
     ShiftSystem,
     half_shift,
     is_fixed_by_shift,
+    moving_directions,
     orbit_forms,
     same_orbit,
     stabilizer_lattice,
@@ -248,7 +249,7 @@ def test_same_orbit_memo_keeps_free_directions_apart():
     batch = [q, q.shift([0, 5]), u2, u2.shift([0, 3]), u2 + q, q.shift([1, 2])]
     forms = orbit_forms(sys, batch, (0, 1, 2))
     assert forms == [orbit_forms(sys, [p], (0, 1, 2))[0] for p in batch]
-    for p, (r, k) in zip(batch, forms):
+    for p, (r, k, _) in zip(batch, forms):
         assert p.shift(sys.combo(k, (0, 1, 2))) == r
     assert forms[2][0] == forms[3][0]
     k = same_orbit(sys, u2, u2.shift([0, 3]), (0, 1, 2))
@@ -257,13 +258,14 @@ def test_same_orbit_memo_keeps_free_directions_apart():
 
 def test_orbit_forms_of_one_orbit_agree():
     shifted = F.shift(STAIR.combo((2, -1), (0, 1)))
-    (r, k), (r2, k2) = orbit_forms(STAIR, [F, shifted], (0, 1))
+    (r, k, _), (r2, k2, _) = orbit_forms(STAIR, [F, shifted], (0, 1))
     assert r == r2
     assert F.shift(STAIR.combo(k, (0, 1))) == r
     assert shifted.shift(STAIR.combo(k2, (0, 1))) == r
     # a constant is its own form, and a polynomial no direction moves too
-    assert orbit_forms(GL3, [Poly.one(2)], (0, 1)) == [(Poly.one(2), (0, 0))]
-    assert orbit_forms(STAIR, [F], (2, 3)) == [(F, (0, 0))]
+    # (and every direction fixes them)
+    assert orbit_forms(GL3, [Poly.one(2)], (0, 1)) == [(Poly.one(2), (0, 0), ((1, 0), (0, 1)))]
+    assert orbit_forms(STAIR, [F], (2, 3)) == [(F, (0, 0), ((1, 0), (0, 1)))]
 
 
 def test_same_orbit_rejects_zero():
@@ -380,10 +382,10 @@ def test_same_orbit_shared_memo_matches_fresh_queries(case):
     batch = [p for pair in queries for p in pair]
     forms = orbit_forms(sys, batch, indices)
     assert forms == [orbit_forms(sys, [p], indices)[0] for p in batch]
-    for p, (r, k) in zip(batch, forms):
+    for p, (r, k, _) in zip(batch, forms):
         assert p.shift(sys.combo(k, indices)) == r
     memo = {}
-    for (r, _), (r2, _), (q, q2) in zip(forms[::2], forms[1::2], queries):
+    for (r, *_), (r2, *_), (q, q2) in zip(forms[::2], forms[1::2], queries):
         assert (r == r2) == (reference_same_orbit(sys, q, q2, indices, memo) is not None)
 
 
@@ -395,3 +397,59 @@ def test_same_orbit_matches_reference(query):
     assert (found is None) == (expected is None)
     if found is not None:
         assert q.shift(sys.combo(found, indices)) == q2
+
+
+# ----------------------------------------------------------------------
+# the stabilizer that orbit_forms finds on the way, and its projection onto
+# a pair that classify takes as the pair's stabilizer
+
+
+def test_orbit_forms_stabilizer_examples():
+    full = (0, 1, 2, 3)
+    ((_, _, stab),) = orbit_forms(STAIR, [F], full)
+    assert hnf(stab) == stabilizer_lattice(STAIR, F, full) == ((3, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    ((_, _, stab),) = orbit_forms(GL3, [Poly.variable(2, 0)], (0, 1, 2))
+    assert hnf(stab) == stabilizer_lattice(GL3, Poly.variable(2, 0), (0, 1, 2))
+    assert hnf([(k[0], k[1]) for k in stab]) == ((1, 1),)
+
+
+@given(query_sequences())
+def test_orbit_forms_stabilizer_is_the_stabilizer_lattice(case):
+    # every query of one shared batch, over the drawn directions and over all
+    sys, indices, queries = case
+    batch = [p for pair in queries for p in pair]
+    for over in (indices, tuple(range(sys.nshifts))):
+        for p, (_, _, stab) in zip(batch, orbit_forms(sys, batch, over)):
+            assert hnf(stab) == stabilizer_lattice(sys, p, over)
+
+
+@st.composite
+def random_systems(draw):
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    return ShiftSystem.from_rows([[draw(SMALL) for _ in range(n)] for _ in range(m)])
+
+
+@st.composite
+def pair_fixed_cases(draw):
+    """gl3, the staircase or a random system, a pair of its directions, and
+    a polynomial that every other direction fixes: a polynomial in integer
+    linear forms that vanish on the other directions' columns, shifted."""
+    sys = draw(st.one_of(st.sampled_from([GL3, STAIR]), random_systems()))
+    m, n = sys.nvars, sys.nshifts
+    i, j = sorted(draw(st.permutations(range(n)))[:2])
+    units = [tuple(int(a == b) for b in range(m)) for a in range(m)]
+    others = [sys.column(k) for k in range(n) if k not in (i, j)]
+    forms = integer_kernel(others, m) if others else units
+    images = [Poly(m, dict(zip(units, w))) for w in forms]
+    f = draw(strategies.nonzero_polys(len(images), max_terms=4, max_degree=3))
+    q = f.compose(images).shift(draw(strategies.shift_vectors(m)))
+    return sys, (i, j), q
+
+
+@given(pair_fixed_cases())
+def test_pair_stabilizer_is_the_projection_of_the_full_one(case):
+    sys, pair, q = case
+    assert moving_directions(sys, [q], pair) == []
+    ((_, _, stab),) = orbit_forms(sys, [q], range(sys.nshifts))
+    i, j = pair
+    assert hnf([(k[i], k[j]) for k in stab]) == stabilizer_lattice(sys, q, pair)

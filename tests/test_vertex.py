@@ -17,7 +17,7 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly, merge_factors
-from weylshift.shifts import ShiftSystem
+from weylshift.shifts import ShiftSystem, stabilizer_lattice
 from weylshift.vertex import (
     VertexConfig,
     canonical_key,
@@ -356,6 +356,7 @@ def test_classify_places_every_factor_once(monkeypatch):
         "orbit_forms": counting("orbit_forms", shifts.orbit_forms),
         "half_shift": counting("half_shift", shifts.half_shift),
         "decode": counting("decode", vertex.decode),
+        "stabilizer_lattice": counting("stabilizer_lattice", shifts.stabilizer_lattice),
     }
     for module in (orbital, shifts, vertex):
         for name, wrapper in wrappers.items():
@@ -365,6 +366,23 @@ def test_classify_places_every_factor_once(monkeypatch):
     assert calls["orbit_forms"] == 1
     assert calls["half_shift"] == sum(len(entry.factors) for entry in sol.entries)
     assert calls["decode"] == 0
+    # each piece's stabilizer comes from the orbit search
+    assert calls["stabilizer_lattice"] == 0
+
+
+def test_random_config_computes_the_stabilizer_once(monkeypatch):
+    import weylshift.vertex as vertex
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stabilizer_lattice(*args)
+
+    monkeypatch.setattr(vertex, "stabilizer_lattice", counted)
+    cfg = random_config(STAIR, F, (0, 1), loops=2, seed=3)
+    assert len(calls) == 1
+    assert cfg.lattice == stabilizer_lattice(STAIR, F, (0, 1)) == ((3, 2),)
 
 
 def test_random_config_is_reproducible():

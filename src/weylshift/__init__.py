@@ -60,7 +60,6 @@ from .vertex import (
     decode,
     encode,
     random_config,
-    same_config,
     validate,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "random_config",
     "render_svg",
     "residue_families",
-    "same_config",
     "same_orbit",
     "stabilizer_lattice",
     "support_pair",

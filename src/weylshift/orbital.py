@@ -3,9 +3,11 @@
 Every factor of entry i is pulled back by half of direction i; grouping
 the pulled-back factors by orbit splits the solution into entrywise
 divisors that are again solutions, one per orbit, and the grouping is
-recoverable from the factor lists alone.  Entry units play no part: a
-nonzero unit on an entry cancels on both sides of both identities, so the
-pieces are monic.
+recoverable from the factor lists alone.  Each piece is generated by its
+orbit's normal form and the pieces are ordered by the text of their
+generators, so neither depends on the order of the factors.
+Entry units play no part: a nonzero unit on an entry cancels on both
+sides of both identities, so the pieces are monic.
 """
 
 from __future__ import annotations
@@ -59,44 +61,45 @@ def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
     """Split the monic factors of a factored solution into its orbital
     pieces; the entries' units are dropped.
 
-    The anchor of each piece is the pulled-back first factor of its lowest
-    nonconstant entry, so the output order and anchors are deterministic.
+    The generator of each piece is its orbit's normal form (see
+    `shifts.orbit_forms`), and the pieces are ordered by the text of
+    their generators, so neither depends on factor order; each entry
+    keeps its factors in the input's order.
     """
     return [piece for piece, *_ in _place(sol)]
 
 
 def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]], tuple[IntVec, ...]]]:
     """The pieces of `decompose`, each with the integer offsets over all
-    directions that shift its anchor onto its pulled-back factors, listed
-    per entry in factor order, and a basis of its anchor's stabilizer
-    over all directions, as `orbit_forms` found them.
+    directions that shift its generator onto its pulled-back factors,
+    listed per entry in factor order, and a basis of the generator's
+    stabilizer over all directions, as `orbit_forms` found it.
 
     Every factor is pulled back once and every normal form is found in
-    one `orbit_forms` call: a factor whose base shifts by k onto the form
-    that the anchor reaches by k_anchor is the anchor shifted by
-    k_anchor - k.
+    one `orbit_forms` call: a factor whose base shifts by k onto the
+    normal form r is r shifted by -k.  Translates share a stabilizer, so
+    any factor's basis serves for r.
     """
     sys = sol.sys
     full = tuple(range(sys.nshifts))
     placed = [(i, f, half_shift(sys, i, -1, f[0])) for i, e in enumerate(sol.entries) for f in e.factors]
     forms = orbit_forms(sys, [base for *_, base in placed], full)
-    # keyed by the orbit's normal form; the first factor seen is the anchor
-    groups: dict[Poly, tuple[Poly, IntVec, tuple[IntVec, ...], list[list[tuple[Poly, int]]], list[list[IntVec]]]] = {}
-    for (i, factor, base), (form, k, stab) in zip(placed, forms):
+    groups: dict[Poly, tuple[tuple[IntVec, ...], list[list[tuple[Poly, int]]], list[list[IntVec]]]] = {}
+    for (i, factor, _), (form, k, stab) in zip(placed, forms):
         if form not in groups:
-            groups[form] = (base, k, stab, [[] for _ in full], [[] for _ in full])
-        _, k_anchor, _, factors, offsets = groups[form]
+            groups[form] = (stab, [[] for _ in full], [[] for _ in full])
+        _, factors, offsets = groups[form]
         factors[i].append(factor)
-        offsets[i].append(tuple(a - b for a, b in zip(k_anchor, k)))
+        offsets[i].append(tuple(-a for a in k))
     return [
         (
-            OrbitalPiece(anchor, full, FactoredSolution(sys, tuple(
+            OrbitalPiece(form, full, FactoredSolution(sys, tuple(
                 FactoredPoly.from_factors(sys.nvars, bucket) for bucket in factors
             ))),
             offsets,
             stab,
         )
-        for anchor, _, stab, factors, offsets in groups.values()
+        for form, (stab, factors, offsets) in sorted(groups.items(), key=lambda g: str(g[0]))
     ]
 
 

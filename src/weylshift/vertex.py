@@ -31,7 +31,7 @@ from .orbital import (
 )
 from .parser import _MAX_DEGREE
 from .poly import FactoredPoly, Poly
-from .shifts import ShiftSystem, moving_directions, same_orbit, stabilizer_lattice
+from .shifts import ShiftSystem, moving_directions, stabilizer_lattice
 
 Key = tuple[int, int]
 Edges = Iterable[tuple[int, int, int]] | Mapping[Key, int]
@@ -127,18 +127,21 @@ def validate(config: VertexConfig) -> CheckReport:
             failures.append(CheckFailure("parity", (x, y), None, one_based=False))
         if canonical_key(config.lattice, (x, y)) != (x, y):
             failures.append(CheckFailure("canonical", (x, y), None, one_based=False))
-    if failures:
-        return CheckReport(tuple(failures))
+    return CheckReport(tuple(failures) or _conservation(config))
+
+
+def _conservation(config: VertexConfig) -> tuple[CheckFailure, ...]:
+    """The corners at which the corner conservation law fails."""
     balance: dict[Key, int] = {}
     for x, y, mult in config.edges:
         first, second = (canonical_key(config.lattice, c) for c in corners((x, y)))
         balance[first] = balance.get(first, 0) + mult
         balance[second] = balance.get(second, 0) - mult
-    return CheckReport(tuple(
+    return tuple(
         CheckFailure("conservation", corner, None, one_based=False)
         for corner in sorted(balance)
         if balance[corner]
-    ))
+    )
 
 
 def decode(config: VertexConfig) -> OrbitalPiece:
@@ -201,10 +204,11 @@ def _placed_config(
     offsets: Mapping[int, Sequence[tuple[int, int]]],
     lattice: tuple[IntVec, ...],
 ) -> VertexConfig:
-    """The validated configuration of a piece whose generator the shift by
+    """The configuration of a piece whose generator the shift by
     offsets[idx][n] over the pair carries onto the pulled-back n-th factor
     of entry idx; lattice is the HNF basis of the generator's stabilizer
-    over the pair."""
+    over the pair.  Only conservation is checked: `support_pair` proved
+    the off-pair check, and placing gives canonical keys of odd parity."""
     i, _ = pair
     edges: dict[Key, int] = {}
     for idx in pair:
@@ -212,14 +216,15 @@ def _placed_config(
             key = (2 * a + 1, 2 * b) if idx == i else (2 * a, 2 * b + 1)
             edges[key] = edges.get(key, 0) + mult
     config = VertexConfig._on_lattice(piece.solution.sys, piece.generator, pair, lattice, edges)
-    if not validate(config).passed:
+    if _conservation(config):
         raise StructureError("conservation fails; the piece is not a solution")
     return config
 
 
 def classify(sol: FactoredSolution) -> tuple[VertexConfig, ...]:
     """Decompose a factored solution and encode every piece: one
-    configuration per piece, in the order of `decompose`.
+    configuration per piece, generated and ordered as in `decompose`, so
+    reordering the input's factors leaves the record unchanged.
 
     Each factor is placed on its grid from the offset over all directions
     that decomposing found for it, and the placement is exact by
@@ -302,24 +307,3 @@ def random_config(
                 x += 2
             edges[key] = edges.get(key, 0) + 1
     return VertexConfig._on_lattice(sys, generator, (i, j), lattice, edges)
-
-
-def same_config(a: VertexConfig, b: VertexConfig) -> bool:
-    """Equality after aligning the base generators along the orbit."""
-    if a.sys != b.sys or a.pair != b.pair:
-        return False
-    lead_a, gen_a = a.generator.make_monic()
-    lead_b, gen_b = b.generator.make_monic()
-    if lead_a != lead_b:
-        return False
-    k = same_orbit(a.sys, gen_a, gen_b, a.pair)
-    if k is None:
-        return False
-    if a.lattice != b.lattice:
-        return False
-    dx, dy = 2 * k[0], 2 * k[1]
-    moved: dict[Key, int] = {}
-    for (x, y), mult in b.multiplicities.items():
-        ck = canonical_key(a.lattice, (x + dx, y + dy))
-        moved[ck] = moved.get(ck, 0) + mult
-    return moved == a.multiplicities

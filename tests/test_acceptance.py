@@ -47,7 +47,7 @@ from weylshift.shifts import (
     stabilizer_lattice,
 )
 from weylshift.svg import render_svg
-from weylshift.vertex import decode, encode, random_config, same_config
+from weylshift.vertex import decode, encode, random_config
 
 
 @contextmanager
@@ -82,8 +82,8 @@ def test_criterion_2_round_trip_and_stabilizers():
     fig = doc.configs["fig"]
     with criterion(2, "encode inverts decode and the stabilizers are right", 1.0):
         back = encode(decode(fig))
-        assert same_config(back, fig)
-        assert back.multiplicities == fig.multiplicities
+        # encode keeps the piece's generator, so it gives back the figure
+        assert back == fig
         f = fig.generator
         assert stabilizer_lattice(doc.sys, f, (0, 1)) == ((3, 2),)
         assert stabilizer_lattice(doc.sys, f, (2, 3)) == ((1, 0), (0, 1))

@@ -121,6 +121,26 @@ def test_classify_record(tmp_path):
     assert [piece["pair"] for piece in doc["pieces"]] == [[1, 2], [2, 3]]
 
 
+def test_classify_record_does_not_depend_on_factor_order(tmp_path):
+    # a decoded 2-loop staircase, and the same tuple with each entry's
+    # factor list reversed, once classified with generators u1 - 6 and u1 - 4
+    rnd, dec, rev = (tmp_path / name for name in ("rnd.json", "dec.json", "rev.json"))
+    argv = ["gen-random", STAIR, "--orbit", "u1", "--pair", "1", "2", "--loops", "2", "--seed", "4"]
+    assert main(argv + ["-o", str(rnd)]) == 0
+    assert main(["decode", str(rnd), "-o", str(dec)]) == 0
+    doc = json.loads(dec.read_text())
+    for entry in doc["tuples"]["random"]["entries"]:
+        entry["factors"].reverse()
+    rev.write_text(json.dumps(doc))
+    records = []
+    for path in (dec, rev):
+        out = tmp_path / "cls.json"
+        assert main(["classify", str(path), "-o", str(out)]) == 0
+        records.append(out.read_bytes())
+    assert records[0] == records[1]
+    assert [piece["generator"] for piece in json.loads(records[0])["pieces"]] == ["u1"]
+
+
 def test_multiquiver_report(capsys):
     assert main(["multiquiver", "--beta", GL3]) == 0
     out = capsys.readouterr().out
@@ -608,10 +628,12 @@ def _factored_gl3(tmp_path, *factors) -> str:
 
 @pytest.mark.parametrize(
     "factors, entry",
-    [(("u1 + u2", "u1 + u2", "u1 + u2"), 1), (("u1", None, "u1"), 2)],
+    [(("u1 + u2", "u1 + u2", "u1 + u2"), 1), (("u1", None, "u1"), 1)],
 )
 def test_decompose_of_a_piece_with_a_moved_constant_entry_prints_nothing(tmp_path, capsys, factors, entry):
-    # decompose succeeds; the support pair of a piece then fails
+    # decompose succeeds; the support pair of a piece then fails.  In the
+    # second case the piece of entry 3's factor comes first by its
+    # generator's text, and direction 1 moves it
     path = _factored_gl3(tmp_path, *factors)
     assert main(["decompose", path]) == 2
     captured = capsys.readouterr()

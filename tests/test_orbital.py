@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import strategies
-from orbit_reference import reference_decompose
+from orbit_reference import reference_decompose, reference_same_orbit
 
 from weylshift import orbital
 from weylshift.orbital import (
@@ -252,5 +252,13 @@ def orbit_tuples(draw):
 
 @given(orbit_tuples())
 def test_decompose_groups_as_the_anchor_search(sol):
+    # the same factor groups, each generated by a member of its reference
+    # anchor's orbit and ordered by the generator's text
     pieces = decompose(sol)
-    assert [(p.generator, p.solution.entries) for p in pieces] == reference_decompose(sol)
+    generators = {p.solution.entries: p.generator for p in pieces}
+    reference = reference_decompose(sol)
+    assert len(generators) == len(pieces) == len(reference)
+    full = range(sol.sys.nshifts)
+    for anchor, entries in reference:
+        assert reference_same_orbit(sol.sys, anchor, generators[entries], full) is not None
+    assert [str(p.generator) for p in pieces] == sorted(str(p.generator) for p in pieces)

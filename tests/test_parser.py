@@ -196,9 +196,12 @@ def test_a_long_sum_parses_in_linear_time():
 @pytest.fixture(scope="module")
 def formatted_texts():
     """Every string in the test data and the CLI golden files that is in
-    format_poly's form, and the formatted (u1 + 2*u2 - 3*u3 + 1/3)^45:
-    17,296 terms in 781 KB."""
-    texts = set()
+    format_poly's form, a few formatted polynomials in several variables,
+    and the formatted (u1 + 2*u2 - 3*u3 + 1/3)^45: 17,296 terms in 781 KB."""
+    texts = {
+        format_poly(p(text, 3))
+        for text in ("u1 + 4", "u2 - 1", "-2/3*u1^2*u3 + u2 - 9", "(u1 - u2)*(u3 + 7/5)")
+    }
     files = glob.glob(f"{DATA}/*.json") + glob.glob(f"{GOLDEN}/cli/*.txt")
     for path in files:
         with open(path, encoding="utf-8") as handle:

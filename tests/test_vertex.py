@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from vertex_reference import reference_conservation
+from weylshift import problemfile as pf
 from weylshift.consistency import check_binary, check_ternary
 from weylshift.orbital import (
     FactoredPoly,
@@ -17,7 +18,7 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly, merge_factors
-from weylshift.shifts import ShiftSystem, stabilizer_lattice
+from weylshift.shifts import ShiftSystem, orbit_forms, same_orbit, stabilizer_lattice
 from weylshift.vertex import (
     VertexConfig,
     canonical_key,
@@ -26,7 +27,6 @@ from weylshift.vertex import (
     decode,
     encode,
     random_config,
-    same_config,
     validate,
 )
 
@@ -264,18 +264,23 @@ def test_classify_gl3(gl3_file):
 def test_classify_staircase_matches_figure(staircase_file, staircase_config):
     (config,) = classify(staircase_file.tuples["main_monic"].as_factored())
     assert config.pair == (0, 1)
-    assert config.edges == staircase_config.edges
-    # the classified anchor is the monic form of the figure's generator
-    fig_monic = VertexConfig.build(
-        STAIR, F.make_monic()[1], (0, 1), staircase_config.edges
+    # the figure's decoded tuple gives the same record
+    assert classify(decode(staircase_config).solution) == (config,)
+    # its generator is the normal form of the figure's monic generator,
+    # and the figure's edges move by twice the shift between the two
+    k = same_orbit(STAIR, F.make_monic()[1], config.generator, (0, 1))
+    assert k is not None
+    moved = VertexConfig.build(
+        STAIR, config.generator, (0, 1), [(x - 2 * k[0], y - 2 * k[1], m) for x, y, m in staircase_config.edges]
     )
-    assert same_config(config, fig_monic)
+    assert moved.edges == config.edges
 
 
 # gl3 generators with the pair that moves each; the third direction fixes
 # each one, and offsets with distinct fractional parts give distinct orbits
 GL3_FAMILIES = [("u1", (0, 1)), ("u2", (1, 2)), ("u1 + u2", (0, 2))]
 FRACTIONAL = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4)]
+SEEDS = st.integers(0, 10**6)
 
 
 def _superpose(sys, configs):
@@ -298,30 +303,59 @@ def _gl3_orbit(family, offset, loops, seed):
 
 
 @st.composite
-def superpositions(draw):
-    """gl3 superpositions of 1-4 orbits of 1-3 loops each, or two 1-2-loop
-    staircase orbits of F whose u1 offsets have distinct fractional parts."""
-    seeds = st.integers(0, 10**6)
-    if draw(st.booleans()):
-        orbits = draw(st.lists(
-            st.tuples(st.sampled_from(range(3)), st.sampled_from(FRACTIONAL)),
-            min_size=1, max_size=4, unique=True,
-        ))
-        configs = [
-            _gl3_orbit(family, frac + draw(st.integers(-2, 2)), draw(st.integers(1, 3)), draw(seeds))
-            for family, frac in orbits
-        ]
-        return _superpose(GL3, configs)
+def gl3_superpositions(draw):
+    """gl3 superpositions of 1-4 orbits of 1-3 loops each."""
+    orbits = draw(st.lists(
+        st.tuples(st.sampled_from(range(3)), st.sampled_from(FRACTIONAL)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    configs = [
+        _gl3_orbit(family, frac + draw(st.integers(-2, 2)), draw(st.integers(1, 3)), draw(SEEDS))
+        for family, frac in orbits
+    ]
+    return _superpose(GL3, configs)
+
+
+@st.composite
+def cubic_superpositions(draw):
+    """Two 1-2-loop staircase orbits of F whose u1 offsets have distinct
+    fractional parts."""
     fracs = draw(st.lists(st.sampled_from(FRACTIONAL), min_size=2, max_size=2, unique=True))
     configs = [
-        random_config(STAIR, F.shift((frac + draw(st.integers(-1, 1)), 0, 0)), (0, 1), draw(st.integers(1, 2)), draw(seeds))
+        random_config(STAIR, F.shift((frac + draw(st.integers(-1, 1)), 0, 0)), (0, 1), draw(st.integers(1, 2)), draw(SEEDS))
         for frac in fracs
     ]
     return _superpose(STAIR, configs)
 
 
+# the staircase generators lin and quad; lin's orbits keep the constant
+# modulo 2, so offsets with distinct fractional parts give distinct orbits,
+# and every direction that keeps quad's u1 part keeps its constant, so
+# distinct offsets do
+LIN = parse_poly("u1 + u2 + u3", 3)
+QUAD = parse_poly("u1^2 + 1/3*u1 + u2 + u3", 3)
+
+
+@st.composite
+def lin_quad_superpositions(draw):
+    """Staircase superpositions of 1-2 orbits of lin and 0-2 of quad, of
+    1-2 loops each."""
+    lin = draw(st.lists(st.sampled_from(FRACTIONAL), min_size=1, max_size=2, unique=True))
+    quad = draw(st.lists(st.sampled_from(FRACTIONAL), max_size=2, unique=True))
+    generators = [LIN - Poly.constant(3, frac + draw(st.integers(-1, 1))) for frac in lin]
+    generators += [QUAD - Poly.constant(3, frac) for frac in quad]
+    configs = [
+        random_config(STAIR, generator, (0, 1), draw(st.integers(1, 2)), draw(SEEDS))
+        for generator in generators
+    ]
+    return _superpose(STAIR, configs)
+
+
+superpositions = st.one_of(gl3_superpositions(), cubic_superpositions())
+
+
 @settings(max_examples=60, deadline=None)
-@given(superpositions())
+@given(superpositions)
 def test_classify_matches_encode_of_each_piece(sol):
     configs = classify(sol)
     assert configs == tuple(encode(piece) for piece in decompose(sol))
@@ -331,6 +365,27 @@ def test_classify_matches_encode_of_each_piece(sol):
         placed = merge_factors(f for entries in decoded for f in entries[k].factors)
         assert placed == merge_factors(entry.factors)
     assert all(e.unit == 1 for entries in decoded for e in entries)
+
+
+def _record_bytes(sol):
+    return pf.dumps({"pieces": [pf.config_obj(config) for config in classify(sol)]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(gl3_superpositions(), lin_quad_superpositions()), st.randoms(use_true_random=False))
+def test_classify_record_does_not_depend_on_factor_order(sol, rng):
+    shuffled = []
+    for entry in sol.entries:
+        factors = list(entry.factors)
+        rng.shuffle(factors)
+        shuffled.append(FactoredPoly.from_factors(sol.sys.nvars, factors, entry.unit))
+    record = _record_bytes(sol)
+    assert _record_bytes(FactoredSolution(sol.sys, tuple(shuffled))) == record
+    # each generator is its orbit's normal form, and they come in text order
+    generators = [config.generator for config in classify(sol)]
+    full = range(sol.sys.nshifts)
+    assert [form for form, *_ in orbit_forms(sol.sys, generators, full)] == generators
+    assert [str(g) for g in generators] == sorted(str(g) for g in generators)
 
 
 def test_classify_places_every_factor_once(monkeypatch):
@@ -357,6 +412,7 @@ def test_classify_places_every_factor_once(monkeypatch):
         "half_shift": counting("half_shift", shifts.half_shift),
         "decode": counting("decode", vertex.decode),
         "stabilizer_lattice": counting("stabilizer_lattice", shifts.stabilizer_lattice),
+        "moving_directions": counting("moving_directions", shifts.moving_directions),
     }
     for module in (orbital, shifts, vertex):
         for name, wrapper in wrappers.items():
@@ -368,6 +424,8 @@ def test_classify_places_every_factor_once(monkeypatch):
     assert calls["decode"] == 0
     # each piece's stabilizer comes from the orbit search
     assert calls["stabilizer_lattice"] == 0
+    # support_pair asks once per piece which directions move the generator
+    assert calls["moving_directions"] == 9
 
 
 def test_random_config_computes_the_stabilizer_once(monkeypatch):
@@ -441,38 +499,31 @@ def test_add_configs_preserves_solutions(staircase_config):
     assert got.polys == tuple(p * p for p in base.polys)
 
 
-def test_same_config_alignment(staircase_config):
-    shift_vec = STAIR.combo([1, 1], indices=(0, 1))
-    gen2 = F.shift(shift_vec)
+def _record(config):
+    return classify(decode(config).solution)
+
+
+def test_classify_record_of_an_evenly_translated_config(staircase_config):
+    # the generator moved by (1, 1) over the pair and the edges moved back
+    # by twice that describe the same solution, so they classify alike
+    gen2 = F.shift(STAIR.combo([1, 1], indices=(0, 1)))
     moved = VertexConfig.build(
         STAIR,
         gen2,
         (0, 1),
         [(x - 2, y - 2, m) for x, y, m in staircase_config.edges],
     )
-    assert same_config(staircase_config, moved)
-    assert same_config(moved, staircase_config)
+    assert _record(moved) == _record(staircase_config)
 
     different = VertexConfig.build(
         STAIR, gen2, (0, 1), [(x, y, m) for x, y, m in staircase_config.edges]
     )
-    assert not same_config(staircase_config, different)
+    assert _record(different) != _record(staircase_config)
 
 
-def test_same_config_rejects_unrelated():
-    a = gl3_config([(1, 0, 1)])
-    b = VertexConfig.build(GL3, Poly.variable(2, 1), (1, 2), [(1, 0, 1)])
-    assert not same_config(a, b)
+def test_classify_record_of_unrelated_configs_differ():
+    a = random_config(GL3, Poly.variable(2, 0), (0, 1), loops=1, seed=0)
+    b = random_config(GL3, Poly.variable(2, 1), (1, 2), loops=1, seed=0)
     # same pair, generator off the orbit
-    c = VertexConfig.build(GL3, parse_poly("u1 + 1/2", 2), (0, 1), [(1, 0, 1)])
-    assert not same_config(a, c)
-
-
-def test_same_config_compares_leading_coefficients():
-    # 2*u1 has the stabilizer and edges of u1, but its decoded entries
-    # carry a unit of 2 per edge
-    a = gl3_config([(1, 0, 1), (2, 1, 1)])
-    b = VertexConfig.build(GL3, parse_poly("2*u1", 2), (0, 1), [(1, 0, 1), (2, 1, 1)])
-    assert a.lattice == b.lattice and a.edges == b.edges
-    assert not same_config(a, b)
-    assert not same_config(b, a)
+    c = random_config(GL3, parse_poly("u1 + 1/2", 2), (0, 1), loops=1, seed=0)
+    assert len({_record(a), _record(b), _record(c)}) == 3

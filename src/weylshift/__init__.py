@@ -25,11 +25,8 @@ from .equivalence import (
     linear_automorphism,
 )
 from .multiquiver import (
-    ResidueFamily,
     build_solution,
     expected_piece_count,
-    factor_by_residue,
-    residue_families,
     symmetrized_solution,
     system_of,
     validate_beta,
@@ -74,7 +71,6 @@ __all__ = [
     "OrbitalPiece",
     "ParseError",
     "Poly",
-    "ResidueFamily",
     "ShiftSystem",
     "SolutionTuple",
     "StructureError",
@@ -94,7 +90,6 @@ __all__ = [
     "encode",
     "exact_div",
     "expected_piece_count",
-    "factor_by_residue",
     "factor_entry",
     "format_poly",
     "half_shift",
@@ -104,7 +99,6 @@ __all__ = [
     "parse_rational",
     "random_config",
     "render_svg",
-    "residue_families",
     "same_orbit",
     "stabilizer_lattice",
     "support_pair",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from math import gcd
 from typing import Sequence
 
 from . import problemfile as pf
@@ -24,14 +25,13 @@ from .equivalence import check_equivalence
 from .multiquiver import (
     build_solution,
     expected_piece_count,
-    residue_families,
     symmetrized_solution,
     validate_beta,
 )
-from .orbital import StructureError, decompose, support_pair
+from .intlinalg import hnf
+from .orbital import StructureError, _place, decompose, support_pair
 from .parser import ParseError, parse_poly
 from .poly import FactoredPoly, format_poly
-from .shifts import stabilizer_lattice
 from .svg import render_svg
 from .vertex import classify, decode, random_config, validate
 
@@ -54,11 +54,12 @@ def _print_failures(report: CheckReport) -> None:
 
 
 def format_factored(entry: FactoredPoly) -> str:
+    """The entry as its unit and factors, the factors in text order."""
     parts = []
     if entry.unit != 1 or not entry.factors:
         parts.append(str(entry.unit))
-    for q, mult in entry.factors:
-        parts.append(f"({format_poly(q)})" + (f"^{mult}" if mult > 1 else ""))
+    for text, mult in sorted((format_poly(q), mult) for q, mult in entry.factors):
+        parts.append(f"({text})" + (f"^{mult}" if mult > 1 else ""))
     return " * ".join(parts)
 
 
@@ -92,10 +93,8 @@ def cmd_symmetrize(args) -> int:
 def cmd_decompose(args) -> int:
     doc = pf.load_path(args.file)
     name, entry = doc.only_tuple(args.tuple)
-    factored = entry.as_factored()
-    pieces = decompose(factored)
-    described = [(p, support_pair(p), stabilizer_lattice(factored.sys, p.generator, p.indices)) for p in pieces]
-    print(f"tuple {name}: {len(pieces)} orbital piece(s)")
+    described = [(p, support_pair(p), hnf(stab)) for p, _, stab in _place(entry.as_factored())]
+    print(f"tuple {name}: {len(described)} orbital piece(s)")
     for k, (piece, pair, stab) in enumerate(described, start=1):
         pair_text = (
             f"({pair[0] + 1},{pair[1] + 1})" if pair is not None else "trivial"
@@ -161,9 +160,16 @@ def cmd_multiquiver(args) -> int:
         for failure in report.failures:
             print("  " + failure.describe(), file=sys.stderr)
         return 2
+    for j, row in enumerate(beta, start=1):
+        if not any(row):
+            raise StructureError(f"row {j} is zero; it contributes no solution data")
     sol = build_solution(beta)
     sym = symmetrized_solution(beta)
-    families = residue_families(beta)
+    # every generator is linear in the one variable of its row
+    rows = [[] for _ in beta]
+    for piece in decompose(sym):
+        (j,) = piece.generator.used_variables()
+        rows[j].append(piece)
     print(f"rows: {len(beta)}, directions: {len(beta[0])}")
     print("solution (full-shift form):")
     for i, p in enumerate(sol.polys, start=1):
@@ -172,13 +178,10 @@ def cmd_multiquiver(args) -> int:
     for i, e in enumerate(sym.entries, start=1):
         print(f"  p{i} = {format_factored(e)}")
     print(f"expected piece count: {expected_piece_count(beta)}")
-    for fam in families:
-        side = " (one-sided)" if fam.one_sided else ""
-        print(
-            f"row {fam.row + 1}: modulus {fam.modulus}, "
-            f"{len(fam.pieces)} piece(s){side}"
-        )
-        for piece in fam.pieces:
+    for j, (row, pieces) in enumerate(zip(beta, rows), start=1):
+        side = " (one-sided)" if sum(1 for v in row if v) == 1 else ""
+        print(f"row {j}: modulus {gcd(*row)}, {len(pieces)} piece(s){side}")
+        for piece in pieces:
             print(f"  orbit of {format_poly(piece.generator)}:")
             for i, e in enumerate(piece.solution.entries, start=1):
                 if not e.is_one:

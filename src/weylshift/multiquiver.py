@@ -3,18 +3,19 @@
 Each row of an integer matrix beta may carry at most one positive and one
 negative entry.  Row j, column i contributes a falling or rising product
 of integer shifts of u_j to entry i; the resulting tuple satisfies the
-non-symmetric consistency equations, and its symmetrized form factors by
-residue classes of the linear shifts.
+non-symmetric consistency equations.  Its symmetrized form is built from
+linear factors, each in one u_j, so every orbital piece of it (see
+`orbital.decompose`) lies on an orbit of one row: a nonzero row j gives
+as many pieces as the gcd of its entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .consistency import CheckFailure, CheckReport, SolutionTuple
-from .orbital import FactoredSolution, OrbitalPiece, StructureError
+from .orbital import FactoredSolution
 from .parser import _MAX_DEGREE
 from .poly import FactoredPoly, Poly, merge_factors
 from .shifts import ShiftSystem
@@ -97,64 +98,6 @@ def symmetrized_solution(beta) -> FactoredSolution:
                 factors.append((lin, 1))
         entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items()))
     return FactoredSolution(sys, tuple(entries))
-
-
-@dataclass(frozen=True)
-class ResidueFamily:
-    """Orbital pieces contributed by one row, one per residue class."""
-
-    row: int
-    modulus: int
-    pieces: tuple[OrbitalPiece, ...]
-    one_sided: bool
-
-
-def factor_by_residue(beta) -> list[OrbitalPiece]:
-    """Orbital pieces of the symmetrized solution, grouped arithmetically.
-
-    For row j with nonzero entries the shifts of u_j generated by the
-    columns are the multiples of gamma_j = gcd of the row; a linear factor
-    (u_j - l) of entry i sits on the orbit labelled by (l - beta[j][i]/2)
-    mod gamma_j.  Rows with a single nonzero entry yield one-sided
-    singleton pieces; zero rows are rejected.
-    """
-    return [p for fam in residue_families(beta) for p in fam.pieces]
-
-
-def residue_families(beta) -> list[ResidueFamily]:
-    _require_valid(beta)
-    sys = system_of(beta)
-    m, n = sys.nvars, sys.nshifts
-    full = tuple(range(n))
-    families = []
-    for j in range(m):
-        nonzero = [i for i in range(n) if beta[j][i]]
-        if not nonzero:
-            raise StructureError(f"row {j + 1} is zero; it contributes no solution data")
-        gamma = gcd(*beta[j])
-        # class label -> entry index -> linear factors
-        classes: dict[Fraction, dict[int, list[Poly]]] = {}
-        for i in nonzero:
-            half = Fraction(beta[j][i], 2)
-            for lin in _run_factors(m, j, beta[j][i]):
-                root = -lin.coefficient((0,) * m)
-                label = (root - half) % gamma
-                classes.setdefault(label, {}).setdefault(i, []).append(lin)
-        pieces = []
-        for label in sorted(classes):
-            bucket = classes[label]
-            entries = []
-            anchor: Poly | None = None
-            for i in range(n):
-                factors = [(q, 1) for q in bucket.get(i, [])]
-                entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items()))
-                if anchor is None and i in bucket:
-                    root = -bucket[i][0].coefficient((0,) * m)
-                    anchor = Poly.variable(m, j) - (root - Fraction(beta[j][i], 2))
-            assert anchor is not None
-            pieces.append(OrbitalPiece(anchor, full, FactoredSolution(sys, tuple(entries))))
-        families.append(ResidueFamily(j, gamma, tuple(pieces), len(nonzero) == 1))
-    return families
 
 
 def expected_piece_count(beta) -> int:

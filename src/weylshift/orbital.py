@@ -63,8 +63,9 @@ def decompose(sol: FactoredSolution) -> list[OrbitalPiece]:
 
     The generator of each piece is its orbit's normal form (see
     `shifts.orbit_forms`), and the pieces are ordered by the text of
-    their generators, so neither depends on factor order; each entry
-    keeps its factors in the input's order.
+    their generators, so neither depends on factor order.  Each entry
+    keeps its factors in the input's order; `cli.format_factored` prints
+    them in text order.  `_place` gives each piece's stabilizer too.
     """
     return [piece for piece, *_ in _place(sol)]
 
@@ -105,17 +106,19 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
 
 def _offsets(
     piece: OrbitalPiece, which: Iterable[int], indices: Sequence[int]
-) -> list[tuple[int, Poly, IntVec | None]]:
-    """Each factor of the entries `which` as its entry index, its
-    pull-back by half that entry's direction, and the offset over
-    `indices` that shifts the monic generator onto the pull-back, or None
-    off the generator's orbit; one `orbit_forms` call finds every form."""
+) -> tuple[tuple[IntVec, ...], list[tuple[int, Poly, IntVec | None]]]:
+    """A basis, as `orbit_forms` found it, of the monic generator's
+    stabilizer over `indices`, and each factor of the entries `which` as
+    its entry index, its pull-back by half that entry's direction, and
+    the offset over `indices` that shifts the monic generator onto the
+    pull-back, or None off the generator's orbit; one `orbit_forms` call
+    finds every form."""
     sys, entries = piece.solution.sys, piece.solution.entries
     bases = [(i, half_shift(sys, i, -1, q)) for i in which for q, _ in entries[i].factors]
-    (gen_form, k0, _), *forms = orbit_forms(
+    (gen_form, k0, stab), *forms = orbit_forms(
         sys, [piece.generator.make_monic()[1]] + [base for _, base in bases], indices
     )
-    return [
+    return stab, [
         (i, base, tuple(a - b for a, b in zip(k0, k)) if form == gen_form else None)
         for (i, base), (form, k, _) in zip(bases, forms)
     ]
@@ -128,7 +131,7 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     gen_monic = piece.generator.make_monic()[1]
     failures = tuple(
         CheckFailure("membership", (i,), base - gen_monic)
-        for i, base, offset in _offsets(piece, range(sys.nshifts), piece.indices)
+        for i, base, offset in _offsets(piece, range(sys.nshifts), piece.indices)[1]
         if offset is None
     )
     return CheckReport(failures).merged(check_factored(sys, entries))

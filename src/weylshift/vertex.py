@@ -179,16 +179,18 @@ def encode(piece: OrbitalPiece) -> VertexConfig:
 
     The factor q of entry i sits at (2a+1, 2b) where (a, b) shifts the
     generator onto the pulled-back factor; entry j factors land on
-    (2a, 2b+1).  Conservation failure afterwards means the input was not
-    a solution.
+    (2a, 2b+1).  The lattice is the HNF of the generator's stabilizer
+    over the pair, from the same orbit search.  Conservation failure
+    afterwards means the input was not a solution.
     """
     pair = _support(piece)
     offsets: dict[int, list[IntVec]] = {idx: [] for idx in pair}
-    for idx, _, offset in _offsets(piece, pair, pair):
+    stab, placed = _offsets(piece, pair, pair)
+    for idx, _, offset in placed:
         if offset is None:
             raise StructureError(f"factor of entry {idx + 1} does not sit on the orbit over the pair")
         offsets[idx].append(offset)
-    return _placed_config(piece, pair, offsets, stabilizer_lattice(piece.solution.sys, piece.generator, pair))
+    return _placed_config(piece, pair, offsets, hnf(stab))
 
 
 def _support(piece: OrbitalPiece) -> tuple[int, int]:

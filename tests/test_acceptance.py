@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import data_path, golden_path
+from multiquiver_reference import factor_by_residue
 from weylshift.consistency import (
     check_binary,
     check_nonsymmetric,
@@ -26,7 +27,6 @@ from weylshift.intlinalg import integer_kernel, matmul, rational_inverse
 from weylshift.multiquiver import (
     build_solution,
     expected_piece_count,
-    factor_by_residue,
     symmetrized_solution,
 )
 from weylshift.orbital import (

@@ -1,13 +1,17 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
 import json
+import random
+import re
 import time
 
 import pytest
 
 from conftest import data_path, golden_path
 from weylshift import cli
+from weylshift import problemfile as pf
 from weylshift.cli import main
+from weylshift.multiquiver import symmetrized_solution, system_of
 from weylshift.problemfile import load_path, loads
 
 GL3 = data_path("gl3.json")
@@ -121,24 +125,32 @@ def test_classify_record(tmp_path):
     assert [piece["pair"] for piece in doc["pieces"]] == [[1, 2], [2, 3]]
 
 
-def test_classify_record_does_not_depend_on_factor_order(tmp_path):
+@pytest.mark.parametrize("verb", ["classify", "decompose"])
+def test_output_does_not_depend_on_factor_order(tmp_path, capsys, verb):
     # a decoded 2-loop staircase, and the same tuple with each entry's
-    # factor list reversed, once classified with generators u1 - 6 and u1 - 4
+    # factor list reversed: classify once gave them generators u1 - 6 and
+    # u1 - 4, and decompose printed each entry's factors in file order
     rnd, dec, rev = (tmp_path / name for name in ("rnd.json", "dec.json", "rev.json"))
     argv = ["gen-random", STAIR, "--orbit", "u1", "--pair", "1", "2", "--loops", "2", "--seed", "4"]
     assert main(argv + ["-o", str(rnd)]) == 0
     assert main(["decode", str(rnd), "-o", str(dec)]) == 0
     doc = json.loads(dec.read_text())
-    for entry in doc["tuples"]["random"]["entries"]:
+    entries = doc["tuples"]["random"]["entries"]
+    assert max(len(entry["factors"]) for entry in entries) > 1
+    for entry in entries:
         entry["factors"].reverse()
     rev.write_text(json.dumps(doc))
-    records = []
+    outputs = []
     for path in (dec, rev):
-        out = tmp_path / "cls.json"
-        assert main(["classify", str(path), "-o", str(out)]) == 0
-        records.append(out.read_bytes())
-    assert records[0] == records[1]
-    assert [piece["generator"] for piece in json.loads(records[0])["pieces"]] == ["u1"]
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if verb == "classify":
+        generators = [piece["generator"] for piece in json.loads(outputs[0])["pieces"]]
+    else:
+        generators = re.findall(r"generator: (.*)", outputs[0])
+    assert generators == ["u1"]
 
 
 def test_multiquiver_report(capsys):
@@ -156,6 +168,38 @@ def test_multiquiver_one_sided_flag(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["multiquiver", "--beta", str(path)]) == 0
     assert "one-sided" in capsys.readouterr().out
+
+
+def _orbit_names(beta, tmp_path, capsys):
+    """The generators that multiquiver names for beta, and those that
+    decompose prints for the symmetrized tuple, from one file."""
+    doc = pf.file_obj(system_of(beta), tuples={"sym": pf.factored_obj(symmetrized_solution(beta))})
+    doc["beta"] = beta
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["multiquiver", "--beta", str(path)]) == 0
+    named = re.findall(r"^  orbit of (.*):$", capsys.readouterr().out, re.MULTILINE)
+    assert main(["decompose", str(path)]) == 0
+    printed = re.findall(r"^  generator: (.*)$", capsys.readouterr().out, re.MULTILINE)
+    return named, printed
+
+
+def test_multiquiver_names_the_orbits_that_decompose_prints(tmp_path, capsys):
+    named, printed = _orbit_names([[-1, 1, 0], [0, -1, 1]], tmp_path, capsys)
+    assert named == printed == ["u1 + 1/2", "u2 + 1/2"]
+    rng = random.Random(2603)
+    for _ in range(20):
+        ncols = rng.randint(2, 4)
+        beta = []
+        for _ in range(rng.randint(1, 3)):
+            row = [0] * ncols
+            i, j = rng.sample(range(ncols), 2)
+            row[i] = rng.randint(1, 6)
+            row[j] = -rng.randint(0, 6)
+            beta.append(row)
+        named, printed = _orbit_names(beta, tmp_path, capsys)
+        assert sorted(named) == sorted(printed) and len(set(named)) == len(named)
 
 
 def test_multiquiver_invalid_beta(tmp_path, capsys):
@@ -642,7 +686,7 @@ def test_decompose_of_a_piece_with_a_moved_constant_entry_prints_nothing(tmp_pat
 
 
 def test_multiquiver_with_a_zero_beta_row_prints_nothing(tmp_path, capsys):
-    # the solutions build; the residue families then reject the zero row
+    # multiquiver rejects the zero row before it prints anything
     path = tmp_path / "beta.json"
     path.write_text(json.dumps({"m": 2, "n": 2, "alpha": [[1, 0], [0, 1]], "beta": [[1, -1], [0, 0]]}))
     assert main(["multiquiver", "--beta", str(path)]) == 2

@@ -1,20 +1,23 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from weylshift.consistency import check_binary, check_ternary, symmetrize
+from multiquiver_reference import factor_by_residue, residue_families
+from weylshift.cli import main
+from weylshift.consistency import check_binary, check_nonsymmetric, check_ternary, symmetrize
 from weylshift.multiquiver import (
     build_solution,
     expected_piece_count,
-    factor_by_residue,
-    residue_families,
     symmetrized_solution,
     system_of,
     validate_beta,
 )
-from weylshift.orbital import decompose
+from weylshift.orbital import decompose, support_pair
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
+from weylshift.shifts import same_orbit
 
 
 def expanded_pieces(pieces):
@@ -105,6 +108,14 @@ def test_residue_grouping_matches_decompose():
         by_orbit = decompose(symmetrized_solution(beta))
         assert len(by_residue) == len(by_orbit) == expected_piece_count(beta)
         assert expanded_pieces(by_residue) == expanded_pieces(by_orbit)
+        # the reference names each orbit by its residue label, decompose by
+        # its normal form; the two name one orbit
+        sys = system_of(beta)
+        full = tuple(range(sys.nshifts))
+        generators = {tuple(e.expand() for e in p.solution.entries): p.generator for p in by_orbit}
+        for piece in by_residue:
+            generator = generators[tuple(e.expand() for e in piece.solution.entries)]
+            assert same_orbit(sys, piece.generator, generator, full) is not None
 
 
 def test_expected_piece_count():
@@ -123,7 +134,9 @@ def test_single_nonzero_row_is_one_sided():
     fams = residue_families([[3, 0]])
     assert fams[0].one_sided
     assert len(fams[0].pieces) == 3
-    for piece in fams[0].pieces:
+    pieces = decompose(symmetrized_solution([[3, 0]]))
+    assert expanded_pieces(pieces) == expanded_pieces(fams[0].pieces)
+    for piece in pieces:
         entries = piece.solution.entries
         assert entries[1].is_one
         assert sum(m for _, m in entries[0].factors) == 1
@@ -137,3 +150,28 @@ def test_multi_row_solution_checks_out():
     assert check_ternary(expanded).passed
     pieces = decompose(fs)
     assert len(pieces) == expected_piece_count(beta) == 5
+
+
+def _gl_beta(n):
+    """Row j is -1 at column j and +1 at column j + 1."""
+    return [[-1 if i == j else 1 if i == j + 1 else 0 for i in range(n)] for j in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gl_n_family(tmp_path, capsys, n):
+    # the rank-one orbits of the primitive quotients of U(gl_n), alpha = beta
+    beta = _gl_beta(n)
+    m = n - 1
+    u = [Poly.variable(m, j) for j in range(m)]
+    closed = [u[0] - 1] + [u[i - 1] * (u[i] - 1) for i in range(1, n - 1)] + [u[n - 2]]
+    sol = build_solution(beta)
+    assert sol.polys == tuple(closed)
+    assert check_nonsymmetric(sol).passed
+    pieces = decompose(symmetrized_solution(beta))
+    assert len(pieces) == n - 1
+    assert sorted(support_pair(p) for p in pieces) == [(j, j + 1) for j in range(n - 1)]
+    path = tmp_path / "gl.json"
+    path.write_text(json.dumps({"m": m, "n": n, "alpha": beta, "beta": beta}))
+    assert main(["multiquiver", "--beta", str(path)]) == 0
+    rows = re.findall(r"^row (\d+): (.*)$", capsys.readouterr().out, re.MULTILINE)
+    assert rows == [(str(j), "modulus 1, 1 piece(s)") for j in range(1, n)]

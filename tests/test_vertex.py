@@ -388,6 +388,16 @@ def test_classify_record_does_not_depend_on_factor_order(sol, rng):
     assert [str(g) for g in generators] == sorted(str(g) for g in generators)
 
 
+def _counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def test_classify_places_every_factor_once(monkeypatch):
     import weylshift.orbital as orbital
     import weylshift.shifts as shifts
@@ -399,20 +409,12 @@ def test_classify_places_every_factor_once(monkeypatch):
     ]
     sol = _superpose(GL3, configs)
     calls = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
     wrappers = {
-        "orbit_forms": counting("orbit_forms", shifts.orbit_forms),
-        "half_shift": counting("half_shift", shifts.half_shift),
-        "decode": counting("decode", vertex.decode),
-        "stabilizer_lattice": counting("stabilizer_lattice", shifts.stabilizer_lattice),
-        "moving_directions": counting("moving_directions", shifts.moving_directions),
+        "orbit_forms": _counting(calls, "orbit_forms", shifts.orbit_forms),
+        "half_shift": _counting(calls, "half_shift", shifts.half_shift),
+        "decode": _counting(calls, "decode", vertex.decode),
+        "stabilizer_lattice": _counting(calls, "stabilizer_lattice", shifts.stabilizer_lattice),
+        "moving_directions": _counting(calls, "moving_directions", shifts.moving_directions),
     }
     for module in (orbital, shifts, vertex):
         for name, wrapper in wrappers.items():
@@ -426,6 +428,32 @@ def test_classify_places_every_factor_once(monkeypatch):
     assert calls["stabilizer_lattice"] == 0
     # support_pair asks once per piece which directions move the generator
     assert calls["moving_directions"] == 9
+
+
+def test_encode_reads_its_lattice_from_the_orbit_search(monkeypatch, gl3_file, staircase_file, staircase_config):
+    import weylshift.orbital as orbital
+    import weylshift.shifts as shifts
+    import weylshift.vertex as vertex
+
+    pieces = [
+        *decompose(gl3_file.tuples["gl3_sym"].as_factored()),
+        *decompose(staircase_file.tuples["main_monic"].as_factored()),
+        decode(staircase_config),
+    ]
+    calls = Counter()
+    for name in ("orbit_forms", "stabilizer_lattice"):
+        wrapper = _counting(calls, name, getattr(shifts, name))
+        for module in (orbital, shifts, vertex):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    ranks = []
+    for piece in pieces:
+        calls.clear()
+        config = encode(piece)
+        assert calls == {"orbit_forms": 1}
+        assert config.lattice == stabilizer_lattice(piece.solution.sys, piece.generator, config.pair)
+        ranks.append(len(config.lattice))
+    assert ranks == [1, 1, 1, 1]
 
 
 def test_random_config_computes_the_stabilizer_once(monkeypatch):

@@ -6,7 +6,12 @@ non-symmetric form; applying the half-step of each direction to its own
 entry translates between the two.  Every check runs one engine on
 FactoredPoly entries: an expanded entry is its leading coefficient times
 its monic self, and the non-symmetric form is the symmetric one on the
-symmetrized tuple, with each witness shifted back.
+symmetrized tuple, with each witness shifted back.  The engine compares
+the multisets of shifted factors on the two sides of each identity, and
+expands only the identities where they differ.  A shifted factor of
+degree 1, the only kind in the gl_n-type and linear staircase solutions,
+is compared by an integer key, its direction and its constant, so no
+Poly is built for it unless its identity fails.
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
@@ -25,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from typing import Iterator, Sequence
 
 from .intlinalg import rref
@@ -123,6 +128,34 @@ def _ternary(halves, moving):
             yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
 
 
+def _linear_form(q: Poly, den: int) -> tuple | None:
+    """For a monic q = (sum_j n_j u_j + c) / d of degree 1, the primitive
+    direction n / gcd(n) as sorted (j, n_j) pairs, the pairs (j, n_j), c * den
+    and d * den: enough to key q shifted by any integer vector over den.
+    None for any other q."""
+    terms = q._linear_terms()
+    if terms is None:
+        return None
+    g = gcd(*(v for _, v in terms))
+    return tuple(sorted((j, v // g) for j, v in terms)), terms, q._terms.get(0, 0) * den, q._den * den
+
+
+def _shifted_key(form: tuple, vec: Sequence[int]) -> tuple:
+    """The key of a degree-1 factor with the given _linear_form, shifted by
+    vec over the form's den."""
+    direction, terms, c, d = form
+    num = c - sum(v * vec[j] for j, v in terms)
+    g = gcd(num, d)
+    return direction, num // g, d // g
+
+
+def _movable(forms) -> list[Poly]:
+    """The factors of one entry whose moving sets make up the entry's: each
+    factor past degree 1, and one factor of each degree-1 direction, since
+    a translate is moved by the same directions."""
+    return list({form[0] if form else q: q for q, _, form in forms}.values())
+
+
 def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[CheckFailure]:
     """The failing identities of each kind, in report order.
 
@@ -141,21 +174,40 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     identity; factors need not be irreducible, so otherwise the witness,
     the expanded left side minus the expanded right side, decides it.  A
     side's unit is the product of its entries' units.
+
+    Each factor is read once per entry.  A shifted factor of degree 1 is
+    keyed by integers, not built: q = (sum_j n_j u_j + c) / d shifted by
+    t = v / den is (n / gcd(n), (c * den - <n, v>) / (d * den) reduced), and
+    since factors are monic, two keys are equal exactly when the shifted
+    factors are.  Any other factor's key is the shifted Poly itself.  Only
+    an identity whose key multisets differ builds the shifted Polys of its
+    sides, reusing those keys, to expand them.
     """
-    moving = [set(moving_directions(sys, [q for q, _ in e.factors])) for e in entries]
+    den = 2 * sys.den
+    forms = [[(q, m, _linear_form(q, den)) for q, m in e.factors] for e in entries]
+    moving = [set(moving_directions(sys, _movable(f))) for f in forms]
 
-    def moved(side) -> list[tuple[Poly, int]]:
-        return [(q.shift(vec, 2 * sys.den), m) for k, vec in side for q, m in entries[k].factors]
+    def keys(side) -> list[tuple[Poly | tuple, int]]:
+        return [
+            (q.shift(vec, den) if form is None else _shifted_key(form, vec), m)
+            for k, vec in side
+            for q, m, form in forms[k]
+        ]
 
-    def expand(side, merged: dict[Poly, int]) -> Poly:
+    def expand(side, keyed) -> Poly:
+        if not all(isinstance(key, Poly) for key, _ in keyed):
+            factors = [(q, vec) for k, vec in side for q, _, _ in forms[k]]
+            keyed = [
+                (key if isinstance(key, Poly) else q.shift(vec, den), m) for (q, vec), (key, m) in zip(factors, keyed)
+            ]
         unit = prod(entries[k].unit for k, _ in side)
-        return FactoredPoly(sys.nvars, unit, tuple(merged.items())).expand()
+        return FactoredPoly(sys.nvars, unit, tuple(merge_factors(keyed).items())).expand()
 
     failures = []
     for kind in kinds:
         for relation, indices, lhs, rhs in kind(sys.columns, moving):
-            left, right = merge_factors(moved(lhs)), merge_factors(moved(rhs))
-            if left == right:
+            left, right = keys(lhs), keys(rhs)
+            if merge_factors(left) == merge_factors(right):
                 continue
             diff = expand(lhs, left) - expand(rhs, right)
             if not diff.is_zero:

@@ -22,7 +22,11 @@ summed with one poly.sum_terms call.  So both paths give the same Poly,
 down to the order of its terms.  Where the descent would raise (a
 variable out of range, a degree past the bound, a zero denominator, a
 number too long to read), the short path steps aside and the descent
-raises its ParseError at its position.
+raises its ParseError at its position.  Text that keeps that form only up
+to a point, say up to a parenthesized group, has its longest canonical
+prefix of whole terms split the same way.  The descent reads only the
+rest, going on from the prefix's monomials, with positions counted from
+the start of the text, so a long sum with a short odd tail is read once.
 
 All other text goes to a recursive descent over tokens: parentheses,
 powers of numbers, other spacing, a leading '+'.  It is the only reader
@@ -45,6 +49,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, gcd
+from typing import Sequence
 
 from .poly import Poly, sum_terms, variable_key
 
@@ -90,9 +95,11 @@ _MAX_TERMS = 200_000
 _MAX_PAIRS = 5_000_000
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, start: int = 0) -> list[tuple[str, str, int]]:
+    """The tokens of text from position start on, each with its position in
+    the whole text."""
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
+    i, n = start, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -128,8 +135,8 @@ Monomial = tuple[int, int, int]
 
 
 class _Parser:
-    def __init__(self, text: str, nvars: int):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, nvars: int, start: int = 0):
+        self.tokens = _tokenize(text, start)
         self.pos = 0
         self.nvars = nvars
         self.depth = 0
@@ -148,22 +155,23 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", at)
 
-    def parse(self) -> Poly:
-        """The whole text as one expression."""
-        result = self.expr()
+    def parse(self, monomials: Sequence[Monomial] = ()) -> Poly:
+        """The text from the parser's start on as one expression; with the
+        monomials of the text before it, the sum that goes on from them."""
+        result = self.expr(monomials)
         kind, val, at = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", at)
         return result
 
-    def expr(self) -> Poly:
-        """The sum of the terms, normalised once."""
+    def expr(self, before: Sequence[Monomial] = ()) -> Poly:
+        """The sum of the terms, after the monomials before, normalised once."""
         kind, val, _ = self.peek()
         sign = 1
         if kind == "op" and val in "+-":
             self.take()
             sign = -1 if val == "-" else 1
-        monomials: list[Monomial] = []
+        monomials = list(before)
         polys: list[tuple[int, Poly]] = []
         while True:
             t = self.term()
@@ -369,13 +377,23 @@ def _power(factor: str, nvars: int) -> tuple[int, int]:
 
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse an expression string into a Poly in nvars variables.  Text in
-    format_poly's form is split, not tokenized; it gives the Poly the
-    descent gives, and falls to the descent wherever that raises."""
-    if _CANONICAL.fullmatch(text):
-        monomials = _canonical_terms(text, nvars)
-        if monomials is not None:
-            return sum_terms(nvars, monomials)
-    return _Parser(text, nvars).parse()
+    format_poly's form is split, not tokenized, and so is the longest
+    prefix of any other text that is in that form and ends before ' +' or
+    ' -': the descent reads only the rest, going on from the prefix's
+    terms.  A prefix followed by anything else may end inside a term, as
+    in '2*(u1)' or 'u2^2^3', so its last term is left to the descent.  Both
+    give the Poly the descent alone gives, and the prefix falls to the
+    descent wherever that raises."""
+    match = _CANONICAL.match(text)
+    end = match.end() if match else 0
+    if 0 < end < len(text) and not text.startswith((" +", " -"), end):
+        end = max(text.rfind(" + ", 0, end), text.rfind(" - ", 0, end), 0)
+    monomials = _canonical_terms(text[:end], nvars) if end else None
+    if monomials is None:
+        return _Parser(text, nvars).parse()
+    if end == len(text):
+        return sum_terms(nvars, monomials)
+    return _Parser(text, nvars, end).parse(monomials)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")

@@ -37,10 +37,11 @@ from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+_Key = TypeVar("_Key", bound=Hashable)
 
 EXPONENT_LIMIT = 1 << 32
 _BITS = 32
@@ -333,22 +334,32 @@ class Poly:
                     out[key] = out.get(key, 0) + v * e * b
         return out, self._den * scale
 
-    def _linear_drop(self, vec: Sequence[Scalar]) -> tuple[int, int] | None:
-        """<grad p, vec> as (numerator, scale) over den * scale, scale the lcm
-        of the denominators of the entries of vec that p's linear terms pair
-        with, when p has total degree at most 1; None otherwise.  The caller
-        checks that vec has one entry per variable."""
+    def _linear_terms(self) -> list[tuple[int, int]] | None:
+        """(j, numerator over den) for each term in u_{j+1} alone, when p has
+        total degree at most 1; None otherwise, at once when p has more
+        terms than such a polynomial can."""
+        if len(self._terms) > self.nvars + 1:
+            return None
         slots = _linear_keys(self.nvars)
-        pairs = []
+        out = []
         for k, v in self._terms.items():
             if k:
                 j = slots.get(k)
                 if j is None:
                     return None
-                if vec[j]:
-                    pairs.append((v, vec[j]))
-        scale = lcm(*(t.denominator for _, t in pairs))
-        return sum(v * t.numerator * (scale // t.denominator) for v, t in pairs), scale
+                out.append((j, v))
+        return out
+
+    def _linear_drop(self, vec: Sequence[Scalar]) -> tuple[int, int] | None:
+        """<grad p, vec> as (numerator, scale) over den * scale, scale the lcm
+        of the denominators of the entries of vec that p's linear terms pair
+        with, when p has total degree at most 1; None otherwise.  The caller
+        checks that vec has one entry per variable."""
+        terms = self._linear_terms()
+        if terms is None:
+            return None
+        scale = lcm(*(vec[j].denominator for j, _ in terms))
+        return sum(v * vec[j].numerator * (scale // vec[j].denominator) for j, v in terms), scale
 
     def shift(self, offsets: Sequence[Scalar], den: int = 1) -> "Poly":
         """Return p(u1 - t1, ..., um - tm) for t = offsets / den, offsets ints
@@ -607,10 +618,11 @@ def exact_div(a: Poly, b: Poly) -> Poly | None:
     return Poly._raw(m, *_reduced({k: v * db for k, v in quot.items()}, a._den * content))
 
 
-def merge_factors(factors: Iterable[tuple[Poly, int]]) -> dict[Poly, int]:
+def merge_factors(factors: Iterable[tuple[_Key, int]]) -> dict[_Key, int]:
     """The multiset of (factor, multiplicity) pairs: multiplicities of a
-    repeated factor are summed, and factors keep their first-seen order."""
-    merged: dict[Poly, int] = {}
+    repeated factor, or of a repeated key that stands for one, are summed,
+    and factors keep their first-seen order."""
+    merged: dict[_Key, int] = {}
     for q, mult in factors:
         merged[q] = merged.get(q, 0) + mult
     return merged

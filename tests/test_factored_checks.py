@@ -8,7 +8,7 @@ failures in the same order and the same text, witnesses included.
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import data_path
 from consistency_reference import reference_symmetric
@@ -105,10 +105,18 @@ solutions = st.one_of(
 )
 
 
+def _degree_one(fs: FactoredSolution) -> bool:
+    return all(q.degree() == 1 for e in fs.entries for q, _ in e.factors)
+
+
+# gl3 decoded, symmetrized betas and the staircase's linear family
+degree_one_solutions = solutions.filter(_degree_one)
+
+
 @st.composite
-def corrupted(draw):
+def corrupted(draw, tuples=solutions):
     """A solution with one factor moved by a nonzero constant."""
-    fs = draw(solutions)
+    fs = draw(tuples)
     k = draw(st.sampled_from([k for k, e in enumerate(fs.entries) if e.factors] or [0]))
     entry = fs.entries[k]
     if not entry.factors:
@@ -119,6 +127,50 @@ def corrupted(draw):
     q, mult = factors[pos]
     factors[pos] = (q + delta, mult)
     return _replace(fs, k, _entry(entry, factors))
+
+
+def _unit_entries(sys: ShiftSystem, factors) -> FactoredSolution:
+    """The tuple whose entry k is the product of the factors[k] texts."""
+    m = sys.nvars
+    entries = [FactoredPoly.from_factors(m, [(parse_poly(q, m), 1) for q in fs]) for fs in factors]
+    return FactoredSolution(sys, tuple(entries))
+
+
+@st.composite
+def degree_one_tuples(draw):
+    """Tuples of degree-1 factors that need not be solutions, on GL3 or
+    STAIR.  Factors sum_j n_j u_j + c, monic, with n_j in -3..3 and c over
+    1..6, come from a pool in which two directions take the same
+    constants, so that a direction has constants over different
+    denominators (u1 + 1/3 beside u1 + 1) and two directions share one.  A
+    factor may be a half-column translate of a pool factor, so that keys
+    meet across entries, and one entry may hold one quadratic factor."""
+    sys = draw(st.sampled_from([GL3, STAIR]))
+    m, n = sys.nvars, sys.nshifts
+    directions = st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any)
+    constants = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    pool = []
+    shared = draw(st.lists(constants, min_size=1, max_size=3))
+    for direction in draw(st.lists(directions, min_size=2, max_size=2)):
+        for c in shared:
+            terms = {tuple(int(i == j) for i in range(m)): a for j, a in enumerate(direction)}
+            pool.append(Poly(m, {**terms, (0,) * m: c}).make_monic()[1])
+    entries = []
+    for _ in range(n):
+        factors = []
+        for _ in range(draw(st.integers(0, 3))):
+            q = draw(st.sampled_from(pool))
+            if not draw(st.integers(0, 3)):  # moved by plus or minus half of a column
+                i, sign = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1]))
+                q = q.shift([sign * a for a in sys.columns[i]], 2 * sys.den)
+            factors.append((q, draw(st.integers(1, 2))))
+        unit = draw(st.sampled_from([1, 2, -1, Fraction(1, 3)]))
+        entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items(), unit))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        quadratic = draw(st.sampled_from(pool)) * draw(st.sampled_from(pool)) + draw(constants)
+        entries[k] = _entry(entries[k], [*entries[k].factors, (quadratic, 1)])
+    return FactoredSolution(sys, tuple(entries))
 
 
 def regrouped(fs: FactoredSolution):
@@ -152,6 +204,40 @@ def test_solutions_pass_on_factors_alone(fs):
     with Counting() as counting:
         assert check_factored(fs.sys, fs.entries).passed
     assert counting.products == 0
+
+
+@settings(max_examples=80)
+@given(fs=degree_one_tuples())
+# the two sides of the first tuple's binary (2,3) differ in the shifted
+# factors' directions alone, and those of the second's binary (3,4) in
+# their denominators alone
+@example(fs=_unit_entries(GL3, [[], ["u1 + u2 + 3", "u1 - u2 + 3"], []]))
+@example(fs=_unit_entries(STAIR, [[], [], ["u1 + u2 - 3*u3 - 1"], ["u1 + u2 - 3*u3 - 1/3"]]))
+def test_degree_one_keys_match_expanded(fs):
+    assert_same_report(fs)
+
+
+@settings(max_examples=40)
+@given(fs=degree_one_solutions)
+def test_degree_one_solutions_pass_without_shifting_a_factor(fs):
+    with Counting() as counting:
+        assert check_factored(fs.sys, fs.entries).passed
+    assert counting.shifts == 0
+
+
+@settings(max_examples=40)
+@given(fs=corrupted(degree_one_solutions))
+def test_degree_one_factors_shift_only_for_failing_identities(fs):
+    # degree-1 factors are irreducible, so exactly the failing identities
+    # differ as multisets, and each shifts every factor of both its sides
+    with Counting() as counting:
+        report = check_factored(fs.sys, fs.entries)
+    sizes = [len(e.factors) for e in fs.entries]
+    shifted = [
+        2 * (sizes[f.indices[0]] + sizes[f.indices[1]]) if f.relation == "binary" else 4 * sizes[f.indices[2]]
+        for f in report.failures
+    ]
+    assert counting.shifts == sum(shifted)
 
 
 @settings(max_examples=40)
@@ -193,6 +279,18 @@ def test_only_the_generators_pair_shifts_on_the_staircase(staircase_config):
     with Counting() as counting:
         assert check_factored(fs.sys, fs.entries).passed
     assert counting.shifts == 2 * sum(len(e.factors) for e in fs.entries[:2]) == 10
+
+
+def test_a_failing_identity_shifts_its_factors_once(staircase_config):
+    # the figure's factors are past degree 1, so each one's shifted Poly is
+    # its key and, once binary (1,2) fails, also its part of the witness
+    fs = decode(staircase_config).solution
+    (q, mult), *rest = fs.entries[0].factors
+    broken = _replace(fs, 0, _entry(fs.entries[0], [(q + Fraction(1, 7), mult), *rest]))
+    with Counting() as counting:
+        report = check_factored(broken.sys, broken.entries)
+    assert [f.indices for f in report.failures] == [(0, 1)]
+    assert counting.shifts == 10
 
 
 def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys):

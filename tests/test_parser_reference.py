@@ -13,9 +13,10 @@ does not have.
 
 A third of the inputs are format_poly's text of random Polys, which
 parse_poly reads without its descent, some of them mutated just off that
-form or into what the descent rejects.  On those parse_poly must also
-give what the package's own descent gives, down to the order of the
-terms.
+form or into what the descent rejects, or followed by a tail that only
+the descent reads, so that parse_poly splits a prefix and descends into
+the rest.  On those parse_poly must also give what the package's own
+descent gives, down to the order of the terms.
 """
 
 import re
@@ -105,6 +106,8 @@ def formatted(draw):
         text += draw(st.sampled_from([" +", " -"]))
     elif mutation == 4:
         text = _edit(draw, text, "+-*^()/ u10")
+    elif mutation == 5:  # a tail past the form, which the descent alone reads
+        text += draw(st.sampled_from([" + ", " - ", "*", "^", " +", ""])) + draw(EXPRESSIONS)
     return text
 
 
@@ -148,6 +151,11 @@ def _descent(text, nvars):
 @example("-u1 + 2/4*u2^0 - (u1 - 1/2)^2 + 0*u3^5")
 @example("(u1 + u2)^500*(u1 - u2)^500")
 @example("(u1 + 2*u2 - 3*u3 + 1/3)^4 - (u1 + 2*u2 - 3*u3 + 1/3)^2*(u1 + 2*u2 - 3*u3 + 1/3)^2")
+@example("u1 + 2*u2 + 3*(u1 - 1)")
+@example("u1 - 2*(")
+@example("u1 + u2^2*(u3)")
+@example("u1 + u2^2^3 - 1")
+@example("-u1 + 1/2 +(u4)")
 def test_parse_poly_matches_the_reference(text):
     assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
 
@@ -158,6 +166,10 @@ def test_parse_poly_matches_the_reference(text):
 @example("2/4*u1 + 1/2*u2 + 3/4*u3")  # unreduced, the first term would come over 4
 @example("u1^600*u1^401 + u2")
 @example("u1 + 1" + "0" * 4300)
+@example("u1 + 2*u2 + 3*(u1 - 1)")
+@example("u1 - 2*(")
+@example("u1 + u2^2*(u3)")
+@example("-u1^2 - 3/4*u2 + (u1 + u2)^2 - u3")
 def test_parse_poly_matches_its_descent_on_formatted_text(text):
     # the list of terms pins their order too
     assert _outcome(parse_poly, text, list) == _outcome(_descent, text, list)

@@ -174,27 +174,30 @@ def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
 # light factorization helpers, enough for products of linear shifts and
 # univariate entries of degree at most 4
 
+# The root search trial-divides up to the square roots of a slice's leading
+# and lowest coefficients, which takes about 1 s at this bound; past it,
+# factoring gives up in bounded time.  The constants of the test data and
+# the benchmark's inputs stay below 10^12.
+_MAX_ROOT_BOUND = 10**14
+
 
 def factor_entry(p: Poly) -> FactoredPoly | None:
     """Try to factor p into monic irreducibles.
 
-    Extracts monomial content and rational linear shifts (u_j - c) in any
-    variable, then finishes a univariate remainder of degree at most 4.
-    Returns None when a nonconstant remainder resists those tools.
+    Divides out rational linear shifts (u_j - c) in any variable, u_j
+    itself as the root c = 0, then finishes a univariate remainder of
+    degree at most 4.  Returns None when a nonconstant remainder resists
+    those tools, or when a root search would pass _MAX_ROOT_BOUND.
     """
     if p.is_zero:
         raise ValueError("cannot factor zero")
     unit, p = p.make_monic()
     factors: list[tuple[Poly, int]] = []
-    content = p.content_exponent()
-    if any(content):
-        shifted = {tuple(e - c for e, c in zip(exp, content)): coeff for exp, coeff in p.items()}
-        for j, c in enumerate(content):
-            if c:
-                factors.append((Poly.variable(p.nvars, j), c))
-        p = Poly(p.nvars, shifted)
     for j in sorted(p.used_variables()):
-        roots, p = _rational_roots(p, j)
+        found = _rational_roots(p, j)
+        if found is None:
+            return None
+        roots, p = found
         var = Poly.variable(p.nvars, j)
         factors.extend((var - c, mult) for c, mult in roots)
     if p.is_constant:
@@ -203,12 +206,16 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
         used = p.used_variables()
         if len(used) != 1 or p.degree() > 4:
             return None
-        factors.extend(_factor_univariate(p, next(iter(used))))
+        rest = _factor_univariate(p, next(iter(used)))
+        if rest is None:
+            return None
+        factors.extend(rest)
     return FactoredPoly.from_factors(p.nvars, merge_factors(factors).items(), unit)
 
 
-def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """Divide every factor (u_j - c) with rational c out of p.
+def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly] | None:
+    """Divide every factor (u_j - c) with rational c out of p, or None
+    when the slice's leading or lowest coefficient passes _MAX_ROOT_BOUND.
 
     Candidates come from one coefficient slice of p viewed as a polynomial
     in u_j.  Dividing p by (u_j - c) divides that slice by it too, so the
@@ -230,6 +237,8 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
     scale = lcm(*[c.denominator for c in coeffs.values()])
     ints = {k: int(c * scale) for k, c in coeffs.items()}
     low = min(ints)
+    if max(abs(ints[deg]), abs(ints[low])) > _MAX_ROOT_BOUND:
+        return None
     candidates = [Fraction(0)] if low > 0 else []
     candidates += _root_candidates(ints[deg], ints[low])
     var = Poly.variable(p.nvars, j)
@@ -249,10 +258,11 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly]:
     return roots, p
 
 
-def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]]:
+def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
     """Factor a monic univariate polynomial of degree <= 4 with no rational
     roots into irreducibles; only the quartic case can split further.  A
-    square comes back as the same quadratic twice."""
+    square comes back as the same quadratic twice.  None when the root
+    search of the quartic's resolvent would pass _MAX_ROOT_BOUND."""
     if p.degree() <= 3:
         return [(p, 1)]
     coeff = {k: Fraction(0) for k in range(5)}
@@ -268,7 +278,10 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]]:
         + var * (b3 * b1 - 4 * b0)
         - (b3 * b3 * b0 - 4 * b2 * b0 + b1 * b1)
     )
-    for y, _ in _rational_roots(resolvent, j)[0]:
+    found = _rational_roots(resolvent, j)
+    if found is None:
+        return None
+    for y, _ in found[0]:
         # a + c = b3, ac = b2 - y: roots of z^2 - b3 z + (b2 - y)
         disc = b3 * b3 - 4 * (b2 - y)
         root = _fraction_sqrt(disc)

@@ -16,10 +16,10 @@ Text in format_poly's canonical form, a flat sum of monomials with single
 spaces around '+' and '-', takes a short path.  Every problem file the
 tool writes holds such text, and expanded entries are long.  One regular
 expression tests the whole text for that form; on a match, the text is
-split on spaces and '*' into the (numerator, denominator, packed key)
-monomials that the descent would build, in the same order, and they are
-summed with one poly.sum_terms call.  So both paths give the same Poly,
-down to the order of its terms.  Where the descent would raise (a
+split on spaces and '*' into (numerator, denominator, packed key)
+monomials, one per term in text order, and they are summed with one
+poly.sum_terms call.  So both paths give the same Poly, down to the
+order of its terms.  Where the descent would raise (a
 variable out of range, a degree past the bound, a zero denominator, a
 number too long to read), the short path steps aside and the descent
 raises its ParseError at its position.  Text that keeps that form only up
@@ -31,13 +31,12 @@ the start of the text, so a long sum with a short odd tail is read once.
 All other text goes to a recursive descent over tokens: parentheses,
 powers of numbers, other spacing, a leading '+'.  It is the only reader
 of parenthesised groups, which factored entries and hand-written files
-use.  A term stays a monomial while its factors are numbers, variables
-and their powers, so a product of monomials is one multiply and one key
-add, and a power of one is a power of its coefficient and a multiple of
-its key.  A term becomes a Poly only when it meets a parenthesized group,
-and from there multiplies as Polys do.  A sum gathers all its terms,
-monomials and Polys, and normalises once (poly.sum_terms), so its cost is
-linear in its length.
+use.  It builds every number, variable, power and product as a Poly, and
+a sum gathers its terms, after the monomials of a split prefix, and
+normalises once (poly.sum_terms), so its cost is linear in its length.
+It has no monomial fast path: the text it reads is short, such as a
+configuration's generator, so a product of monomials is a Poly multiply
+and counts one term pair against the budget below.
 
 Every power and product is bounded before it is taken: by nesting
 depth, degree, the bits of a power of a constant, the term count of the
@@ -165,27 +164,22 @@ class _Parser:
         return result
 
     def expr(self, before: Sequence[Monomial] = ()) -> Poly:
-        """The sum of the terms, after the monomials before, normalised once."""
+        """The sum of the monomials before and the terms, normalised once."""
         kind, val, _ = self.peek()
         sign = 1
         if kind == "op" and val in "+-":
             self.take()
             sign = -1 if val == "-" else 1
-        monomials = list(before)
-        polys: list[tuple[int, Poly]] = []
+        terms: list[tuple[int, Poly]] = []
         while True:
-            t = self.term()
-            if isinstance(t, Poly):
-                polys.append((sign, t))
-            else:
-                monomials.append((sign * t[0], t[1], t[2]))
+            terms.append((sign, self.term()))
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
-                return sum_terms(self.nvars, monomials, polys)
+                return sum_terms(self.nvars, before, terms)
             self.take()
             sign = -1 if val == "-" else 1
 
-    def term(self) -> Monomial | Poly:
+    def term(self) -> Poly:
         acc, deg = self.factor()
         while True:
             kind, val, at = self.peek()
@@ -195,15 +189,11 @@ class _Parser:
             rhs, rhs_deg = self.factor()
             deg += rhs_deg
             _check_degree(deg, at)
-            if isinstance(acc, tuple) and isinstance(rhs, tuple):
-                acc = (acc[0] * rhs[0], acc[1] * rhs[1], acc[2] + rhs[2])
-                continue
-            acc, rhs = self.poly(acc), self.poly(rhs)
             if len(acc) * len(rhs) > _MAX_TERMS:  # a product of a and b terms has at most a*b
                 _check_terms(deg, (acc, rhs), at)
             acc = self.product(acc, rhs, at)
 
-    def factor(self) -> tuple[Monomial | Poly, int]:
+    def factor(self) -> tuple[Poly, int]:
         """The factor and its degree, with 0 for the zero polynomial."""
         base, deg = self.base()
         kind, val, _ = self.peek()
@@ -219,14 +209,11 @@ class _Parser:
         width = _width(base)
         if k * width > _MAX_POWER_BITS:
             raise ParseError(f"a power of up to {k * width} bits passes the limit {_MAX_POWER_BITS}", at)
-        if isinstance(base, Poly):
-            if len(base) > 1:  # a power of a monomial is a monomial
-                _check_terms(deg, (base,), at)
-            return self.power(base, k, at), deg
-        num, den, key = base
-        return (num**k, den**k, key * k), deg
+        if len(base) > 1:  # a power of a monomial is a monomial
+            _check_terms(deg, (base,), at)
+        return self.power(base, k, at), deg
 
-    def base(self) -> tuple[Monomial | Poly, int]:
+    def base(self) -> tuple[Poly, int]:
         kind, val, at = self.take()
         if kind == "int":
             num = _natural(val, at)
@@ -239,16 +226,15 @@ class _Parser:
                 den = _natural(val3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
-                g = gcd(num, den)
-                return (num // g, den // g, 0), 0
-            return (num, 1, 0), 0
+                return Poly.constant(self.nvars, Fraction(num, den)), 0
+            return Poly.constant(self.nvars, num), 0
         if kind == "var":
             index = _natural(val[1:], at)
             if not 1 <= index <= self.nvars:
                 raise ParseError(
                     f"variable {val} out of range, expected u1..u{self.nvars}", at
                 )
-            return (1, 1, variable_key(self.nvars, index - 1)), 1
+            return Poly.variable(self.nvars, index - 1), 1
         if kind == "op" and val == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
@@ -258,9 +244,6 @@ class _Parser:
             self.depth -= 1
             return inner, max(inner.degree(), 0)
         raise ParseError("expected a number, variable, or parenthesized group", at)
-
-    def poly(self, x: Monomial | Poly) -> Poly:
-        return x if isinstance(x, Poly) else sum_terms(self.nvars, (x,))
 
     def product(self, a: Poly, b: Poly, at: int) -> Poly:
         """a * b, once the term pairs of every product so far, these
@@ -289,13 +272,10 @@ def _natural(digits: str, at: int) -> int:
         raise ParseError(f"a number of {len(digits)} digits is too long", at) from None
 
 
-def _width(base: Monomial | Poly) -> int:
+def _width(base: Poly) -> int:
     """The bit length of base's widest numerator or denominator, with 0
     for zero."""
-    if isinstance(base, Poly):
-        return max((max(abs(c.numerator), c.denominator).bit_length() for _, c in base.items()), default=0)
-    num, den, _ = base
-    return max(num, den).bit_length() if num else 0
+    return max((max(abs(c.numerator), c.denominator).bit_length() for _, c in base.items()), default=0)
 
 
 def _check_degree(degree: int, at: int) -> None:
@@ -326,8 +306,9 @@ _CANONICAL = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
 
 
 def _canonical_terms(text: str, nvars: int) -> list[Monomial] | None:
-    """The signed monomials of text in _CANONICAL's form, in text order,
-    as _Parser.expr builds them; None where the descent raises instead:
+    """The signed monomials of text in _CANONICAL's form, one per term in
+    text order, each the value the descent gives its term; None where
+    the descent raises instead:
     a variable out of range, a degree past _MAX_DEGREE, a zero
     denominator or a number past the interpreter's limit on digits."""
     sign = 1

@@ -484,14 +484,22 @@ def sum_terms(
     monomials: Iterable[tuple[int, int, int]],
     polys: Iterable[tuple[int, Poly]] = (),
 ) -> Poly:
-    """The sum of signed polynomials and monomials, normalised once.
+    """The sum of signed monomials and polynomials, normalised once.
 
     polys are (sign, Poly) pairs with sign 1 or -1.  A monomial is
     (numerator, positive denominator, key), with a key made from
     variable_key whose exponents stay below EXPONENT_LIMIT.  Numerators
-    are gathered per denominator, the first polynomial over each one
-    copied whole, and then brought over the lcm of the denominators."""
+    are gathered per denominator, monomials first, so that the parser's
+    split prefix of a text sums in the order its descent would; the
+    first polynomial over a new denominator is copied whole, and then
+    all are brought over the lcm of the denominators."""
     parts: dict[int, dict[int, int]] = {}
+    for num, den, key in monomials:
+        part = parts.get(den)
+        if part is None:
+            part = parts[den] = {}
+        if num:  # a zero term adds no key, as a zero polynomial adds none
+            part[key] = part.get(key, 0) + num
     for sign, p in polys:
         part = parts.get(p._den)
         if part is None:
@@ -500,11 +508,6 @@ def sum_terms(
         get = part.get
         for k, v in p._terms.items():
             part[k] = get(k, 0) + sign * v
-    for num, den, key in monomials:
-        part = parts.get(den)
-        if part is None:
-            part = parts[den] = {}
-        part[key] = part.get(key, 0) + num
     den = lcm(*parts)
     groups = iter(parts.items())
     d, terms = next(groups, (1, {}))

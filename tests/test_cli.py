@@ -1,8 +1,12 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
 import json
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -535,6 +539,26 @@ def test_a_long_entry_canonical_up_to_its_end_exits_two_at_once(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "(at position 1000001)" in err
+
+
+@pytest.mark.parametrize("verb", ["classify", "decompose", "encode"])
+def test_an_entry_with_a_huge_constant_exits_two_under_a_cpu_cap(tmp_path, verb):
+    # factoring gives up past its root bound instead of trial-dividing up
+    # to the square root of 10^26; the cap turns a hang into a failure
+    path = _gl3_with(tmp_path, tuples={"t": {"polys": ["u1^2 + 100000000000000000000000003", "1", "1"]}})
+    code = "import sys; from weylshift.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code, verb, path],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (5, 5)),
+        capture_output=True,
+        text=True,
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (
+        "error: entry 1 does not factor with the available tools; supply the tuple in factored form\n"
+    )
 
 
 def test_zero_entry_in_a_tuple_exits_two(tmp_path, capsys):

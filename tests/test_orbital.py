@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -188,6 +189,21 @@ def test_factor_entry_gives_up_honestly():
     assert factor_entry(parse_poly("u1*u2 + 1", 2)) is None
     with pytest.raises(ValueError):
         factor_entry(Poly.zero(2))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "u1^2 + 100000000000000000000000003",
+        # no rational root, but the quartic's resolvent has the constant 4*10^14 - 1
+        "u1^4 + 10000000*u1^2 + u1 + 10000000",
+    ],
+)
+def test_factor_entry_gives_up_past_the_root_bound_at_once(text):
+    # trial division up to the square root of 10^26 would run for hours
+    start = time.process_time()
+    assert factor_entry(parse_poly(text, 1)) is None
+    assert time.process_time() - start < 1.0
 
 
 def test_factor_entry_divides_only_by_roots_of_the_slice(monkeypatch):

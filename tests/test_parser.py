@@ -193,6 +193,18 @@ def test_a_long_sum_parses_in_linear_time():
     assert got == want
 
 
+def test_a_long_sum_the_descent_reads_parses_in_linear_time():
+    # the same 188 KB with every '*' spelled ' * ': only its first term is
+    # in format_poly's form, so the descent reads the rest, and its sum too
+    # is gathered once
+    want = p("(u1 + 2*u2 - 3*u3 + 1/3)^30", 3)
+    text = format_poly(want).replace("*", " * ")
+    start = time.process_time()
+    got = p(text, 3)
+    assert time.process_time() - start < 2.0
+    assert got == want
+
+
 @pytest.fixture(scope="module")
 def formatted_texts():
     """Every string in the test data and the CLI golden files that is in
@@ -225,6 +237,15 @@ def test_formatted_text_never_reaches_the_descent(formatted_texts, monkeypatch):
     monkeypatch.setattr(parser, "_tokenize", no_tokens)
     got = [p(text, 3) for text in formatted_texts]
     assert [(q._den, list(q._terms.items())) for q in got] == [(q._den, list(q._terms.items())) for q in want]
+
+
+@pytest.mark.parametrize("text", ["0/7 + u1 + 1", "0*u2 + u1 + u2", "0/7 + u1 + 1 + (u2)"])
+def test_a_zero_term_keeps_the_order_of_the_descent(text):
+    # a zero term of the split text adds no key to the sum, as the zero
+    # Poly the descent builds for it adds none, so the terms keep one order
+    want = parser._Parser(text, 3).parse()
+    got = p(text, 3)
+    assert (got._den, list(got._terms.items())) == (want._den, list(want._terms.items()))
 
 
 @pytest.mark.parametrize(

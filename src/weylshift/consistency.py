@@ -11,27 +11,29 @@ the multisets of shifted factors on the two sides of each identity, and
 expands only the identities where they differ.  A shifted factor of
 degree 1, the only kind in the gl_n-type and linear staircase solutions,
 is compared by an integer key, its direction and its constant, so no
-Poly is built for it unless its identity fails.
+Poly is built for it unless its identity fails.  Which directions move an
+entry is read from each factor's gradient, once per engine call
+(`shifts.moving_directions`).
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
 row echelon basis, with pivot columns J, of V's annihilator: the span of
-the entries' gradient rows, one per monomial of each grad p, so V itself
-is never built.  Then u minus Lu placed on the columns J lies in V, so
-each entry p(u) is P(Lu), where P is p with every variable outside J set
-to 0.  Shifting p by t is shifting P by Lt and L is onto, so an identity
-holds in u exactly when it holds in y = Lu.  The same directions move
-each entry, since grad p is L^T grad P, and a witness D(y) is D(Lu) in u.
+the rows of each entry's `Poly.gradient`, one per monomial of grad p, so
+V itself is never built.  Then u minus Lu placed on the columns J lies
+in V, so each entry p(u) is P(Lu), where P is p with every variable
+outside J set to 0.  Shifting p by t is shifting P by Lt and L is onto,
+so an identity holds in u exactly when it holds in y = Lu.  The same
+directions move each entry, since grad p is L^T grad P, and a witness
+D(y) is D(Lu) in u.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .intlinalg import rref
 from .poly import EXPONENT_LIMIT, FactoredPoly, Poly, merge_factors, sum_terms, variable_key
@@ -223,19 +225,6 @@ def _slots(m: int) -> list[int]:
     return [variable_key(m, j).bit_length() - 1 for j in range(m)]
 
 
-def _gradient_rows(polys: Sequence[Poly], m: int) -> Iterator[list[int]]:
-    """The rows of grad p, one per monomial, for each p of polys in turn,
-    gathered in one pass over p's terms."""
-    slots = list(enumerate(_slots(m)))
-    for p in polys:
-        rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)
-        for k, c in p._terms.items():
-            for j, s in slots:
-                if e := k >> s & _EXPONENT:
-                    rows[k - (1 << s)][j] += c * e
-        yield from rows.values()
-
-
 def linear_forms(rows: Sequence[Sequence[Fraction]]) -> tuple[Poly, ...]:
     """The linear form sum_j row[j] u_j of each row, in len(row) variables."""
     return tuple(
@@ -249,7 +238,7 @@ def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, tuple[Poly, ..
     (Lu)_i in u; sol itself and None when its entries depend on every
     variable or on none."""
     m = sol.sys.nvars
-    cols, rows = rref(_gradient_rows(sol.polys, m), m)
+    cols, rows = rref((row for p in sol.polys for row in p.gradient().values()), m)
     if not 0 < len(cols) < m:
         return sol, None
     alpha = tuple(tuple(sum(a * x for a, x in zip(row, col) if a) for col in zip(*sol.sys.alpha)) for row in rows)

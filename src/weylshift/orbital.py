@@ -174,10 +174,11 @@ def support_pair(piece: OrbitalPiece) -> tuple[int, int] | None:
 # light factorization helpers, enough for products of linear shifts and
 # univariate entries of degree at most 4
 
-# The root search trial-divides up to the square roots of a slice's leading
-# and lowest coefficients, which takes about 1 s at this bound; past it,
-# factoring gives up in bounded time.  The constants of the test data and
-# the benchmark's inputs stay below 10^12.
+# A root search trial-divides up to the square roots of a slice's leading
+# and lowest coefficients.  The searches of one factor_entry call share an
+# allowance of isqrt(_MAX_ROOT_BOUND) divisions, what one number at this
+# bound costs (about 1 s), and factoring gives up once it is spent.  The
+# constants of the test data and the benchmark's inputs stay below 10^12.
 _MAX_ROOT_BOUND = 10**14
 
 
@@ -187,14 +188,16 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
     Divides out rational linear shifts (u_j - c) in any variable, u_j
     itself as the root c = 0, then finishes a univariate remainder of
     degree at most 4.  Returns None when a nonconstant remainder resists
-    those tools, or when a root search would pass _MAX_ROOT_BOUND.
+    those tools, or when the root searches would spend more trial divisions
+    than one number at _MAX_ROOT_BOUND takes.
     """
     if p.is_zero:
         raise ValueError("cannot factor zero")
     unit, p = p.make_monic()
+    allowance = [isqrt(_MAX_ROOT_BOUND)]
     factors: list[tuple[Poly, int]] = []
     for j in sorted(p.used_variables()):
-        found = _rational_roots(p, j)
+        found = _rational_roots(p, j, allowance)
         if found is None:
             return None
         roots, p = found
@@ -206,16 +209,17 @@ def factor_entry(p: Poly) -> FactoredPoly | None:
         used = p.used_variables()
         if len(used) != 1 or p.degree() > 4:
             return None
-        rest = _factor_univariate(p, next(iter(used)))
+        rest = _factor_univariate(p, next(iter(used)), allowance)
         if rest is None:
             return None
         factors.extend(rest)
     return FactoredPoly.from_factors(p.nvars, merge_factors(factors).items(), unit)
 
 
-def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly] | None:
+def _rational_roots(p: Poly, j: int, allowance: list[int]) -> tuple[list[tuple[Fraction, int]], Poly] | None:
     """Divide every factor (u_j - c) with rational c out of p, or None
-    when the slice's leading or lowest coefficient passes _MAX_ROOT_BOUND.
+    when trial-dividing the slice's leading and lowest coefficients takes
+    more steps than allowance[0] holds; the steps taken are spent from it.
 
     Candidates come from one coefficient slice of p viewed as a polynomial
     in u_j.  Dividing p by (u_j - c) divides that slice by it too, so the
@@ -237,8 +241,10 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly] 
     scale = lcm(*[c.denominator for c in coeffs.values()])
     ints = {k: int(c * scale) for k, c in coeffs.items()}
     low = min(ints)
-    if max(abs(ints[deg]), abs(ints[low])) > _MAX_ROOT_BOUND:
+    steps = isqrt(abs(ints[deg])) + isqrt(abs(ints[low]))
+    if steps > allowance[0]:
         return None
+    allowance[0] -= steps
     candidates = [Fraction(0)] if low > 0 else []
     candidates += _root_candidates(ints[deg], ints[low])
     var = Poly.variable(p.nvars, j)
@@ -258,11 +264,11 @@ def _rational_roots(p: Poly, j: int) -> tuple[list[tuple[Fraction, int]], Poly] 
     return roots, p
 
 
-def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
+def _factor_univariate(p: Poly, j: int, allowance: list[int]) -> list[tuple[Poly, int]] | None:
     """Factor a monic univariate polynomial of degree <= 4 with no rational
     roots into irreducibles; only the quartic case can split further.  A
     square comes back as the same quadratic twice.  None when the root
-    search of the quartic's resolvent would pass _MAX_ROOT_BOUND."""
+    search of the quartic's resolvent would overspend the allowance."""
     if p.degree() <= 3:
         return [(p, 1)]
     coeff = {k: Fraction(0) for k in range(5)}
@@ -278,7 +284,7 @@ def _factor_univariate(p: Poly, j: int) -> list[tuple[Poly, int]] | None:
         + var * (b3 * b1 - 4 * b0)
         - (b3 * b3 * b0 - 4 * b2 * b0 + b1 * b1)
     )
-    found = _rational_roots(resolvent, j)
+    found = _rational_roots(resolvent, j, allowance)
     if found is None:
         return None
     for y, _ in found[0]:

@@ -21,11 +21,14 @@ equal fields, so == and hash are exact.
 sum_terms is the one place sums are formed: the constructor, + and -,
 compose and the parser all add their terms through it.
 
+Poly.gradient is the one derivative: every directional derivative,
+fixedness test, pairing matrix and change of coordinates reads its rows.
+
 The public interface speaks Fractions and exponent tuples.  The packed
-keys leave this module only as monomial keys for the parser, which
-multiplies monomials by adding keys and sums them with sum_terms, and
-for the consistency engine, which reads exponents slot by slot to find
-the variables a tuple depends on.  FactoredPoly holds a nonzero
+keys leave this module as monomial keys for the parser, which multiplies
+monomials by adding keys and sums them with sum_terms, as the keys of
+gradient rows, and for the consistency engine, which moves exponents
+slot by slot into fewer variables.  FactoredPoly holds a nonzero
 polynomial as a unit times distinct monic factors with multiplicities.
 """
 
@@ -36,7 +39,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Exponent = tuple[int, ...]
@@ -308,31 +311,33 @@ class Poly:
     # ------------------------------------------------------------------
     # calculus and substitution
 
-    def directional(self, vec: Sequence[Scalar], den: int = 1) -> "Poly":
-        """The directional derivative <grad p, vec / den>, in one pass over
-        the terms, with vec's entries brought over one denominator."""
-        out, scale = self._directional_terms(vec)
-        return Poly._normal(self.nvars, out, scale * den)
-
-    def _directional_terms(self, vec: Sequence[Scalar]) -> tuple[dict[int, int], int]:
-        """The integer coefficients of `directional(vec)` by packed key,
-        some possibly zero, and their common denominator."""
-        if len(vec) != self.nvars:
-            raise ValueError("direction length mismatch")
-        scale = lcm(*(b.denominator for b in vec))
-        steps = [
-            (_SLOT * (self.nvars - 1 - j), b.numerator * (scale // b.denominator))
-            for j, b in enumerate(vec)
-            if b
-        ]
-        out: dict[int, int] = {}
+    def gradient(self) -> dict[int, list[int]]:
+        """Per monomial of grad p, by packed key, the integer numerators of
+        dp/du1, ..., dp/dum over p's denominator, from one pass over the
+        terms; each entry comes from one term, so no row is zero."""
+        m = self.nvars
+        slots = [(j, _SLOT * (m - 1 - j)) for j in range(m)]
+        out: dict[int, list[int]] = {}
         for k, v in self._terms.items():
-            for s, b in steps:
+            for j, s in slots:
                 e = (k >> s) & _MASK
                 if e:
                     key = k - (1 << s)
-                    out[key] = out.get(key, 0) + v * e * b
-        return out, self._den * scale
+                    row = out.get(key)
+                    if row is None:
+                        row = out[key] = [0] * m
+                    row[j] = v * e
+        return out
+
+    def directional(self, vec: Sequence[Scalar], den: int = 1) -> "Poly":
+        """The directional derivative <grad p, vec / den>, with vec's entries
+        brought over one denominator."""
+        if len(vec) != self.nvars:
+            raise ValueError("direction length mismatch")
+        scale = lcm(*(b.denominator for b in vec))
+        ints = [b.numerator * (scale // b.denominator) for b in vec]
+        terms = {k: sum(map(mul, row, ints)) for k, row in self.gradient().items()}
+        return Poly._normal(self.nvars, terms, self._den * scale * den)
 
     def _linear_terms(self) -> list[tuple[int, int]] | None:
         """(j, numerator over den) for each term in u_{j+1} alone, when p has
@@ -350,17 +355,6 @@ class Poly:
                 out.append((j, v))
         return out
 
-    def _linear_drop(self, vec: Sequence[Scalar]) -> tuple[int, int] | None:
-        """<grad p, vec> as (numerator, scale) over den * scale, scale the lcm
-        of the denominators of the entries of vec that p's linear terms pair
-        with, when p has total degree at most 1; None otherwise.  The caller
-        checks that vec has one entry per variable."""
-        terms = self._linear_terms()
-        if terms is None:
-            return None
-        scale = lcm(*(vec[j].denominator for j, _ in terms))
-        return sum(v * vec[j].numerator * (scale // vec[j].denominator) for j, v in terms), scale
-
     def shift(self, offsets: Sequence[Scalar], den: int = 1) -> "Poly":
         """Return p(u1 - t1, ..., um - tm) for t = offsets / den, offsets ints
         or Fractions and den a positive int, expanded exactly: p - <grad p, t>
@@ -369,9 +363,10 @@ class Poly:
         m = self.nvars
         if len(offsets) != m:
             raise ValueError("offset length mismatch")
-        drop = self._linear_drop(offsets)
-        if drop is not None:
-            num, scale = drop  # the drop is a constant: one monomial at key 0
+        linear = self._linear_terms()
+        if linear is not None:  # the drop is a constant: one monomial at key 0
+            scale = lcm(*(offsets[j].denominator for j, _ in linear))
+            num = sum(v * offsets[j].numerator * (scale // offsets[j].denominator) for j, v in linear)
             return sum_terms(m, ((-num, self._den * scale * den, 0),), ((1, self),)) if num else self
         terms, tden = self._terms, self._den
         for j, t in enumerate(offsets):
@@ -529,26 +524,10 @@ def _monomials(items: Iterable[tuple[Exponent, Scalar]], nvars: int) -> Iterator
         yield c.numerator, c.denominator, key
 
 
-def monomial_index(polys: Sequence[Poly]) -> dict[int, int]:
-    """The row of each monomial that any of polys uses, in ascending lex
-    order: the rows of `coefficient_rows(polys)`."""
-    return {k: r for r, k in enumerate(sorted(set().union(*(p._terms for p in polys))))}
-
-
-def coefficient_rows(polys: Sequence[Poly]) -> list[list[Fraction]]:
-    """The coefficients of polys over their joint monomials: one row per
-    monomial that any of them uses, in ascending lex order, and one column
-    per polynomial."""
-    cols = [(p._terms, p._den) for p in polys]
-    return [
-        [_ZERO if k not in terms else Fraction(terms[k], den) for terms, den in cols]
-        for k in monomial_index(polys)
-    ]
-
-
 def numerators_on(p: Poly, index: Mapping[int, int]) -> tuple[list[int], int]:
-    """p's coefficients on the rows of a `monomial_index`, as integer
-    numerators over p's denominator; monomials without a row are left out."""
+    """p's coefficients on the rows that index gives monomials by packed
+    key, as integer numerators over p's denominator; monomials without a
+    row are left out."""
     out = [0] * len(index)
     for k, num in p._terms.items():
         row = index.get(k)

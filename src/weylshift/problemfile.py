@@ -6,7 +6,8 @@ exact.  Polynomials are expression strings in the parser grammar.  Index
 pairs are 1-based in files and 0-based in memory.
 
 Top-level keys: m, n, alpha, then optionally tuples, beta, configs, psi,
-pair_a, pair_b.  See the README for a worked example.
+pair_a, pair_b, each absent or null when not given.  See the README for a
+worked example.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def _object(value: Any, where: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ProblemFileError(f"{where}: expected an object")
     return value
+
+
+def _optional_object(doc: Mapping, key: str) -> Mapping:
+    """doc[key] as an object; an empty one when it is absent or null."""
+    return {} if doc.get(key) is None else _object(doc[key], key)
 
 
 def _list(value: Any, where: str) -> list:
@@ -234,7 +240,7 @@ def load_obj(doc: Any) -> ProblemFile:
     sys = _load_alpha(doc["alpha"], m, n, "alpha")
 
     tuples: dict[str, TupleEntry] = {}
-    for name, obj in _object(doc.get("tuples") or {}, "tuples").items():
+    for name, obj in _optional_object(doc, "tuples").items():
         tuples[name] = _load_tuple(obj, sys, f"tuples.{name}")
 
     beta = None
@@ -248,7 +254,7 @@ def load_obj(doc: Any) -> ProblemFile:
         )
 
     configs: dict[str, VertexConfig] = {}
-    for name, obj in _object(doc.get("configs") or {}, "configs").items():
+    for name, obj in _optional_object(doc, "configs").items():
         configs[name] = _load_config(obj, sys, f"configs.{name}")
 
     psi = None

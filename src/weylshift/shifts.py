@@ -5,10 +5,11 @@ automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
 point k of Z^n acts by the shift `combo(k, range(n))`.  The work here
 builds shift vectors in integers, over the system's common denominator
-(twice it for half-steps), and hands them to `Poly.shift` and
-`Poly.directional` with that denominator.  The directions that move a
-polynomial, the HNF bases of stabilizer lattices and the normal forms
-that decide orbit membership, with each form's stabilizer, live here.
+(twice it for half-steps), and hands them to `Poly.shift` with that
+denominator.  The directions that move a polynomial, the HNF bases of
+stabilizer lattices and the normal forms that decide orbit membership,
+with each form's stabilizer, live here; each pairs one `Poly.gradient`
+per polynomial with every integer vector it asks about.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .intlinalg import IntegerSystem, IntVec, integer_kernel
-from .poly import Poly, Scalar, coefficient_rows, monomial_index, numerators_on
+from .poly import Poly, Scalar, numerators_on
 
 
 @dataclass(frozen=True)
@@ -85,25 +87,23 @@ def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:
 
 def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
     """Gradient criterion: q is invariant under every multiple of the shift
-    beta exactly when <grad q, beta> is the zero polynomial.  For q of total
-    degree at most 1 that is one integer; otherwise it is read off the
-    derivative's coefficients without normalising them."""
+    beta exactly when <grad q, beta> is the zero polynomial, that is when
+    beta pairs to zero with every row of q's gradient."""
     if len(beta) != q.nvars:
         raise ValueError("direction length mismatch")
-    drop = q._linear_drop(beta)
-    if drop is not None:
-        return not drop[0]
-    return not any(q._directional_terms(beta)[0].values())
+    return not any(sum(map(mul, row, beta)) for row in q.gradient().values())
 
 
 def moving_directions(sys: ShiftSystem, polys: Sequence[Poly], exclude: Sequence[int] = ()) -> list[int]:
     """The directions outside `exclude` whose column moves some q of
     `polys`, in increasing order; every other direction fixes them all.
-    Scaling a column keeps what it fixes, so the integer ones are tested."""
+    Scaling a column keeps what it fixes, so the integer ones are tested,
+    each against the gradient rows of every q, taken once."""
+    rows = [row for q in polys for row in q.gradient().values()]
     return [
         i
         for i, col in enumerate(sys.columns)
-        if i not in exclude and not all(is_fixed_by_shift(q, col) for q in polys)
+        if i not in exclude and any(sum(map(mul, row, col)) for row in rows)
     ]
 
 
@@ -114,8 +114,22 @@ def stabilizer_lattice(sys: ShiftSystem, q: Poly, indices: Sequence[int]) -> tup
     the basis identifies it and its length is its rank.  The integer
     columns have the same kernel as alpha's."""
     indices = list(indices)
-    matrix = coefficient_rows([q.directional(sys.columns[i]) for i in indices])
+    _, matrix = _pairings(q, [sys.columns[i] for i in indices], 1)
     return integer_kernel(matrix, len(indices))
+
+
+def _pairings(p: Poly, vectors: Sequence[IntVec], den: int) -> tuple[dict[int, int], list[list[Fraction]]]:
+    """The row of each monomial, by packed key, at which some pairing
+    <grad p, w / den> with the integer vectors w is nonzero, and the rows:
+    each such monomial's pairings, one column per vector, in ascending lex
+    order."""
+    gradient, pden = p.gradient(), p._den * den
+    rows = {}
+    for key in sorted(gradient):
+        pairs = [sum(map(mul, gradient[key], w)) for w in vectors]
+        if any(pairs):
+            rows[key] = [Fraction(a, pden) for a in pairs]
+    return {key: r for r, key in enumerate(rows)}, list(rows.values())
 
 
 # One step of `orbit_forms`: the monomial rows of the pairings, their
@@ -183,9 +197,9 @@ def same_orbit(sys: ShiftSystem, q: Poly, q2: Poly, indices: Sequence[int]) -> I
 
 def _orbit_step(sys: ShiftSystem, top: Poly, indices: tuple[int, ...], free: tuple[IntVec, ...]) -> _Step:
     """The factored degree d-1 pairings of `orbit_forms` for a top form."""
-    pairings = [top.directional(sys.vector(w, indices), sys.den) for w in free]
-    system = IntegerSystem(coefficient_rows(pairings), len(free))
-    return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
+    rows, matrix = _pairings(top, [sys.vector(w, indices) for w in free], sys.den)
+    system = IntegerSystem(matrix, len(free))
+    return rows, system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[IntVec], width: int) -> IntVec:

@@ -1,5 +1,6 @@
-"""Orbit membership by pairwise search, as it was before normal forms, kept
-as the reference.
+"""Orbit membership by pairwise search, as it was before normal forms, and
+the orbit engine's derivatives one directional Poly per vector, kept as the
+reference.
 
 `reference_same_orbit` solves for the shift carrying one polynomial onto
 another, one degree at a time: matching the degree d-1 parts of the two is
@@ -8,12 +9,77 @@ free fix the common top form, which is dropped from both sides.
 `reference_decompose` tests each factor against every earlier anchor with
 it.  Neither computes a normal form; test_shifts.py and test_orbital.py
 compare the package's normal forms with them.
+
+`reference_moving_directions`, `reference_stabilizer_lattice` and
+`reference_orbit_forms` build one `Poly.directional` per vector and read
+the matrices off those Polys' coefficients; the package pairs one
+`Poly.gradient` with every vector instead, and test_shifts.py checks that
+the two give the same answers.
 """
 
-from weylshift.intlinalg import IntegerSystem
+from fractions import Fraction
+
+from weylshift.intlinalg import IntegerSystem, integer_kernel
 from weylshift.orbital import FactoredPoly
-from weylshift.poly import coefficient_rows, monomial_index, numerators_on
+from weylshift.poly import numerators_on
 from weylshift.shifts import half_shift
+
+
+def monomial_index(polys):
+    """The row of each monomial that any of polys uses, in ascending lex
+    order: the rows of `coefficient_rows(polys)`."""
+    return {k: r for r, k in enumerate(sorted(set().union(*(p._terms for p in polys))))}
+
+
+def coefficient_rows(polys):
+    """The coefficients of polys over their joint monomials: one row per
+    monomial that any of them uses, in ascending lex order, and one column
+    per polynomial."""
+    return [[Fraction(p._terms.get(k, 0), p._den) for p in polys] for k in monomial_index(polys)]
+
+
+def reference_moving_directions(sys, polys, exclude=()):
+    """The directions outside exclude along which some q has a nonzero
+    directional derivative."""
+    return [
+        i
+        for i in range(sys.nshifts)
+        if i not in exclude and any(not q.directional(sys.column(i)).is_zero for q in polys)
+    ]
+
+
+def reference_stabilizer_lattice(sys, q, indices):
+    """The integer kernel of the directional derivatives along the columns."""
+    indices = list(indices)
+    return integer_kernel(coefficient_rows([q.directional(sys.columns[i]) for i in indices]), len(indices))
+
+
+def reference_orbit_forms(sys, polys, indices):
+    """`shifts.orbit_forms` one polynomial at a time, with each step's
+    pairings built by `_step`."""
+    indices = tuple(indices)
+    s = len(indices)
+    forms = []
+    for q in polys:
+        if q.is_zero:
+            raise ValueError("orbit queries need nonzero polynomials")
+        k = (0,) * s
+        free = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
+        for d in range(q.degree(), 0, -1):
+            top = q.homogeneous_part(d)
+            if top.is_zero:
+                continue
+            rows, system, next_free = _step(sys, top, indices, free)
+            t, _ = system.reduce(*numerators_on(q.homogeneous_part(d - 1), rows))
+            shift = _combine(t, free, s)
+            if any(shift):
+                k = tuple(a + b for a, b in zip(k, shift))
+                q = q.shift(sys.combo(shift, indices))
+            free = next_free
+            if not free:
+                break
+        forms.append((q, k, free))
+    return forms
 
 
 def reference_same_orbit(sys, q, q2, indices, memo=None):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 from conftest import data_path
 from consistency_reference import reference_symmetric
-from weylshift import shifts
+from weylshift import consistency, shifts
 from weylshift.cli import main
 from weylshift.consistency import check_factored
 from weylshift.multiquiver import symmetrized_solution
@@ -294,19 +294,26 @@ def test_a_failing_identity_shifts_its_factors_once(staircase_config):
 
 
 def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys):
-    # gl3_sym has three nonconstant entries and three directions; one
-    # engine call builds each moving set once, so each entry meets each
-    # direction once, not once for binary and again for ternary
-    calls = []
+    # gl3_sym has three nonconstant entries; one engine call builds each
+    # moving set once, from one Poly.gradient call per entry paired with
+    # every direction, not once for binary and again for ternary
+    gradient, taken, per_set = Poly.gradient, [], []
 
-    def counted(q, vec):
-        calls.append(q)
-        return is_fixed_by_shift(q, vec)
+    def counted(self):
+        taken.append(self)
+        return gradient(self)
 
-    monkeypatch.setattr(shifts, "is_fixed_by_shift", counted)
+    def moving(*args):
+        before = len(taken)
+        out = shifts.moving_directions(*args)
+        per_set.append(len(taken) - before)
+        return out
+
+    monkeypatch.setattr(Poly, "gradient", counted)
+    monkeypatch.setattr(consistency, "moving_directions", moving)
     assert main(["verify", data_path("gl3.json"), "--tuple", "gl3_sym"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert len(calls) == 3 * 3
+    assert per_set == [1, 1, 1]
 
 
 def test_factored_engine_failure_text(gl3_file):

@@ -9,6 +9,7 @@ import strategies
 from orbit_reference import reference_decompose, reference_same_orbit
 
 from weylshift import orbital
+from weylshift.intlinalg import divisors
 from weylshift.orbital import (
     FactoredPoly,
     FactoredSolution,
@@ -204,6 +205,32 @@ def test_factor_entry_gives_up_past_the_root_bound_at_once(text):
     start = time.process_time()
     assert factor_entry(parse_poly(text, 1)) is None
     assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    ("text", "m"),
+    [
+        ("u1^2 + u2^2 + 99999999999973", 2),
+        ("99999999999971*u1^2 + u2^2 + 99999999999973", 2),
+        ("u1^2 + u2^2 + u3^2 + 99999999999973", 3),
+    ],
+)
+def test_factor_entry_spends_one_allowance_on_all_its_root_searches(monkeypatch, text, m):
+    # every coefficient is below the bound, but the root search in each
+    # variable would trial-divide a number near it; one call may afford one
+    # such division.  Both large numbers are primes, so the stub's divisors
+    # are theirs.
+    large = []
+
+    def counting(n):
+        if n <= 10**12:
+            return divisors(n)
+        large.append(n)
+        return [1, n]
+
+    monkeypatch.setattr(orbital, "divisors", counting)
+    assert factor_entry(parse_poly(text, m)) is None
+    assert len(large) <= 1
 
 
 def test_factor_entry_divides_only_by_roots_of_the_slice(monkeypatch):

@@ -285,6 +285,19 @@ def linear_fixing_cases(draw):
     return terms, beta
 
 
+def ref_gradient(a):
+    """Per monomial of grad a, its coefficients in the M partials."""
+    partials = [ref_partial(a, j) for j in range(M)]
+    return {e: [d.get(e, Fraction(0)) for d in partials] for e in set().union(*partials)}
+
+
+@given(a=st.one_of(TERMS, linear_terms()))
+def test_gradient_matches_reference_partials(a):
+    pa, ra = both(a)
+    want = {sum(x * variable_key(M, j) for j, x in enumerate(e)): row for e, row in ref_gradient(ra).items()}
+    assert {k: [Fraction(x, pa._den) for x in row] for k, row in pa.gradient().items()} == want
+
+
 @given(linear_fixing_cases())
 def test_linear_fixedness_matches_reference(case):
     a, beta = case

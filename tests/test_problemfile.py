@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import data_path
+from weylshift.cli import main
 from weylshift.consistency import symmetrize
 from weylshift.parser import parse_poly
 from weylshift.problemfile import (
@@ -149,6 +150,30 @@ def test_bad_config_pair():
     text = doc_text(configs={"c": {"generator": "u1", "pair": [1]}})
     with pytest.raises(ProblemFileError, match="expected \\[i, j\\]"):
         loads(text)
+
+
+SOLO = {"a": {"form": "sym", "polys": ["u1", "u1"]}}
+
+
+@pytest.mark.parametrize("key", ["tuples", "configs"])
+@pytest.mark.parametrize("value", [False, 0, "", [], True, 1, "x", [1]])
+def test_tuples_and_configs_must_be_objects(key, value):
+    # only null stands for an absent section; a falsy value is as wrong as any
+    text = doc_text(**{"tuples": SOLO, key: value})
+    with pytest.raises(ProblemFileError, match=f"^{key}: expected an object$"):
+        loads(text)
+
+
+def test_null_tuples_and_configs_are_absent():
+    doc = loads(doc_text(tuples=None, configs=None))
+    assert doc.tuples == {} and doc.configs == {}
+
+
+def test_verify_refuses_false_configs(tmp_path, capsys):
+    path = tmp_path / "false.json"
+    path.write_text(doc_text(tuples=SOLO, configs=False))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: configs: expected an object\n")
 
 
 def test_config_lattice_mismatch(staircase_file):

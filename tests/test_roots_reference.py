@@ -8,13 +8,20 @@ u_j^2 + c or a factor u_j + u_k + c that no linear shift divides.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import hypothesis.strategies as st
 from hypothesis import given
 
 from roots_reference import reference_rational_roots
-from weylshift.orbital import _rational_roots
+from weylshift.orbital import _MAX_ROOT_BOUND, _rational_roots
 from weylshift.poly import Poly
+
+
+def allowance():
+    """The trial divisions of a whole factor_entry call."""
+    return [isqrt(_MAX_ROOT_BOUND)]
+
 
 ROOTS = st.builds(
     Fraction,
@@ -43,13 +50,13 @@ def root_products(draw):
 @given(root_products())
 def test_rational_roots_match_reference(p):
     for j in sorted(p.used_variables()):
-        assert _rational_roots(p, j) == reference_rational_roots(p, j)
+        assert _rational_roots(p, j, allowance()) == reference_rational_roots(p, j)
 
 
 def test_rational_roots_repeated_and_zero():
     u = Poly.variable(1, 0)
     p = u ** 2 * (u + Fraction(1, 2)) ** 3 * (u - 2) * (u * u + 1)
-    roots, rest = _rational_roots(p, 0)
+    roots, rest = _rational_roots(p, 0, allowance())
     assert roots == [(0, 2), (Fraction(-1, 2), 3), (2, 1)]
     assert rest == u * u + 1
     assert (roots, rest) == reference_rational_roots(p, 0)

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import assume, given
 
 import strategies
-from orbit_reference import reference_same_orbit
+from orbit_reference import (
+    reference_moving_directions,
+    reference_orbit_forms,
+    reference_same_orbit,
+    reference_stabilizer_lattice,
+)
 from weylshift.intlinalg import hnf, integer_kernel, lattice_contains
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly
@@ -444,6 +449,28 @@ def pair_fixed_cases(draw):
     f = draw(strategies.nonzero_polys(len(images), max_terms=4, max_degree=3))
     q = f.compose(images).shift(draw(strategies.shift_vectors(m)))
     return sys, (i, j), q
+
+
+@given(pair_fixed_cases())
+def test_moving_directions_match_the_per_vector_rule(case):
+    # every direction outside the pair fixes q, so both answers occur
+    sys, pair, q = case
+    for exclude in ((), pair):
+        assert moving_directions(sys, [q], exclude) == reference_moving_directions(sys, [q], exclude)
+
+
+@given(query_sequences())
+def test_orbit_engine_matches_the_per_vector_rule(case):
+    # pairing one gradient with every vector must give the matrices of one
+    # directional Poly per vector, so every form, shift and basis agrees
+    sys, indices, queries = case
+    batch = [p for pair in queries for p in pair]
+    for over in (indices, tuple(range(sys.nshifts))):
+        assert orbit_forms(sys, batch, over) == reference_orbit_forms(sys, batch, over)
+        for p in batch:
+            assert stabilizer_lattice(sys, p, over) == reference_stabilizer_lattice(sys, p, over)
+    for exclude in ((), indices):
+        assert moving_directions(sys, batch, exclude) == reference_moving_directions(sys, batch, exclude)
 
 
 @given(pair_fixed_cases())

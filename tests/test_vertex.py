@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 
 from vertex_reference import reference_conservation
 from weylshift import problemfile as pf
-from weylshift.consistency import check_binary, check_ternary
+from weylshift.consistency import check_binary, check_factored, check_ternary
 from weylshift.orbital import (
     FactoredPoly,
     FactoredSolution,
@@ -365,6 +366,31 @@ def test_classify_matches_encode_of_each_piece(sol):
         placed = merge_factors(f for entries in decoded for f in entries[k].factors)
         assert placed == merge_factors(entry.factors)
     assert all(e.unit == 1 for entries in decoded for e in entries)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_gl_n_superpositions_pass_and_classify_back(n):
+    # the gl_n system, alpha = beta with a_i = e_{i-1} - e_i; u_j + c lives
+    # on the pair (j, j+1), the other directions fix it, and distinct
+    # fractional parts of c give distinct orbits
+    sys = ShiftSystem.from_rows([[-1 if i == j else int(i == j + 1) for i in range(n)] for j in range(n - 1)])
+    rng = random.Random(n)
+    configs = [
+        random_config(sys, Poly.variable(n - 1, j) + frac + rng.randint(-2, 2), (j, j + 1), rng.randint(1, 2), rng.randrange(10**6))
+        for j in range(n - 1)
+        for frac in rng.sample(FRACTIONAL, rng.randint(1, 2))
+    ]
+    sol = _superpose(sys, configs)
+    assert check_factored(sys, sol.entries).passed
+    # each config comes back anchored at its generator's orbit normal form r,
+    # its edges moved by twice the shift k that carries the generator to r
+    forms = orbit_forms(sys, [config.generator for config in configs], range(n))
+    anchored = [
+        VertexConfig.build(sys, r, (i, j), [(x - 2 * k[i], y - 2 * k[j], mult) for x, y, mult in config.edges])
+        for config, (r, k, _) in zip(configs, forms)
+        for i, j in [config.pair]
+    ]
+    assert classify(sol) == tuple(sorted(anchored, key=lambda config: str(config.generator)))
 
 
 def _record_bytes(sol):

@@ -79,7 +79,9 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
     Every factor is pulled back once and every normal form is found in
     one `orbit_forms` call: a factor whose base shifts by k onto the
     normal form r is r shifted by -k.  Translates share a stabilizer, so
-    any factor's basis serves for r.
+    any factor's basis serves for r.  The pieces are sorted by their
+    generators' text, which each generator keeps (`format_poly`), so
+    printing or writing it afterwards formats nothing again.
     """
     sys = sol.sys
     full = tuple(range(sys.nshifts))

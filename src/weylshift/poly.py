@@ -108,7 +108,7 @@ def _slot_maxima(keys: Iterable[int], nvars: int) -> list[int]:
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "_terms", "_den", "_hash")
+    __slots__ = ("nvars", "_terms", "_den", "_hash", "_text")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | Iterable[tuple[Exponent, Scalar]] = ()):
         if nvars < 1:
@@ -449,7 +449,16 @@ def _reduced(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 
 def format_poly(p: Poly) -> str:
-    """Canonical text form: terms in descending lex order, explicit '*'."""
+    """Canonical text form: terms in descending lex order, explicit '*'.
+    The text is kept on p, so each polynomial is formatted once."""
+    text = getattr(p, "_text", None)  # unset until the first call
+    if text is None:
+        text = _format(p)
+        object.__setattr__(p, "_text", text)
+    return text
+
+
+def _format(p: Poly) -> str:
     if p.is_zero:
         return "0"
     pieces: list[str] = []

@@ -9,14 +9,17 @@ builds shift vectors in integers, over the system's common denominator
 denominator.  The directions that move a polynomial, the HNF bases of
 stabilizer lattices and the normal forms that decide orbit membership,
 with each form's stabilizer, live here; each pairs one `Poly.gradient`
-per polynomial with every integer vector it asks about.
+per polynomial with every integer vector it asks about.  A polynomial of
+degree 1, every factor of the gl_n-type examples, finds its normal form
+in closed form: its constant is reduced in integers, and the shifted
+form is built once per orbit in a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -136,6 +139,11 @@ def _pairings(p: Poly, vectors: Sequence[IntVec], den: int) -> tuple[dict[int, i
 # integer system, and the directions still free after the step.
 _Step = tuple[dict[int, int], IntegerSystem, tuple[IntVec, ...]]
 
+# The one step of a degree-1 query, by its top form: the scale of the
+# pairing row, its echelon pivot (0 when every direction fixes the top),
+# the combination of directions giving the pivot, and the stabilizer.
+_Line = tuple[int, int, IntVec, tuple[IntVec, ...]]
+
 
 def orbit_forms(
     sys: ShiftSystem, polys: Sequence[Poly], indices: Sequence[int]
@@ -152,16 +160,47 @@ def orbit_forms(
     to d, so the next step works one degree lower, and the directions
     free after degree 1 fix q: they are stab.  q is split by degree once,
     and again at each step after one that shifted it.
+
+    A q of degree 1 takes its one step in closed form.  Its top form is
+    keyed by integers, the numerators and denominator over their gcd; the
+    pairings make one row, so t is one multiple of the pivot's
+    combination, found as `IntegerSystem.reduce` finds it, and r is the
+    top plus the residual constant.  r is built once per top and residual
+    value in the call, and every q of its orbit gets that same Poly.
     """
     indices = tuple(indices)
     s = len(indices)
     identity = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
     steps: dict[tuple, _Step] = {}
+    lines: dict[tuple, _Line] = {}
+    built: dict[tuple, Poly] = {}
     forms = []
     zero = Poly.zero(sys.nvars)
     for q in polys:
         if q.is_zero:
             raise ValueError("orbit queries need nonzero polynomials")
+        linear = q._linear_terms()
+        if linear:
+            den = q._den
+            g = gcd(den, *[v for _, v in linear])
+            top = (tuple(sorted((j, v // g) for j, v in linear)), den // g)
+            line = lines.get(top)
+            if line is None:
+                line = lines[top] = _line_step(sys, q, indices, identity)
+            scale, pivot, combo, stab = line
+            # c/d is q's constant, and after the step the normal form's
+            c, d = q._terms.get(0, 0), den
+            t = c * scale // (d * pivot) if pivot else 0
+            if t:
+                c, d = c * scale - t * d * pivot, d * scale
+            h = gcd(c, d)
+            k = tuple(t * a for a in combo)
+            key = (top, c // h, d // h)
+            r = built.get(key)
+            if r is None:
+                r = built[key] = q.shift(sys.vector(k, indices), sys.den) if t else q
+            forms.append((r, k, stab))
+            continue
         k = (0,) * s
         free = identity
         parts = q.homogeneous_parts()
@@ -200,6 +239,16 @@ def _orbit_step(sys: ShiftSystem, top: Poly, indices: tuple[int, ...], free: tup
     rows, matrix = _pairings(top, [sys.vector(w, indices) for w in free], sys.den)
     system = IntegerSystem(matrix, len(free))
     return rows, system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
+
+
+def _line_step(sys: ShiftSystem, q: Poly, indices: tuple[int, ...], identity: tuple[IntVec, ...]) -> _Line:
+    """The step of `orbit_forms` for the top form of a degree-1 q, every
+    direction free, read off the one-row system of `_orbit_step`."""
+    _, system, stab = _orbit_step(sys, q.homogeneous_parts()[1], indices, identity)
+    if not system._span:  # every direction fixes the top
+        return 1, 0, (0,) * len(indices), stab
+    ((_, (pivot,), combo),) = system._span
+    return system._scales[0], pivot, tuple(combo), stab
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[IntVec], width: int) -> IntVec:

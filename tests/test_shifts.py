@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 import strategies
 from orbit_reference import (
@@ -312,8 +312,10 @@ def orbit_systems(draw):
 
 @st.composite
 def anchors(draw, m):
-    """A polynomial whose leading form uses u1."""
-    top = parse_poly(draw(st.sampled_from(["u1^2", "u1^3", "u1*u2", "u1^2 + u2^2", "u1"])), m)
+    """A polynomial whose leading form uses u1; some are of degree 1 with
+    a top that is not monic or has fractional coefficients."""
+    tops = ["u1^2", "u1^3", "u1*u2", "u1^2 + u2^2", "u1", "2*u1 + u2", "u1 - 1/2*u2"]
+    top = parse_poly(draw(st.sampled_from(tops)), m)
     lower = draw(
         st.dictionaries(strategies.exponents(m, 1), strategies.nonzero_rationals, min_size=1, max_size=4)
     )
@@ -402,6 +404,54 @@ def test_same_orbit_matches_reference(query):
     assert (found is None) == (expected is None)
     if found is not None:
         assert q.shift(sys.combo(found, indices)) == q2
+
+
+# ----------------------------------------------------------------------
+# degree-1 queries, whose normal forms orbit_forms finds in closed form
+
+# every direction fixes u1, so the constant alone tells orbits apart
+FIXED_U1 = ShiftSystem.from_rows([[0, 0], [1, 2]])
+TOPS = ["u1", "2*u1 + u2", "u1 - 1/2*u2", "3*u2 - 2/3*u1"]
+
+
+@st.composite
+def linear_batches(draw):
+    """Degree-1 queries over one system: tops that are not monic or have
+    fractional coefficients, a top that every direction fixes when the
+    columns leave room for one, and translates of one orbit by lattice
+    points and by rational vectors, whose constants sit over different
+    denominators, next to near misses off the orbit."""
+    sys, indices = draw(orbit_systems())
+    m = sys.nvars
+    tops = [parse_poly(t, m) for t in TOPS]
+    units = [tuple(int(a == b) for b in range(m)) for a in range(m)]
+    tops += [Poly(m, dict(zip(units, w))) for w in integer_kernel([sys.column(i) for i in range(sys.nshifts)], m)]
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.sampled_from(tops)) * draw(strategies.nonzero_rationals) + draw(strategies.rationals)
+        batch.append(q)
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                moved = q.shift(sys.combo([draw(st.integers(-3 * WALK, 3 * WALK)) for _ in indices], indices))
+            else:
+                moved = q.shift(draw(strategies.shift_vectors(m)))
+            if draw(st.booleans()):
+                moved = moved + Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([2, 3, 4, 6])))
+            batch.append(moved)
+    return sys, indices, draw(st.permutations(batch))
+
+
+@example(case=(FIXED_U1, (0, 1), [parse_poly("u1 - 13/2", 2), parse_poly("u1 - 13/4", 2)]))
+@given(linear_batches())
+def test_degree_one_forms_match_the_reference(case):
+    # the same forms, shifts and bases as the loop one degree at a time,
+    # and one Poly for every form of an orbit
+    sys, indices, batch = case
+    for over in (indices, tuple(range(sys.nshifts))):
+        forms = orbit_forms(sys, batch, over)
+        assert forms == reference_orbit_forms(sys, batch, over)
+        for (r, *_), (r2, *_) in itertools.combinations(forms, 2):
+            assert (r == r2) == (r is r2)
 
 
 # ----------------------------------------------------------------------

@@ -456,6 +456,61 @@ def test_classify_places_every_factor_once(monkeypatch):
     assert calls["moving_directions"] == 9
 
 
+def test_place_builds_one_shifted_form_per_orbit(monkeypatch):
+    # every factor of a gl3 superposition has degree 1, so orbit_forms
+    # shifts at most one factor per orbit onto the orbit's normal form and
+    # gives that same form to the others; offsets of 2 to 4 keep every
+    # pulled-back factor off its normal form
+    import weylshift.orbital as orbital
+
+    configs = [
+        _gl3_orbit(family, frac + 2 + family, 1, seed)
+        for seed, (family, frac) in enumerate((f, x) for f in range(3) for x in FRACTIONAL[1:4])
+    ]
+    sol = _superpose(GL3, configs)
+    inside, shifted = [], []
+    poly_shift = Poly.shift
+
+    def counted_orbit_forms(*args):
+        inside.append(True)
+        try:
+            return orbit_forms(*args)
+        finally:
+            inside.pop()
+
+    def counted_shift(self, *args):
+        if inside:
+            shifted.append(self)
+        return poly_shift(self, *args)
+
+    monkeypatch.setattr(orbital, "orbit_forms", counted_orbit_forms)
+    monkeypatch.setattr(Poly, "shift", counted_shift)
+    placed = orbital._place(sol)
+    assert len(placed) == 9
+    assert sum(len(entry.factors) for entry in sol.entries) == 18
+    assert 0 < len(shifted) <= 9
+
+
+def test_classify_formats_each_generator_once(monkeypatch):
+    # _place sorts the pieces by generator text and config_obj writes it:
+    # the generator keeps its text, so it is formatted once
+    import weylshift.poly as poly
+
+    configs = [_gl3_orbit(family, frac, 1, seed) for seed, (family, frac) in enumerate([(0, 1), (1, 2), (2, 3)])]
+    sol = _superpose(GL3, configs)
+    formatted = Counter()
+    format_terms = poly._format
+
+    def counted(p):
+        formatted[p] += 1
+        return format_terms(p)
+
+    monkeypatch.setattr(poly, "_format", counted)
+    objs = [pf.config_obj(config) for config in classify(sol)]
+    assert [obj["generator"] for obj in objs] == ["u1", "u1 + u2", "u2"]
+    assert sorted(formatted.values()) == [1, 1, 1]
+
+
 def test_encode_reads_its_lattice_from_the_orbit_search(monkeypatch, gl3_file, staircase_file, staircase_config):
     import weylshift.orbital as orbital
     import weylshift.shifts as shifts

@@ -76,19 +76,21 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
     listed per entry in factor order, and a basis of the generator's
     stabilizer over all directions, as `orbit_forms` found it.
 
-    Every factor is pulled back once and every normal form is found in
-    one `orbit_forms` call: a factor whose base shifts by k onto the
-    normal form r is r shifted by -k.  Translates share a stabilizer, so
-    any factor's basis serves for r.  The pieces are sorted by their
-    generators' text, which each generator keeps (`format_poly`), so
-    printing or writing it afterwards formats nothing again.
+    Every normal form is found in one `orbit_forms` call, which is handed
+    each factor with its entry's direction and pulls it back itself: a
+    degree-1 factor in integers, with no Poly built for it.  A factor
+    whose pull-back shifts by k onto the normal form r is r shifted by
+    -k.  Translates share a stabilizer, so any factor's basis serves for
+    r.  The pieces are sorted by their generators' text, which each
+    generator keeps (`format_poly`), so printing or writing it afterwards
+    formats nothing again.
     """
     sys = sol.sys
     full = tuple(range(sys.nshifts))
-    placed = [(i, f, half_shift(sys, i, -1, f[0])) for i, e in enumerate(sol.entries) for f in e.factors]
-    forms = orbit_forms(sys, [base for *_, base in placed], full)
+    placed = [(i, f) for i, e in enumerate(sol.entries) for f in e.factors]
+    forms = orbit_forms(sys, [q for _, (q, _) in placed], full, [i for i, _ in placed])
     groups: dict[Poly, tuple[tuple[IntVec, ...], list[list[tuple[Poly, int]]], list[list[IntVec]]]] = {}
-    for (i, factor, _), (form, k, stab) in zip(placed, forms):
+    for (i, factor), (form, k, stab) in zip(placed, forms):
         if form not in groups:
             groups[form] = (stab, [[] for _ in full], [[] for _ in full])
         _, factors, offsets = groups[form]
@@ -111,18 +113,18 @@ def _offsets(
 ) -> tuple[tuple[IntVec, ...], list[tuple[int, Poly, IntVec | None]]]:
     """A basis, as `orbit_forms` found it, of the monic generator's
     stabilizer over `indices`, and each factor of the entries `which` as
-    its entry index, its pull-back by half that entry's direction, and
-    the offset over `indices` that shifts the monic generator onto the
-    pull-back, or None off the generator's orbit; one `orbit_forms` call
-    finds every form."""
+    its entry index, the factor, and the offset over `indices` that
+    shifts the monic generator onto its pull-back by half that entry's
+    direction, or None off the generator's orbit; one `orbit_forms` call,
+    which pulls the factors back itself, finds every form."""
     sys, entries = piece.solution.sys, piece.solution.entries
-    bases = [(i, half_shift(sys, i, -1, q)) for i in which for q, _ in entries[i].factors]
+    factors = [(i, q) for i in which for q, _ in entries[i].factors]
     (gen_form, k0, stab), *forms = orbit_forms(
-        sys, [piece.generator.make_monic()[1]] + [base for _, base in bases], indices
+        sys, [piece.generator.make_monic()[1]] + [q for _, q in factors], indices, [None] + [i for i, _ in factors]
     )
     return stab, [
-        (i, base, tuple(a - b for a, b in zip(k0, k)) if form == gen_form else None)
-        for (i, base), (form, k, _) in zip(bases, forms)
+        (i, q, tuple(a - b for a, b in zip(k0, k)) if form == gen_form else None)
+        for (i, q), (form, k, _) in zip(factors, forms)
     ]
 
 
@@ -132,8 +134,8 @@ def verify_orbital(piece: OrbitalPiece) -> CheckReport:
     sys, entries = piece.solution.sys, piece.solution.entries
     gen_monic = piece.generator.make_monic()[1]
     failures = tuple(
-        CheckFailure("membership", (i,), base - gen_monic)
-        for i, base, offset in _offsets(piece, range(sys.nshifts), piece.indices)[1]
+        CheckFailure("membership", (i,), half_shift(sys, i, -1, q) - gen_monic)
+        for i, q, offset in _offsets(piece, range(sys.nshifts), piece.indices)[1]
         if offset is None
     )
     return CheckReport(failures).merged(check_factored(sys, entries))

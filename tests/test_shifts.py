@@ -14,6 +14,9 @@ from hypothesis import assume, example, given
 
 import strategies
 from orbit_reference import (
+    directional,
+    homogeneous_part,
+    reference_line_step,
     reference_moving_directions,
     reference_orbit_forms,
     reference_same_orbit,
@@ -24,6 +27,7 @@ from weylshift.parser import parse_poly
 from weylshift.poly import Poly
 from weylshift.shifts import (
     ShiftSystem,
+    _line_step,
     half_shift,
     is_fixed_by_shift,
     moving_directions,
@@ -136,7 +140,7 @@ def fixing_cases(draw):
 @given(fixing_cases())
 def test_is_fixed_by_shift_matches_the_derivative(case):
     q, beta = case
-    assert is_fixed_by_shift(q, beta) == q.directional(beta).is_zero
+    assert is_fixed_by_shift(q, beta) == directional(q, beta).is_zero
 
 
 def test_stabilizer_gl3():
@@ -371,7 +375,7 @@ def query_sequences(draw):
     pool = [draw(anchors(sys.nvars)) for _ in range(draw(st.integers(1, 3)))]
     qs = [q.shift(draw(strategies.shift_vectors(sys.nvars))) if draw(st.booleans()) else q for q in pool]
     qs += [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 2)))]
-    qs += [q - q.homogeneous_part(q.degree()) for q in pool if q.degree() > 1 and draw(st.booleans())]
+    qs += [q - homogeneous_part(q, q.degree()) for q in pool if q.degree() > 1 and draw(st.booleans())]
     qs = [q for q in qs if not q.is_constant]
     queries = []
     for _ in range(draw(st.integers(2, 8))):
@@ -451,6 +455,81 @@ def test_degree_one_forms_match_the_reference(case):
         forms = orbit_forms(sys, batch, over)
         assert forms == reference_orbit_forms(sys, batch, over)
         for (r, *_), (r2, *_) in itertools.combinations(forms, 2):
+            assert (r == r2) == (r is r2)
+
+
+@st.composite
+def line_tops(draw):
+    """A system of at most 3 variables and 4 directions, some of them zero
+    columns, an index set in any order, and a degree-1 top form: at times
+    one that every indexed direction fixes, when the columns leave room."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = [[draw(strategies.rationals) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[i] = Fraction(0)
+    sys = ShiftSystem.from_rows(rows)
+    indices = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    fixed = integer_kernel([sys.column(i) for i in indices], m)
+    if fixed and draw(st.booleans()):
+        coeffs = [sum(draw(st.integers(-2, 2)) * w[j] for w in fixed) for j in range(m)]
+    else:
+        coeffs = [draw(strategies.rationals) for _ in range(m)]
+    assume(any(coeffs))
+    scale = draw(strategies.nonzero_rationals)
+    units = [tuple(int(a == b) for b in range(m)) for a in range(m)]
+    return sys, indices, Poly(m, {e: scale * c for e, c in zip(units, coeffs)})
+
+
+@example(case=(FIXED_U1, (0, 1), parse_poly("u1", 2)))
+@example(case=(ShiftSystem.from_rows([[0, 1, 0], [0, 2, 0]]), (2, 0, 1), parse_poly("3/2*u1 - u2", 2)))
+@given(line_tops())
+def test_line_step_matches_the_one_row_integer_system(case):
+    # the closed form gives the scale, pivot, combination and stabilizer
+    # basis of the integer system of the one pairing row, exactly
+    sys, indices, top = case
+    s = len(indices)
+    identity = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
+    key = (tuple(sorted(top._linear_terms())), top._den)
+    assert _line_step(sys, key, indices, identity) == reference_line_step(sys, top, indices)
+
+
+@st.composite
+def pulled_batches(draw):
+    """Queries over one system, each with the direction whose half-step
+    pulls it back, or None: degree-1 and non-linear anchors, each moved by
+    a lattice point and by half of the drawn direction, so that several
+    pull-backs share an orbit, and at times perturbed off it."""
+    sys, indices = draw(orbit_systems())
+    m = sys.nvars
+    pool = [draw(anchors(m)) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        top = parse_poly(draw(st.sampled_from(TOPS)), m)
+        pool.append(top * draw(strategies.nonzero_rationals) + draw(strategies.rationals))
+    batch, pulls = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        pull = draw(st.one_of(st.none(), st.integers(0, sys.nshifts - 1)))
+        q = draw(st.sampled_from(pool)).shift(sys.combo([draw(st.integers(-3, 3)) for _ in indices], indices))
+        if pull is not None:
+            q = half_shift(sys, pull, 1, q)
+        if draw(st.booleans()):
+            q = q + Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([2, 3, 4, 6])))
+        batch.append(q)
+        pulls.append(pull)
+    return sys, indices, batch, pulls
+
+
+@given(pulled_batches())
+def test_pulled_forms_match_the_half_shifted_queries(case):
+    # pulling back inside orbit_forms gives the triples of the pulled-back
+    # Polys, and one Poly for every degree-1 form of an orbit
+    sys, indices, batch, pulls = case
+    bases = [q if i is None else half_shift(sys, i, -1, q) for q, i in zip(batch, pulls)]
+    for over in (indices, tuple(range(sys.nshifts))):
+        forms = orbit_forms(sys, batch, over, pulls)
+        assert forms == orbit_forms(sys, bases, over) == reference_orbit_forms(sys, bases, over)
+        linear = [r for q, (r, *_) in zip(batch, forms) if q.degree() == 1]
+        for r, r2 in itertools.combinations(linear, 2):
             assert (r == r2) == (r is r2)
 
 

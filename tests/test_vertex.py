@@ -19,7 +19,7 @@ from weylshift.orbital import (
 )
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly, merge_factors
-from weylshift.shifts import ShiftSystem, orbit_forms, same_orbit, stabilizer_lattice
+from weylshift.shifts import ShiftSystem, half_shift, orbit_forms, same_orbit, stabilizer_lattice
 from weylshift.vertex import (
     VertexConfig,
     canonical_key,
@@ -448,7 +448,9 @@ def test_classify_places_every_factor_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     assert len(classify(sol)) == 9
     assert calls["orbit_forms"] == 1
-    assert calls["half_shift"] == sum(len(entry.factors) for entry in sol.entries)
+    # every factor has degree 1, so orbit_forms pulls each back in integers
+    assert sum(len(entry.factors) for entry in sol.entries) == 18
+    assert calls["half_shift"] == 0
     assert calls["decode"] == 0
     # each piece's stabilizer comes from the orbit search
     assert calls["stabilizer_lattice"] == 0
@@ -458,9 +460,9 @@ def test_classify_places_every_factor_once(monkeypatch):
 
 def test_place_builds_one_shifted_form_per_orbit(monkeypatch):
     # every factor of a gl3 superposition has degree 1, so orbit_forms
-    # shifts at most one factor per orbit onto the orbit's normal form and
-    # gives that same form to the others; offsets of 2 to 4 keep every
-    # pulled-back factor off its normal form
+    # pulls each back and finds its normal form in integers, shifting no
+    # Poly, and builds one form per orbit for all its factors; offsets of
+    # 2 to 4 keep every pulled-back factor off its normal form
     import weylshift.orbital as orbital
 
     configs = [
@@ -468,7 +470,7 @@ def test_place_builds_one_shifted_form_per_orbit(monkeypatch):
         for seed, (family, frac) in enumerate((f, x) for f in range(3) for x in FRACTIONAL[1:4])
     ]
     sol = _superpose(GL3, configs)
-    inside, shifted = [], []
+    inside, shifted, outside = [], [], []
     poly_shift = Poly.shift
 
     def counted_orbit_forms(*args):
@@ -479,8 +481,7 @@ def test_place_builds_one_shifted_form_per_orbit(monkeypatch):
             inside.pop()
 
     def counted_shift(self, *args):
-        if inside:
-            shifted.append(self)
+        (shifted if inside else outside).append(self)
         return poly_shift(self, *args)
 
     monkeypatch.setattr(orbital, "orbit_forms", counted_orbit_forms)
@@ -488,7 +489,13 @@ def test_place_builds_one_shifted_form_per_orbit(monkeypatch):
     placed = orbital._place(sol)
     assert len(placed) == 9
     assert sum(len(entry.factors) for entry in sol.entries) == 18
-    assert 0 < len(shifted) <= 9
+    assert shifted == [] and outside == []
+    # each offset shifts the piece's generator onto its factor's pull-back
+    full = range(sol.sys.nshifts)
+    for piece, offsets, _ in placed:
+        for i, entry in enumerate(piece.solution.entries):
+            for (q, _), k in zip(entry.factors, offsets[i], strict=True):
+                assert poly_shift(piece.generator, sol.sys.vector(k, full), sol.sys.den) == half_shift(GL3, i, -1, q)
 
 
 def test_classify_formats_each_generator_once(monkeypatch):

@@ -24,7 +24,11 @@ in V, so each entry p(u) is P(Lu), where P is p with every variable
 outside J set to 0.  Shifting p by t is shifting P by Lt and L is onto,
 so an identity holds in u exactly when it holds in y = Lu.  The same
 directions move each entry, since grad p is L^T grad P, and a witness
-D(y) is D(Lu) in u.
+D(y) is D(Lu) in u.  L is found in integers: `intlinalg.integer_rref`
+reads each distinct gradient direction, a row over its content, once,
+and row i of L is its integer row i over that row's pivot.  The system
+in y comes from integer dot products with the columns, and the Fraction
+forms (Lu)_i are built only to carry a failing identity's witness back.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
-from .intlinalg import rref
+from .intlinalg import integer_rref
 from .poly import EXPONENT_LIMIT, FactoredPoly, Poly, merge_factors, sum_terms, variable_key
 from .shifts import ShiftSystem, half_shift, moving_directions
 
@@ -91,14 +96,14 @@ def _negated(vec):
 
 def _entries(sol: SolutionTuple) -> list[FactoredPoly]:
     """Each expanded entry as its value when it is constant, and otherwise
-    as its leading coefficient times its monic self."""
+    as its leading coefficient times its monic self, built unchecked."""
     out = []
     for p in sol.polys:
         if p.is_constant:
-            out.append(FactoredPoly(p.nvars, p.constant_value(), ()))
+            out.append(FactoredPoly._raw(p.nvars, (), p.constant_value()))
         else:
             lead, monic = p.make_monic()
-            out.append(FactoredPoly(p.nvars, lead, ((monic, 1),)))
+            out.append(FactoredPoly._raw(p.nvars, ((monic, 1),), lead))
     return out
 
 
@@ -203,7 +208,8 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
                 (key if isinstance(key, Poly) else q.shift(vec, den), m) for (q, vec), (key, m) in zip(factors, keyed)
             ]
         unit = prod(entries[k].unit for k, _ in side)
-        return FactoredPoly(sys.nvars, unit, tuple(merge_factors(keyed).items())).expand()
+        # merged shifts of monic factors: monic, nonconstant and distinct
+        return FactoredPoly._raw(sys.nvars, tuple(merge_factors(keyed).items()), unit).expand()
 
     failures = []
     for kind in kinds:
@@ -233,35 +239,62 @@ def linear_forms(rows: Sequence[Sequence[Fraction]]) -> tuple[Poly, ...]:
     )
 
 
-def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, tuple[Poly, ...] | None]:
-    """sol in the coordinates y = Lu of the module docstring, and the forms
-    (Lu)_i in u; sol itself and None when its entries depend on every
-    variable or on none."""
+def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, list[int], list[list[int]]]:
+    """sol in the coordinates y = Lu of the module docstring, with the pivot
+    columns J and the rows of L as `integer_rref` keeps them: row i of L is
+    integer row i over its pivot.  Each distinct gradient direction is read
+    once.  sol itself and no rows when its entries depend on every variable
+    or on none."""
     m = sol.sys.nvars
-    cols, rows = rref((row for p in sol.polys for row in p.gradient().values()), m)
+
+    def directions():
+        """Each gradient row over its content, once."""
+        seen = set()
+        for p in sol.polys:
+            for row in p.gradient().values():
+                g = gcd(*row)
+                key = tuple([x // g for x in row])
+                if key not in seen:
+                    seen.add(key)
+                    yield key
+
+    cols, rows = integer_rref(directions(), m)
     if not 0 < len(cols) < m:
-        return sol, None
-    alpha = tuple(tuple(sum(a * x for a, x in zip(row, col) if a) for col in zip(*sol.sys.alpha)) for row in rows)
+        return sol, cols, []
+    den = sol.sys.den
+    alpha = tuple(
+        tuple(Fraction(sum(map(mul, row, col)), row[j] * den) for col in sol.sys.columns) for j, row in zip(cols, rows)
+    )
     slots, r = _slots(m), len(cols)
     outside = sum(_EXPONENT << s for j, s in enumerate(slots) if j not in cols)
-    moves = [(slots[j], t) for j, t in zip(cols, _slots(r))]
+    # the slots of a run of consecutive pivot columns all move right by one
+    # distance: per distance, the mask of the slots it moves
+    runs: dict[int, int] = {}
+    for j, t in zip(cols, _slots(r)):
+        runs[slots[j] - t] = runs.get(slots[j] - t, 0) | _EXPONENT << slots[j]
+    (drop, _), *more = runs.items()
 
     def restricted(p: Poly) -> Poly:
         """P: the terms of p with no exponent outside cols, each slot moved."""
-        kept = [(k, c) for k, c in p._terms.items() if not k & outside]
-        return sum_terms(r, [(c, p._den, sum((k >> s & _EXPONENT) << t for s, t in moves)) for k, c in kept])
+        kept = ((k, c) for k, c in p._terms.items() if not k & outside)
+        if more:
+            return Poly._normal(r, {sum((k & mask) >> d for d, mask in runs.items()): c for k, c in kept}, p._den)
+        return Poly._normal(r, {k >> drop: c for k, c in kept}, p._den)
 
-    return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), linear_forms(rows)
+    return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), cols, rows
 
 
 def _check_expanded(sol: SolutionTuple, *kinds, nonsym: bool = False) -> CheckReport:
     """The failing identities of each kind on an expanded tuple, decided in
     its fewest variables; with nonsym, those of the symmetrized tuple, each
     witness shifted back: binary (i, j) by (a_i + a_j)/2 and ternary
-    (i, j, k) by (a_i + a_j)/2 - a_k/2."""
-    sol, forms = _fewest_variables(sol)
+    (i, j, k) by (a_i + a_j)/2 - a_k/2.  The forms Lu, which carry each
+    witness back to u, are built only when some identity fails."""
+    sol, cols, rows = _fewest_variables(sol)
+    found = _decide(sol.sys, _entries(symmetrize(sol) if nonsym else sol), *kinds)
+    forms = found and rows and linear_forms([[Fraction(x, row[j]) for x in row] for j, row in zip(cols, rows)])
     failures = []
-    for f in _decide(sol.sys, _entries(symmetrize(sol) if nonsym else sol), *kinds):
+    for f in found:
         relation, witness = f.relation, f.witness
         if nonsym:
             halves = sol.sys.columns

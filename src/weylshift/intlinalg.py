@@ -3,8 +3,10 @@
 Everything here works over plain Python ints and Fractions.  Lattices are
 handled through row-style Hermite normal form: pivots positive, entries
 above each pivot reduced into [0, pivot), rows ordered by pivot column.
-Besides the lattice work, `rref` is the one elimination over Q, which
-`rational_inverse` and the consistency checks' change of coordinates use.
+Besides the lattice work, `rref` is the one elimination over Q: its
+integer core `integer_rref` keeps primitive integer rows, and `rref`
+divides each by its pivot.  `rational_inverse` uses `rref`; the
+consistency checks' change of coordinates uses the core alone.
 """
 
 from __future__ import annotations
@@ -168,10 +170,10 @@ def solve_integer(
     return system.solve(rhs), system.kernel
 
 
-def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Fraction-free Gauss-Jordan elimination (Cohen, GTM 138, 2.2): the
-    pivot columns, ascending, and the reduced row echelon basis, each row
-    divided by its pivot, of the span over Q of integer rows with pivots in
+def integer_rref(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Cohen, GTM 138, 2.2), the
+    integer core of `rref`: the pivot columns, ascending, and one integer
+    row per pivot spanning over Q the integer rows read, whose pivots lie in
     the first `width` columns.  Reading stops once each of those is a pivot.
     Each kept row is zero at every other pivot and divided by its content."""
     kept: dict[int, list[int]] = {}  # pivot column -> row
@@ -192,7 +194,16 @@ def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[lis
         kept[j] = row
         if len(kept) == width:
             break
-    return sorted(kept), [[Fraction(x, kept[j][j]) for x in kept[j]] for j in sorted(kept)]
+    cols = sorted(kept)
+    return cols, [kept[j] for j in cols]
+
+
+def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[Fraction]]]:
+    """The pivot columns and the reduced row echelon basis of the span over
+    Q of integer rows with pivots in the first `width` columns: the rows of
+    `integer_rref`, each divided by its pivot."""
+    cols, kept = integer_rref(rows, width)
+    return cols, [[Fraction(x, row[j]) for x in row] for j, row in zip(cols, kept)]
 
 
 def rational_inverse(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...] | None:

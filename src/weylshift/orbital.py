@@ -83,7 +83,8 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
     -k.  Translates share a stabilizer, so any factor's basis serves for
     r.  The pieces are sorted by their generators' text, which each
     generator keeps (`format_poly`), so printing or writing it afterwards
-    formats nothing again.
+    formats nothing again.  Every factor of a piece's entry is one of a
+    validated entry's factors, so the entry is built unchecked.
     """
     sys = sol.sys
     full = tuple(range(sys.nshifts))
@@ -99,7 +100,7 @@ def _place(sol: FactoredSolution) -> list[tuple[OrbitalPiece, list[list[IntVec]]
     return [
         (
             OrbitalPiece(form, full, FactoredSolution(sys, tuple(
-                FactoredPoly.from_factors(sys.nvars, bucket) for bucket in factors
+                FactoredPoly._raw(sys.nvars, tuple(bucket)) for bucket in factors
             ))),
             offsets,
             stab,

@@ -623,6 +623,13 @@ class FactoredPoly:
                 raise ValueError("factors must be pairwise distinct")
             seen.add(q)
 
+    # internal fast path: caller guarantees monic, nonconstant, distinct factors
+    @classmethod
+    def _raw(cls, nvars: int, factors: tuple[tuple[Poly, int], ...], unit: Fraction = _ONE) -> "FactoredPoly":
+        f = object.__new__(cls)
+        f.__dict__.update(nvars=nvars, unit=unit, factors=factors)
+        return f
+
     @classmethod
     def from_factors(cls, nvars, factors, unit=_ONE) -> "FactoredPoly":
         return cls(nvars, Fraction(unit), tuple((q, int(m)) for q, m in factors))

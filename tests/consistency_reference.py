@@ -8,8 +8,10 @@ package's checkers with these; the reports must agree failure by
 failure, witnesses included.
 """
 
-from weylshift.consistency import CheckFailure, CheckReport, SolutionTuple
-from weylshift.shifts import half_shift
+from weylshift.consistency import CheckFailure, CheckReport, SolutionTuple, linear_forms
+from weylshift.intlinalg import rref
+from weylshift.poly import Poly
+from weylshift.shifts import ShiftSystem, half_shift
 
 
 def _pairs(n):
@@ -89,3 +91,17 @@ def reference_nonsymmetric(sol: SolutionTuple) -> CheckReport:
 def reference_symmetric(sol: SolutionTuple) -> CheckReport:
     """The binary report followed by the ternary one."""
     return reference_binary(sol).merged(reference_ternary(sol))
+
+
+def reference_fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, tuple[Poly, ...] | None]:
+    """sol in the coordinates y = Lu of consistency's module docstring, and
+    the forms (Lu)_i in u; sol itself and None when its entries depend on
+    every variable or on none."""
+    m = sol.sys.nvars
+    cols, rows = rref((row for p in sol.polys for row in p.gradient().values()), m)
+    if not 0 < len(cols) < m:
+        return sol, None
+    alpha = tuple(tuple(sum(a * x for a, x in zip(row, col) if a) for col in zip(*sol.sys.alpha)) for row in rows)
+    r = len(cols)
+    images = [Poly.variable(r, cols.index(j)) if j in cols else Poly.zero(r) for j in range(m)]
+    return SolutionTuple(ShiftSystem(alpha), tuple(p.compose(images) for p in sol.polys)), linear_forms(rows)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
-from consistency_reference import reference_nonsymmetric
+from consistency_reference import reference_nonsymmetric, reference_symmetric
+from weylshift import consistency
 from weylshift.consistency import (
     CheckReport,
     SolutionTuple,
@@ -19,7 +21,7 @@ from weylshift.consistency import (
 )
 from weylshift.multiquiver import build_solution, symmetrized_solution
 from weylshift.parser import parse_poly
-from weylshift.poly import Poly
+from weylshift.poly import FactoredPoly, Poly
 from weylshift.shifts import ShiftSystem
 from weylshift.vertex import decode, random_config
 
@@ -129,6 +131,55 @@ def test_expanded_tuples_are_checked_in_the_forms_they_depend_on(monkeypatch, st
     beta = symmetrized_solution([[1, -2, 0], [0, 2, -3]]).expand()
     for sol in (gl3, beta):
         assert _shifted_nvars(monkeypatch, check_symmetric, sol) == {sol.sys.nvars}
+
+
+LIN_WITNESSES = (
+    "nonsym-binary fails at (1,2): 60*u1^3 + 180*u1^2*u2 + 180*u1^2*u3 + 6060*u1^2 + 180*u1*u2^2 + 360*u1*u2*u3"
+    " + 12120*u1*u2 + 180*u1*u3^2 + 12120*u1*u3 + 203040*u1 + 60*u2^3 + 180*u2^2*u3 + 6060*u2^2 + 180*u2*u3^2"
+    " + 12120*u2*u3 + 203040*u2 + 60*u3^3 + 6060*u3^2 + 203040*u3 + 20296880/9",
+    "binary fails at (1,2): -60*u1^3 - 180*u1^2*u2 - 180*u1^2*u3 - 5400*u1^2 - 180*u1*u2^2 - 360*u1*u2*u3"
+    " - 10800*u1*u2 - 180*u1*u3^2 - 10800*u1*u3 - 161020*u1 - 60*u2^3 - 180*u2^2*u3 - 5400*u2^2 - 180*u2*u3^2"
+    " - 10800*u2*u3 - 161020*u2 - 60*u3^3 - 5400*u3^2 - 161020*u3 - 14327600/9",
+)
+
+
+def test_expanded_checks_build_forms_only_for_a_witness(monkeypatch, staircase_file):
+    # a passing lin staircase, sym or nonsym, composes no witness, so no
+    # forms Lu are built, and the engine's entries and sides are built
+    # without checking their factors again; the same staircase forced
+    # into the other form fails with the witnesses recorded before the
+    # change of coordinates ran in integers, and builds the forms once
+    calls = Counter()
+    forms, post_init = consistency.linear_forms, FactoredPoly.__post_init__
+
+    def counted_forms(rows):
+        calls["linear_forms"] += 1
+        return forms(rows)
+
+    def counted_post_init(self):
+        calls["__post_init__"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(consistency, "linear_forms", counted_forms)
+    monkeypatch.setattr(FactoredPoly, "__post_init__", counted_post_init)
+    generator = parse_poly("u1 + u2 + u3 + 1/3", 3)
+    for loops in (1, 2):
+        sym = decode(random_config(staircase_file.sys, generator, (0, 1), loops=loops, seed=7)).solution.expand()
+        calls.clear()
+        assert check_symmetric(sym).passed
+        assert check_nonsymmetric(unsymmetrize(sym)).passed
+        assert not calls
+    sym = decode(random_config(staircase_file.sys, generator, (0, 1), loops=1, seed=7)).solution.expand()
+    full = unsymmetrize(sym)
+    for check, reference, sol, witness in (
+        (check_nonsymmetric, reference_nonsymmetric, sym, LIN_WITNESSES[0]),
+        (check_symmetric, reference_symmetric, full, LIN_WITNESSES[1]),
+    ):
+        calls.clear()
+        report = check(sol)
+        assert report.describe() == witness
+        assert report.failures == reference(sol).failures
+        assert calls == {"linear_forms": 1}
 
 
 def small_tuples():

@@ -20,17 +20,20 @@ from hypothesis import assume, given, settings
 import strategies
 from consistency_reference import (
     reference_binary,
+    reference_fewest_variables,
     reference_nonsymmetric,
     reference_symmetric,
     reference_ternary,
 )
 from weylshift.consistency import (
     SolutionTuple,
+    _fewest_variables,
     check_binary,
     check_factored,
     check_nonsymmetric,
     check_symmetric,
     check_ternary,
+    linear_forms,
     unsymmetrize,
 )
 from weylshift.intlinalg import matmul, rational_inverse
@@ -187,6 +190,56 @@ def tuples_in_fewer_forms(draw):
         j = draw(st.integers(min_value=0, max_value=m - 1))
         polys[k] = polys[k] * (Poly.variable(m, j) - draw(strategies.rationals))
     return SolutionTuple(sys, tuple(polys))
+
+
+@st.composite
+def scaled_copies(draw):
+    """A tuple in fewer forms with some entries replaced by a nonzero
+    multiple of another entry, whose gradient rows are then those of the
+    other entry at a new scale."""
+    sol = draw(tuples_in_fewer_forms())
+    polys = list(sol.polys)
+    for k in range(len(polys)):
+        if draw(st.booleans()):
+            other = sol.polys[draw(st.integers(min_value=0, max_value=len(polys) - 1))]
+            polys[k] = other * draw(strategies.nonzero_rationals)
+    return SolutionTuple(sol.sys, tuple(polys))
+
+
+@st.composite
+def tuples_on_every_variable(draw):
+    """A tuple in fewer forms with one entry multiplied by a product of
+    u_j - c_j over every variable, so that its entries depend on all of
+    them."""
+    sol = draw(tuples_in_fewer_forms())
+    m = sol.sys.nvars
+    polys = list(sol.polys)
+    for j in range(m):
+        polys[0] = polys[0] * (Poly.variable(m, j) - draw(strategies.rationals))
+    return SolutionTuple(sol.sys, tuple(polys))
+
+
+@st.composite
+def tuples_of_constants(draw):
+    sol = draw(tuples_in_fewer_forms())
+    m = sol.sys.nvars
+    return SolutionTuple(sol.sys, tuple(Poly.constant(m, draw(strategies.nonzero_rationals)) for _ in sol.polys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sol=st.one_of(tuples_in_fewer_forms(), scaled_copies(), tuples_on_every_variable(), tuples_of_constants()))
+def test_fewest_variables_matches_reference(sol):
+    # the integer change of coordinates gives the system, the restricted
+    # entries and the forms Lu of the Fraction one
+    small, cols, rows = _fewest_variables(sol)
+    expected, forms = reference_fewest_variables(sol)
+    assert small.sys.alpha == expected.sys.alpha
+    assert (small.sys.den, small.sys.columns) == (expected.sys.den, expected.sys.columns)
+    assert small.polys == expected.polys
+    if forms is None:
+        assert small is sol and not rows
+        return
+    assert linear_forms([[Fraction(x, row[j]) for x in row] for j, row in zip(cols, rows)]) == forms
 
 
 def assert_matches_reference(fs: FactoredSolution):

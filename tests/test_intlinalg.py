@@ -11,6 +11,7 @@ from weylshift.intlinalg import (
     _echelon,
     hnf,
     integer_kernel,
+    integer_rref,
     lattice_contains,
     matmul,
     rational_inverse,
@@ -315,6 +316,18 @@ def test_rref_divides_kept_rows_by_their_content(case, factor):
     assert len(seen) == width * len(cols)
     for k in range(len(cols)):
         assert gcd(*seen[k * width:(k + 1) * width]) == 1
+
+
+@given(spanning_rows(), st.integers(-12, 12).filter(bool))
+def test_integer_rref_keeps_primitive_rows_that_rref_divides(case, factor):
+    # one row per pivot, zero at the other pivots and with no common
+    # factor, whatever factor the input rows share
+    width, rows = case
+    cols, kept = integer_rref([[factor * x for x in row] for row in rows], width)
+    for j, row in zip(cols, kept):
+        assert gcd(*row) == 1
+        assert all(row[i] == 0 for i in cols if i != j)
+    assert rref(rows, width) == (cols, [[Fraction(x, row[j]) for x in row] for j, row in zip(cols, kept)])
 
 
 def test_rref_examples():

@@ -498,6 +498,30 @@ def test_place_builds_one_shifted_form_per_orbit(monkeypatch):
                 assert poly_shift(piece.generator, sol.sys.vector(k, full), sol.sys.den) == half_shift(GL3, i, -1, q)
 
 
+def test_place_checks_no_factor_again(monkeypatch):
+    # every factor _place hands a piece comes from a validated entry, so
+    # the pieces' entries are built unchecked, and each is the entry that
+    # the checking constructor builds
+    import weylshift.orbital as orbital
+
+    configs = [_gl3_orbit(family, frac, 1, seed) for seed, (family, frac) in enumerate([(0, 1), (1, 2), (2, 3)])]
+    sol = _superpose(GL3, configs)
+    checked = []
+    post_init = FactoredPoly.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FactoredPoly, "__post_init__", counted)
+    placed = orbital._place(sol)
+    assert checked == []
+    monkeypatch.undo()
+    for piece, _, _ in placed:
+        for entry in piece.solution.entries:
+            assert entry == FactoredPoly.from_factors(entry.nvars, entry.factors)
+
+
 def test_classify_formats_each_generator_once(monkeypatch):
     # _place sorts the pieces by generator text and config_obj writes it:
     # the generator keeps its text, so it is formatted once

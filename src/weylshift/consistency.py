@@ -40,7 +40,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
-from .intlinalg import integer_rref
+from .intlinalg import integer_rref, over_pivots
 from .poly import EXPONENT_LIMIT, FactoredPoly, Poly, merge_factors, sum_terms, variable_key
 from .shifts import ShiftSystem, half_shift, moving_directions
 
@@ -272,14 +272,11 @@ def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, list[int], lis
     runs: dict[int, int] = {}
     for j, t in zip(cols, _slots(r)):
         runs[slots[j] - t] = runs.get(slots[j] - t, 0) | _EXPONENT << slots[j]
-    (drop, _), *more = runs.items()
 
     def restricted(p: Poly) -> Poly:
         """P: the terms of p with no exponent outside cols, each slot moved."""
         kept = ((k, c) for k, c in p._terms.items() if not k & outside)
-        if more:
-            return Poly._normal(r, {sum((k & mask) >> d for d, mask in runs.items()): c for k, c in kept}, p._den)
-        return Poly._normal(r, {k >> drop: c for k, c in kept}, p._den)
+        return Poly._normal(r, {sum([(k & mask) >> d for d, mask in runs.items()]): c for k, c in kept}, p._den)
 
     return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), cols, rows
 
@@ -292,7 +289,7 @@ def _check_expanded(sol: SolutionTuple, *kinds, nonsym: bool = False) -> CheckRe
     witness back to u, are built only when some identity fails."""
     sol, cols, rows = _fewest_variables(sol)
     found = _decide(sol.sys, _entries(symmetrize(sol) if nonsym else sol), *kinds)
-    forms = found and rows and linear_forms([[Fraction(x, row[j]) for x in row] for j, row in zip(cols, rows)])
+    forms = linear_forms(over_pivots(cols, rows)) if found and rows else None
     failures = []
     for f in found:
         relation, witness = f.relation, f.witness

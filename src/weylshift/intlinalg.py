@@ -4,9 +4,10 @@ Everything here works over plain Python ints and Fractions.  Lattices are
 handled through row-style Hermite normal form: pivots positive, entries
 above each pivot reduced into [0, pivot), rows ordered by pivot column.
 Besides the lattice work, `rref` is the one elimination over Q: its
-integer core `integer_rref` keeps primitive integer rows, and `rref`
-divides each by its pivot.  `rational_inverse` uses `rref`; the
-consistency checks' change of coordinates uses the core alone.
+integer core `integer_rref` keeps primitive integer rows, and
+`over_pivots` divides each by its pivot.  `rational_inverse` uses `rref`;
+the consistency checks' change of coordinates uses the core, and
+`over_pivots` only to carry a witness back.
 """
 
 from __future__ import annotations
@@ -203,7 +204,12 @@ def rref(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[lis
     Q of integer rows with pivots in the first `width` columns: the rows of
     `integer_rref`, each divided by its pivot."""
     cols, kept = integer_rref(rows, width)
-    return cols, [[Fraction(x, row[j]) for x in row] for j, row in zip(cols, kept)]
+    return cols, over_pivots(cols, kept)
+
+
+def over_pivots(cols: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Each integer row divided by its entry in the pivot column paired with it."""
+    return [[Fraction(x, row[j]) for x in row] for j, row in zip(cols, rows)]
 
 
 def rational_inverse(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...] | None:

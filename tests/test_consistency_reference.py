@@ -36,7 +36,7 @@ from weylshift.consistency import (
     linear_forms,
     unsymmetrize,
 )
-from weylshift.intlinalg import matmul, rational_inverse
+from weylshift.intlinalg import matmul, over_pivots, rational_inverse
 from weylshift.multiquiver import build_solution, symmetrized_solution
 from weylshift.orbital import FactoredPoly, FactoredSolution
 from weylshift.poly import Poly, merge_factors
@@ -239,7 +239,7 @@ def test_fewest_variables_matches_reference(sol):
     if forms is None:
         assert small is sol and not rows
         return
-    assert linear_forms([[Fraction(x, row[j]) for x in row] for j, row in zip(cols, rows)]) == forms
+    assert linear_forms(over_pivots(cols, rows)) == forms
 
 
 def assert_matches_reference(fs: FactoredSolution):

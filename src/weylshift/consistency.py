@@ -10,10 +10,10 @@ symmetrized tuple, with each witness shifted back.  The engine compares
 the multisets of shifted factors on the two sides of each identity, and
 expands only the identities where they differ.  A shifted factor of
 degree 1, the only kind in the gl_n-type and linear staircase solutions,
-is compared by an integer key, its direction and its constant, so no
-Poly is built for it unless its identity fails.  Which directions move an
-entry is read from each factor's gradient, once per engine call
-(`shifts.moving_directions`).
+is compared by its integer key from `shifts`, its top form and its
+constant, so no Poly is built for it unless its identity fails.  Which
+directions move an entry is read from each factor's gradient, once per
+engine call (`shifts.moving_directions`).
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .intlinalg import integer_rref, over_pivots
 from .poly import EXPONENT_LIMIT, FactoredPoly, Poly, merge_factors, sum_terms, variable_key
-from .shifts import ShiftSystem, half_shift, moving_directions
+from .shifts import ShiftSystem, half_shift, linear_form, linear_key, linear_poly, moving_directions
 
 
 @dataclass(frozen=True)
@@ -135,30 +135,9 @@ def _ternary(halves, moving):
             yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
 
 
-def _linear_form(q: Poly, den: int) -> tuple | None:
-    """For a monic q = (sum_j n_j u_j + c) / d of degree 1, the primitive
-    direction n / gcd(n) as sorted (j, n_j) pairs, the pairs (j, n_j), c * den
-    and d * den: enough to key q shifted by any integer vector over den.
-    None for any other q."""
-    terms = q._linear_terms()
-    if terms is None:
-        return None
-    g = gcd(*(v for _, v in terms))
-    return tuple(sorted((j, v // g) for j, v in terms)), terms, q._terms.get(0, 0) * den, q._den * den
-
-
-def _shifted_key(form: tuple, vec: Sequence[int]) -> tuple:
-    """The key of a degree-1 factor with the given _linear_form, shifted by
-    vec over the form's den."""
-    direction, terms, c, d = form
-    num = c - sum(v * vec[j] for j, v in terms)
-    g = gcd(num, d)
-    return direction, num // g, d // g
-
-
 def _movable(forms) -> list[Poly]:
     """The factors of one entry whose moving sets make up the entry's: each
-    factor past degree 1, and one factor of each degree-1 direction, since
+    factor past degree 1, and one factor of each degree-1 top form, since
     a translate is moved by the same directions."""
     return list({form[0] if form else q: q for q, _, form in forms}.values())
 
@@ -183,33 +162,28 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     side's unit is the product of its entries' units.
 
     Each factor is read once per entry.  A shifted factor of degree 1 is
-    keyed by integers, not built: q = (sum_j n_j u_j + c) / d shifted by
-    t = v / den is (n / gcd(n), (c * den - <n, v>) / (d * den) reduced), and
-    since factors are monic, two keys are equal exactly when the shifted
-    factors are.  Any other factor's key is the shifted Poly itself.  Only
-    an identity whose key multisets differ builds the shifted Polys of its
-    sides, reusing those keys, to expand them.
+    keyed by integers, not built (`shifts.linear_key`), and two keys are
+    equal exactly when the shifted factors are.  Any other factor's key is
+    the shifted Poly itself.  Only an identity whose key multisets differ
+    builds the Polys of its degree-1 keys (`shifts.linear_poly`) to expand
+    its sides.
     """
     den = 2 * sys.den
-    forms = [[(q, m, _linear_form(q, den)) for q, m in e.factors] for e in entries]
+    forms = [[(q, m, linear_form(q, den)) for q, m in e.factors] for e in entries]
     moving = [set(moving_directions(sys, _movable(f))) for f in forms]
 
     def keys(side) -> list[tuple[Poly | tuple, int]]:
         return [
-            (q.shift(vec, den) if form is None else _shifted_key(form, vec), m)
+            (q.shift(vec, den) if form is None else linear_key(form, vec), m)
             for k, vec in side
             for q, m, form in forms[k]
         ]
 
     def expand(side, keyed) -> Poly:
-        if not all(isinstance(key, Poly) for key, _ in keyed):
-            factors = [(q, vec) for k, vec in side for q, _, _ in forms[k]]
-            keyed = [
-                (key if isinstance(key, Poly) else q.shift(vec, den), m) for (q, vec), (key, m) in zip(factors, keyed)
-            ]
+        polys = [(key if isinstance(key, Poly) else linear_poly(sys.nvars, key), m) for key, m in keyed]
         unit = prod(entries[k].unit for k, _ in side)
         # merged shifts of monic factors: monic, nonconstant and distinct
-        return FactoredPoly._raw(sys.nvars, tuple(merge_factors(keyed).items()), unit).expand()
+        return FactoredPoly._raw(sys.nvars, tuple(merge_factors(polys).items()), unit).expand()
 
     failures = []
     for kind in kinds:

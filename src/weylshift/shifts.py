@@ -10,10 +10,13 @@ denominator.  The directions that move a polynomial, the HNF bases of
 stabilizer lattices and the normal forms that decide orbit membership,
 with each form's stabilizer, live here; each pairs one `Poly.gradient`
 per polynomial with every integer vector it asks about.  A polynomial of
-degree 1, every factor of the gl_n-type examples, finds its normal form
-in integers end to end: its one-row step is read in closed form, a
-pull-back by a half-step and the reduction change only its integer
-constant, and one normal form is built per orbit in a call.
+degree 1, every factor of the gl_n-type examples, has one integer form,
+`linear_form`, for both the consistency engine and `orbit_forms`: a
+shift changes only its constant, and `linear_key` keys the shifted
+polynomial exactly.  Its normal form is found in integers end to end:
+its one-row step is read in closed form, a pull-back by a half-step and
+the reduction change only its constant, and `linear_poly` builds one
+normal form per orbit in a call.
 """
 
 from __future__ import annotations
@@ -140,8 +143,8 @@ def _pairings(p: Poly, vectors: Sequence[IntVec], den: int) -> tuple[dict[int, i
 # integer system, and the directions still free after the step.
 _Step = tuple[dict[int, int], IntegerSystem, tuple[IntVec, ...]]
 
-# The top form of a degree-1 query as integers: (j, numerator) for each
-# term in u_{j+1}, by j, and the denominator, over their gcd.
+# The top form of a degree-1 polynomial as integers: (j, numerator) for
+# each term in u_{j+1}, by j, and the denominator, over their gcd.
 _Top = tuple[tuple[tuple[int, int], ...], int]
 
 # The one step of a degree-1 query, by its top form: the scale of the
@@ -172,13 +175,13 @@ def orbit_forms(
     free after degree 1 fix q: they are stab.  q is split by degree once,
     and again at each step after one that shifted it.
 
-    A q of degree 1 is worked in integers and shifts no Poly.  Its top
-    form is keyed by its numerators and denominator over their gcd, and a
-    pull-back only changes its constant.  The pairings make one row, read
-    once per top by `_line_step`, so t is one multiple of the pivot's
-    combination, found as `IntegerSystem.reduce` finds it, and r is the
-    top plus the residual constant.  r is built from that key once per
-    orbit in the call, and every q of the orbit gets that same Poly.
+    A q of degree 1 is worked in integers and shifts no Poly: its top
+    form is its `linear_form`'s, and its constant, pulled back, its
+    `linear_key`'s.  The pairings make one row, read once per top by
+    `_line_step`, so t is one multiple of the pivot's combination, found
+    as `IntegerSystem.reduce` finds it, and r is the top plus the residual
+    constant.  r is built from that key by `linear_poly` once per orbit in
+    the call, and every q of the orbit gets that same Poly.
     """
     indices = tuple(indices)
     s = len(indices)
@@ -188,31 +191,28 @@ def orbit_forms(
     built: dict[tuple, Poly] = {}
     forms = []
     zero = Poly.zero(sys.nvars)
+    # pulling back by half of direction i shifts by -column(i) over 2 * den
+    backs = [tuple(-a for a in col) for col in sys.columns] if pulls else None
+    still = (0,) * sys.nvars
     for q, pull in zip(polys, pulls or [None] * len(polys), strict=True):
         if q.is_zero:
             raise ValueError("orbit queries need nonzero polynomials")
-        linear = q._linear_terms()
-        if linear:
-            den = q._den
-            g = gcd(den, *[v for _, v in linear])
-            top = (tuple(sorted((j, v // g) for j, v in linear)), den // g)
+        form = linear_form(q, 2 * sys.den)
+        if form is not None:
+            # c/d is q's constant, pulled back, and after the step the normal form's
+            key = top, c, d = linear_key(form, still if pull is None else backs[pull])
             line = lines.get(top)
             if line is None:
                 line = lines[top] = _line_step(sys, top, indices, identity)
             scale, pivot, combo, stab = line
-            # c/d is q's constant, pulled back, and after the step the normal form's
-            c, d = q._terms.get(0, 0), den
-            if pull is not None:  # q(u + column/2) gains <numerators, den * column> / (2 * den * d)
-                col = sys.columns[pull]
-                c, d = 2 * sys.den * c + sum([v * col[j] for j, v in linear]), 2 * sys.den * d
             t = c * scale // (d * pivot) if pivot else 0
             if t:
                 c, d = c * scale - t * d * pivot, d * scale
-            h = gcd(c, d)
-            key = (top, c // h, d // h)
+                h = gcd(c, d)
+                key = (top, c // h, d // h)
             r = built.get(key)
             if r is None:
-                r = built[key] = _line_form(sys.nvars, *key)
+                r = built[key] = linear_poly(sys.nvars, key)
             forms.append((r, tuple(t * a for a in combo), stab))
             continue
         if pull is not None:
@@ -275,9 +275,31 @@ def _line_step(sys: ShiftSystem, top: _Top, indices: tuple[int, ...], identity: 
     return den * sys.den // g, pivot, tuple(combo), hnf([row[1:] for row in rest])
 
 
-def _line_form(nvars: int, top: _Top, c: int, d: int) -> Poly:
-    """The Poly of a degree-1 top form, keyed by integers, plus c/d."""
-    terms, tden = top
+def linear_form(q: Poly, den: int) -> tuple | None:
+    """For q = (sum_j n_j u_j + c) / d of degree 1, its top form, the pairs
+    (j, n_j), c * den and d * den: enough to key q shifted by any integer
+    vector over den.  None for any other q."""
+    terms = q._linear_terms()
+    if not terms:
+        return None
+    d = q._den
+    g = gcd(d, *[v for _, v in terms])
+    return (tuple(sorted((j, v // g) for j, v in terms)), d // g), terms, q._terms.get(0, 0) * den, d * den
+
+
+def linear_key(form: tuple, vec: Sequence[int]) -> tuple[_Top, int, int]:
+    """The key of the q of a linear_form shifted by vec over its den: the top
+    form and the new constant (c * den - <n, vec>) / (d * den), reduced.
+    Equal keys are equal polynomials, however each q was scaled."""
+    top, terms, c, d = form
+    c -= sum([v * vec[j] for j, v in terms])
+    g = gcd(c, d)
+    return top, c // g, d // g
+
+
+def linear_poly(nvars: int, key: tuple[_Top, int, int]) -> Poly:
+    """The Poly of a degree-1 key: its top form plus its constant."""
+    (terms, tden), c, d = key
     den = lcm(tden, d)
     out = {0: c * (den // d)}
     out.update((variable_key(nvars, j), v * (den // tden)) for j, v in terms)

@@ -32,11 +32,12 @@ STAIR_FAMILIES = [("u1 + u2 + u3", (0, 1)), ("u1^2 + u2 + u3", (0, 1))]
 
 
 class Counting:
-    """Counts the Poly products and shifts taken while it is active."""
+    """Counts the Poly products and shifts taken, and the Polys the engine
+    builds from degree-1 keys, while it is active."""
 
     def __enter__(self):
-        self.products = self.shifts = 0
-        self.mul, self.shift = Poly.__mul__, Poly.shift
+        self.products = self.shifts = self.lines = 0
+        self.mul, self.shift, self.line = Poly.__mul__, Poly.shift, consistency.linear_poly
 
         def counted_mul(a, b):
             self.products += 1
@@ -46,11 +47,15 @@ class Counting:
             self.shifts += 1
             return self.shift(p, *args)
 
-        Poly.__mul__, Poly.shift = counted_mul, counted_shift
+        def counted_line(*args):
+            self.lines += 1
+            return self.line(*args)
+
+        Poly.__mul__, Poly.shift, consistency.linear_poly = counted_mul, counted_shift, counted_line
         return self
 
     def __exit__(self, *exc):
-        Poly.__mul__, Poly.shift = self.mul, self.shift
+        Poly.__mul__, Poly.shift, consistency.linear_poly = self.mul, self.shift, self.line
 
 
 def assert_same_report(fs: FactoredSolution):
@@ -229,15 +234,17 @@ def test_degree_one_solutions_pass_without_shifting_a_factor(fs):
 @given(fs=corrupted(degree_one_solutions))
 def test_degree_one_factors_shift_only_for_failing_identities(fs):
     # degree-1 factors are irreducible, so exactly the failing identities
-    # differ as multisets, and each shifts every factor of both its sides
+    # differ as multisets; no factor is shifted as a Poly, and each failing
+    # identity builds every factor of both its sides from its key
     with Counting() as counting:
         report = check_factored(fs.sys, fs.entries)
     sizes = [len(e.factors) for e in fs.entries]
-    shifted = [
+    built = [
         2 * (sizes[f.indices[0]] + sizes[f.indices[1]]) if f.relation == "binary" else 4 * sizes[f.indices[2]]
         for f in report.failures
     ]
-    assert counting.shifts == sum(shifted)
+    assert counting.shifts == 0
+    assert counting.lines == sum(built)
 
 
 @settings(max_examples=40)

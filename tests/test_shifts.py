@@ -30,6 +30,9 @@ from weylshift.shifts import (
     _line_step,
     half_shift,
     is_fixed_by_shift,
+    linear_form,
+    linear_key,
+    linear_poly,
     moving_directions,
     orbit_forms,
     same_orbit,
@@ -490,8 +493,42 @@ def test_line_step_matches_the_one_row_integer_system(case):
     sys, indices, top = case
     s = len(indices)
     identity = tuple(tuple(int(a == b) for b in range(s)) for a in range(s))
-    key = (tuple(sorted(top._linear_terms())), top._den)
-    assert _line_step(sys, key, indices, identity) == reference_line_step(sys, top, indices)
+    expected = reference_line_step(sys, top, indices)
+    # by hand, and as linear_form reads it off top + 1/2, whose numerators
+    # and denominator share the factor that the constant brings in
+    for key in ((tuple(sorted(top._linear_terms())), top._den), linear_form(top + Fraction(1, 2), 1)[0]):
+        assert _line_step(sys, key, indices, identity) == expected
+
+
+@st.composite
+def shifted_lines(draw):
+    """Two degree-1 polynomials in the same variables, at any scaling and
+    with some coefficients zero, an integer vector for each and a den in
+    1..6.  The second is at times the first, moved by an integer vector
+    over den that its own vector moves back, and at times rescaled."""
+    m, den = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    units = [tuple(int(a == b) for b in range(m)) for a in range(m)]
+    coeffs = [draw(st.one_of(st.just(0), strategies.nonzero_rationals)) for _ in range(m)]
+    assume(any(coeffs))
+    q = Poly(m, dict(zip(units, coeffs))) + draw(strategies.rationals)
+    vectors = st.lists(st.integers(-6, 6), min_size=m, max_size=m).map(tuple)
+    vec, move = draw(vectors), draw(vectors)
+    q2 = q.shift(move, den) * draw(st.sampled_from([1, 1, 2, -1, Fraction(1, 3)]))
+    vec2 = tuple(a - b for a, b in zip(vec, move)) if draw(st.booleans()) else draw(vectors)
+    return m, den, (q, vec), (q2, vec2)
+
+
+@example(case=(1, 1, (parse_poly("u1 + 1", 1), (0,)), (parse_poly("2*u1 + 1", 1), (0,))))
+@example(case=(2, 4, (parse_poly("u1 - 1/2*u2", 2), (1, 2)), (parse_poly("2*u1 - u2 - 1", 2), (-1, 2))))
+@given(shifted_lines())
+def test_linear_keys_are_the_shifted_polynomials(case):
+    # a key builds back the shifted Poly, and two keys are equal exactly
+    # when the shifted polynomials are, whatever the scaling of each q
+    m, den, *pairs = case
+    shifted = [q.shift(vec, den) for q, vec in pairs]
+    keys = [linear_key(linear_form(q, den), vec) for q, vec in pairs]
+    assert [linear_poly(m, key) for key in keys] == shifted
+    assert (keys[0] == keys[1]) == (shifted[0] == shifted[1])
 
 
 @st.composite

@@ -4,16 +4,15 @@ A tuple (p_1, ..., p_n) is checked against a ShiftSystem either in the
 symmetric form (binary + ternary product identities) or in the
 non-symmetric form; applying the half-step of each direction to its own
 entry translates between the two.  Every check runs one engine on
-FactoredPoly entries: an expanded entry is its leading coefficient times
-its monic self, and the non-symmetric form is the symmetric one on the
-symmetrized tuple, with each witness shifted back.  The engine compares
-the multisets of shifted factors on the two sides of each identity, and
-expands only the identities where they differ.  A shifted factor of
-degree 1, the only kind in the gl_n-type and linear staircase solutions,
-is compared by its integer key from `shifts`, its top form and its
-constant, so no Poly is built for it unless its identity fails.  Which
-directions move an entry is read from each factor's gradient, once per
-engine call (`shifts.moving_directions`).
+FactoredPoly entries, an expanded entry as its leading coefficient times
+its monic self, and lists each form's identities on the tuple as given.
+The engine compares the multisets of shifted factors on the two sides of
+each identity, and expands only the identities where they differ.  A
+shifted factor of degree 1, the only kind in the gl_n-type and linear
+staircase solutions, is compared by its integer key from `shifts`, its
+top form and its constant, so no Poly is built for it unless its
+identity fails.  Which directions move an entry is read from each
+factor's gradient, once per engine call (`shifts.moving_directions`).
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
@@ -112,7 +111,9 @@ def _entries(sol: SolutionTuple) -> list[FactoredPoly]:
 # shifted by those vectors.  A kind lists its identities from the
 # half-columns and the moving set of each entry: the directions that move
 # some factor of it.  Half-column i is the integer column i of the system
-# over twice its denominator, and every shift vector is read over that.
+# over twice its denominator, and every shift vector is read over that; a
+# whole column a_i is twice it.  The non-symmetric kinds skip what the
+# symmetric ones skip, since a translate is moved by the same directions.
 
 
 def _binary(halves, moving):
@@ -133,6 +134,22 @@ def _ternary(halves, moving):
             minus = tuple(a - b for a, b in zip(halves[i], halves[j]))
             lhs = [(k, plus), (k, _negated(plus))]
             yield "ternary", (i, j, k), lhs, [(k, minus), (k, _negated(minus))]
+
+
+def _nonsym_binary(halves, moving):
+    """Non-symmetric binary (i, j): p_i(u-s) p_j(u-s) = p_i(u-a_i) p_j(u-a_j), s = a_i + a_j."""
+    for _, (i, j), _, _ in _binary(halves, moving):
+        ai, aj = (tuple(2 * a for a in halves[x]) for x in (i, j))
+        s = tuple(a + b for a, b in zip(ai, aj))
+        yield "nonsym-binary", (i, j), [(i, s), (j, s)], [(i, ai), (j, aj)]
+
+
+def _nonsym_ternary(halves, moving):
+    """Non-symmetric ternary (i, j, k): p_k(u-s) p_k(u) = p_k(u-a_i) p_k(u-a_j), s = a_i + a_j."""
+    for _, (i, j, k), _, _ in _ternary(halves, moving):
+        ai, aj = (tuple(2 * a for a in halves[x]) for x in (i, j))
+        s = tuple(a + b for a, b in zip(ai, aj))
+        yield "nonsym-ternary", (i, j, k), [(k, s), (k, (0,) * len(s))], [(k, ai), (k, aj)]
 
 
 def _movable(forms) -> list[Poly]:
@@ -165,31 +182,31 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     keyed by integers, not built (`shifts.linear_key`), and two keys are
     equal exactly when the shifted factors are.  Any other factor's key is
     the shifted Poly itself.  Only an identity whose key multisets differ
-    builds the Polys of its degree-1 keys (`shifts.linear_poly`) to expand
-    its sides.
+    builds one Poly per distinct degree-1 key of its sides
+    (`shifts.linear_poly`) to expand them.
     """
     den = 2 * sys.den
     forms = [[(q, m, linear_form(q, den)) for q, m in e.factors] for e in entries]
     moving = [set(moving_directions(sys, _movable(f))) for f in forms]
 
-    def keys(side) -> list[tuple[Poly | tuple, int]]:
-        return [
+    def keys(side) -> dict[Poly | tuple, int]:
+        return merge_factors(
             (q.shift(vec, den) if form is None else linear_key(form, vec), m)
             for k, vec in side
             for q, m, form in forms[k]
-        ]
+        )
 
     def expand(side, keyed) -> Poly:
-        polys = [(key if isinstance(key, Poly) else linear_poly(sys.nvars, key), m) for key, m in keyed]
+        polys = tuple((key if isinstance(key, Poly) else linear_poly(sys.nvars, key), m) for key, m in keyed.items())
         unit = prod(entries[k].unit for k, _ in side)
-        # merged shifts of monic factors: monic, nonconstant and distinct
-        return FactoredPoly._raw(sys.nvars, tuple(merge_factors(polys).items()), unit).expand()
+        # shifts of monic factors under distinct keys: monic, nonconstant and distinct
+        return FactoredPoly._raw(sys.nvars, polys, unit).expand()
 
     failures = []
     for kind in kinds:
         for relation, indices, lhs, rhs in kind(sys.columns, moving):
             left, right = keys(lhs), keys(rhs)
-            if merge_factors(left) == merge_factors(right):
+            if left == right:
                 continue
             diff = expand(lhs, left) - expand(rhs, right)
             if not diff.is_zero:
@@ -255,28 +272,16 @@ def _fewest_variables(sol: SolutionTuple) -> tuple[SolutionTuple, list[int], lis
     return SolutionTuple(ShiftSystem(alpha), tuple(map(restricted, sol.polys))), cols, rows
 
 
-def _check_expanded(sol: SolutionTuple, *kinds, nonsym: bool = False) -> CheckReport:
+def _check_expanded(sol: SolutionTuple, *kinds) -> CheckReport:
     """The failing identities of each kind on an expanded tuple, decided in
-    its fewest variables; with nonsym, those of the symmetrized tuple, each
-    witness shifted back: binary (i, j) by (a_i + a_j)/2 and ternary
-    (i, j, k) by (a_i + a_j)/2 - a_k/2.  The forms Lu, which carry each
-    witness back to u, are built only when some identity fails."""
+    its fewest variables.  The forms Lu, which carry each witness back to
+    u, are built only when some identity fails."""
     sol, cols, rows = _fewest_variables(sol)
-    found = _decide(sol.sys, _entries(symmetrize(sol) if nonsym else sol), *kinds)
-    forms = linear_forms(over_pivots(cols, rows)) if found and rows else None
-    failures = []
-    for f in found:
-        relation, witness = f.relation, f.witness
-        if nonsym:
-            halves = sol.sys.columns
-            vec = [a + b for a, b in zip(halves[f.indices[0]], halves[f.indices[1]])]
-            if relation == "ternary":
-                vec = [v - c for v, c in zip(vec, halves[f.indices[2]])]
-            relation, witness = "nonsym-" + relation, witness.shift(vec, 2 * sol.sys.den)
-        if forms:
-            witness = witness.compose(forms)
-        failures.append(CheckFailure(relation, f.indices, witness))
-    return CheckReport(tuple(failures))
+    found = _decide(sol.sys, _entries(sol), *kinds)
+    if found and rows:
+        forms = linear_forms(over_pivots(cols, rows))
+        found = [CheckFailure(f.relation, f.indices, f.witness.compose(forms)) for f in found]
+    return CheckReport(tuple(found))
 
 
 def check_binary(sol: SolutionTuple) -> CheckReport:
@@ -303,9 +308,9 @@ def check_factored(sys: ShiftSystem, entries: Sequence[FactoredPoly]) -> CheckRe
 
 
 def check_nonsymmetric(sol: SolutionTuple) -> CheckReport:
-    """The non-symmetric form of the equations: the symmetric identities of
-    the symmetrized tuple, each witness shifted back."""
-    return _check_expanded(sol, _binary, _ternary, nonsym=True)
+    """The binary and then the ternary identities of the non-symmetric form,
+    on the tuple as given."""
+    return _check_expanded(sol, _nonsym_binary, _nonsym_ternary)
 
 
 def symmetrize(sol: SolutionTuple) -> SolutionTuple:

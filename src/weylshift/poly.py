@@ -51,7 +51,6 @@ _BITS = 32
 _SLOT = _BITS + 1
 _MASK = EXPONENT_LIMIT - 1
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -166,13 +165,6 @@ class Poly:
     def items(self) -> Iterator[tuple[Exponent, Fraction]]:
         m, den = self.nvars, self._den
         return ((_unpack(k, m), Fraction(v, den)) for k, v in self._terms.items())
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        try:
-            key = _pack(tuple(exp), self.nvars)
-        except ValueError:
-            return _ZERO
-        return Fraction(self._terms.get(key, 0), self._den)
 
     def __len__(self) -> int:
         return len(self._terms)

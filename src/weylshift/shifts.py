@@ -3,20 +3,20 @@
 A system is an m x n rational matrix alpha.  Column i defines the
 automorphism sending each variable u_j to u_j - alpha[j][i]; applying it
 to a polynomial p yields p shifted by the column vector, and the integer
-point k of Z^n acts by the shift `combo(k, range(n))`.  The work here
-builds shift vectors in integers, over the system's common denominator
-(twice it for half-steps), and hands them to `Poly.shift` with that
-denominator.  The directions that move a polynomial, the HNF bases of
-stabilizer lattices and the normal forms that decide orbit membership,
-with each form's stabilizer, live here; each pairs one `Poly.gradient`
-per polynomial with every integer vector it asks about.  A polynomial of
-degree 1, every factor of the gl_n-type examples, has one integer form,
-`linear_form`, for both the consistency engine and `orbit_forms`: a
-shift changes only its constant, and `linear_key` keys the shifted
-polynomial exactly.  Its normal form is found in integers end to end:
-its one-row step is read in closed form, a pull-back by a half-step and
-the reduction change only its constant, and `linear_poly` builds one
-normal form per orbit in a call.
+point k of Z^n acts by the shift `vector(k, range(n))` over den.  The
+work here builds shift vectors in integers, over the system's common
+denominator (twice it for half-steps), and hands them to `Poly.shift`
+with that denominator.  The directions that move a polynomial, the HNF
+bases of stabilizer lattices and the normal forms that decide orbit
+membership, with each form's stabilizer, live here; each pairs one
+`Poly.gradient` per polynomial with every integer vector it asks about.
+A polynomial of degree 1, every factor of the gl_n-type examples, has
+one integer form, `linear_form`, for both the consistency engine and
+`orbit_forms`: a shift changes only its constant, and `linear_key` keys
+the shifted polynomial exactly.  Its normal form is found in integers
+end to end: its one-row step is read in closed form, a pull-back by a
+half-step and the reduction change only its constant, and `linear_poly`
+builds one normal form per orbit in a call.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class ShiftSystem:
         """den times the combination sum_k coeffs[k] * column(indices[k]),
         for integer coeffs: the shift by coeffs over indices, over den."""
         return _combine(coeffs, [self.columns[i] for i in indices], self.nvars)
-
-    def combo(self, coeffs: Sequence[Scalar], indices: Sequence[int]) -> tuple[Fraction, ...]:
-        """Linear combination sum_k coeffs[k] * column(indices[k]): the
-        integer `vector` over the coefficients' common denominator, divided."""
-        cden = lcm(*(c.denominator for c in coeffs))
-        vec = self.vector([c.numerator * (cden // c.denominator) for c in coeffs], indices)
-        return tuple(Fraction(n, cden * self.den) for n in vec)
 
 
 def half_shift(sys: ShiftSystem, i: int, sign: int, p: Poly) -> Poly:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from orbit_reference import coefficient
 from weylshift.multiquiver import _run_factors, system_of, validate_beta
 from weylshift.orbital import FactoredSolution, OrbitalPiece
 from weylshift.poly import FactoredPoly, Poly, merge_factors
@@ -53,7 +54,7 @@ def residue_families(beta):
         for i in nonzero:
             half = Fraction(beta[j][i], 2)
             for lin in _run_factors(m, j, beta[j][i]):
-                root = -lin.coefficient((0,) * m)
+                root = -coefficient(lin, (0,) * m)
                 classes.setdefault((root - half) % gamma, {}).setdefault(i, []).append(lin)
         pieces = []
         for label in sorted(classes):

@@ -1,6 +1,7 @@
 """Orbit membership by pairwise search, as it was before normal forms, and
 the orbit engine's derivatives one directional Poly per vector, kept as the
-reference, with the Poly helpers they read that the package does not use.
+reference, with the Poly and ShiftSystem helpers they read that the
+package does not use.
 
 `reference_same_orbit` solves for the shift carrying one polynomial onto
 another, one degree at a time: matching the degree d-1 parts of the two is
@@ -37,6 +38,19 @@ def directional(p, vec, den=1):
     ints = [b.numerator * (scale // b.denominator) for b in vec]
     terms = {k: sum(map(mul, row, ints)) for k, row in p.gradient().items()}
     return Poly._normal(p.nvars, terms, p._den * scale * den)
+
+
+def coefficient(p, exp):
+    """The coefficient of u^exp in p; 0 for a monomial p does not hold."""
+    return dict(p.items()).get(tuple(exp), Fraction(0))
+
+
+def combo(sys, coeffs, indices):
+    """The shift sum_k coeffs[k] * column(indices[k]) of sys: its integer
+    `vector` over the coefficients' common denominator, divided."""
+    cden = lcm(*(c.denominator for c in coeffs))
+    vec = sys.vector([c.numerator * (cden // c.denominator) for c in coeffs], indices)
+    return tuple(Fraction(n, cden * sys.den) for n in vec)
 
 
 def homogeneous_part(p, d):
@@ -100,7 +114,7 @@ def reference_orbit_forms(sys, polys, indices):
             shift = _combine(t, free, s)
             if any(shift):
                 k = tuple(a + b for a, b in zip(k, shift))
-                q = q.shift(sys.combo(shift, indices))
+                q = q.shift(combo(sys, shift, indices))
             free = next_free
             if not free:
                 break
@@ -150,7 +164,7 @@ def reference_same_orbit(sys, q, q2, indices, memo=None):
             return None
         shift = _combine(t, free, s)
         k = tuple(a + b for a, b in zip(k, shift))
-        q = q.shift(sys.combo(shift, indices)) - top
+        q = q.shift(combo(sys, shift, indices)) - top
         q2 = q2 - top
         free = next_free
     return k
@@ -181,7 +195,7 @@ def reference_decompose(sol):
 
 
 def _step(sys, top, indices, free):
-    pairings = [directional(top, sys.combo(w, indices)) for w in free]
+    pairings = [directional(top, combo(sys, w, indices)) for w in free]
     system = IntegerSystem(coefficient_rows(pairings), len(free))
     return monomial_index(pairings), system, tuple(_combine(c, free, len(indices)) for c in system.kernel)
 

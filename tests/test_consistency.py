@@ -191,8 +191,8 @@ def small_tuples():
 @settings(max_examples=40)
 @given(sol=small_tuples())
 def test_nonsymmetric_iff_symmetrized_passes(sol):
-    # check_nonsymmetric is defined through symmetrize; the expanding
-    # reference checks the non-symmetric form directly
+    # the expanding reference checks the non-symmetric form directly, and
+    # the symmetric checks read the symmetrized tuple
     direct = reference_nonsymmetric(sol).passed
     half = symmetrize(sol)
     via_half = check_binary(half).passed and check_ternary(half).passed

@@ -25,6 +25,7 @@ from consistency_reference import (
     reference_symmetric,
     reference_ternary,
 )
+from orbit_reference import combo
 from weylshift.consistency import (
     SolutionTuple,
     _fewest_variables,
@@ -90,7 +91,7 @@ def factored_tuples(draw, max_factors: int = 3, max_mult: int = 2):
         factors = []
         for _ in range(draw(st.integers(min_value=0, max_value=max_factors))):
             if draw(st.booleans()):
-                q = base.shift(sys.combo([draw(HALVES) for _ in range(n)], range(n)))
+                q = base.shift(combo(sys, [draw(HALVES) for _ in range(n)], range(n)))
             else:
                 q = draw(monic_factors(m))
             factors.append((q, draw(st.integers(min_value=1, max_value=max_mult))))
@@ -123,7 +124,7 @@ def partly_fixed_tuples(draw):
     for _ in range(n):
         factors = []
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
-            q = draw(st.sampled_from(bases)).shift(sys.combo([draw(HALVES) for _ in range(n)], range(n)))
+            q = draw(st.sampled_from(bases)).shift(combo(sys, [draw(HALVES) for _ in range(n)], range(n)))
             factors.append((q, draw(st.integers(min_value=1, max_value=2))))
         unit = draw(strategies.nonzero_rationals)
         entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items(), unit))

@@ -11,10 +11,10 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from conftest import data_path
-from consistency_reference import reference_symmetric
+from consistency_reference import reference_nonsymmetric, reference_symmetric
 from weylshift import consistency, shifts
 from weylshift.cli import main
-from weylshift.consistency import check_factored
+from weylshift.consistency import SolutionTuple, check_factored, check_nonsymmetric, unsymmetrize
 from weylshift.multiquiver import symmetrized_solution
 from weylshift.orbital import FactoredPoly, FactoredSolution, decompose, verify_orbital
 from weylshift.parser import parse_poly
@@ -235,16 +235,27 @@ def test_degree_one_solutions_pass_without_shifting_a_factor(fs):
 def test_degree_one_factors_shift_only_for_failing_identities(fs):
     # degree-1 factors are irreducible, so exactly the failing identities
     # differ as multisets; no factor is shifted as a Poly, and each failing
-    # identity builds every factor of both its sides from its key
+    # identity builds each distinct shifted factor of each side once
     with Counting() as counting:
         report = check_factored(fs.sys, fs.entries)
-    sizes = [len(e.factors) for e in fs.entries]
-    built = [
-        2 * (sizes[f.indices[0]] + sizes[f.indices[1]]) if f.relation == "binary" else 4 * sizes[f.indices[2]]
-        for f in report.failures
-    ]
+    den, halves = 2 * fs.sys.den, fs.sys.columns
+
+    def distinct(side):
+        return len({q.shift(vec, den) for k, vec in side for q, _ in fs.entries[k].factors})
+
+    built = 0
+    for f in report.failures:
+        if f.relation == "binary":
+            i, j = f.indices
+            sides = [[(i, halves[j]), (j, halves[i])], [(i, [-a for a in halves[j]]), (j, [-a for a in halves[i]])]]
+        else:
+            i, j, k = f.indices
+            plus = [a + b for a, b in zip(halves[i], halves[j])]
+            minus = [a - b for a, b in zip(halves[i], halves[j])]
+            sides = [[(k, v), (k, [-a for a in v])] for v in (plus, minus)]
+        built += sum(map(distinct, sides))
     assert counting.shifts == 0
-    assert counting.lines == sum(built)
+    assert counting.lines == built
 
 
 @settings(max_examples=40)
@@ -298,6 +309,33 @@ def test_a_failing_identity_shifts_its_factors_once(staircase_config):
         report = check_factored(broken.sys, broken.entries)
     assert [f.indices for f in report.failures] == [(0, 1)]
     assert counting.shifts == 10
+
+
+def test_nonsymmetric_identities_are_listed_on_the_tuple_as_given(monkeypatch, staircase_file):
+    # no entry takes a half-step and no witness is shifted back: the probe
+    # (u1 + 1)^5, (u1 - 1)^5 shifts each entry once per side of its one
+    # binary identity, and a passing 1-loop lin staircase takes no half-step
+    half_shift, steps = shifts.half_shift, []
+
+    def counted(*args):
+        steps.append(args)
+        return half_shift(*args)
+
+    monkeypatch.setattr(shifts, "half_shift", counted)
+    monkeypatch.setattr(consistency, "half_shift", counted)
+    probe = SolutionTuple(ShiftSystem.from_rows([[1, -1]]), (parse_poly("(u1 + 1)^5", 1), parse_poly("(u1 - 1)^5", 1)))
+    with Counting() as counting:
+        report = check_nonsymmetric(probe)
+    assert not steps
+    assert counting.shifts <= 4
+    assert [(f.relation, f.indices) for f in report.failures] == [("nonsym-binary", (0, 1))]
+    assert report.failures == reference_nonsymmetric(probe).failures
+    generator = parse_poly("u1 + u2 + u3 + 1/3", 3)
+    sym = decode(random_config(staircase_file.sys, generator, (0, 1), loops=1, seed=7)).solution.expand()
+    full = unsymmetrize(sym)
+    steps.clear()
+    assert check_nonsymmetric(full).passed
+    assert not steps
 
 
 def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import strategies
-from orbit_reference import reference_decompose, reference_same_orbit
+from orbit_reference import combo, reference_decompose, reference_same_orbit
 
 from weylshift import orbital
 from weylshift.intlinalg import divisors
@@ -286,7 +286,7 @@ def orbit_tuples(draw):
     for _ in range(draw(st.integers(1, 7))):
         q = draw(st.sampled_from(pool))
         if draw(st.booleans()):
-            q = q.shift(sys.combo([draw(st.integers(-3, 3)) for _ in range(n)], range(n)))
+            q = q.shift(combo(sys, [draw(st.integers(-3, 3)) for _ in range(n)], range(n)))
         else:
             q = q.shift(draw(strategies.shift_vectors(m)))
         entries[draw(st.integers(0, n - 1))].append((q, 1))

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from orbit_reference import combo
 from vertex_reference import reference_conservation
 from weylshift import problemfile as pf
 from weylshift.consistency import check_binary, check_factored, check_ternary
@@ -646,7 +647,7 @@ def _record(config):
 def test_classify_record_of_an_evenly_translated_config(staircase_config):
     # the generator moved by (1, 1) over the pair and the edges moved back
     # by twice that describe the same solution, so they classify alike
-    gen2 = F.shift(STAIR.combo([1, 1], indices=(0, 1)))
+    gen2 = F.shift(combo(STAIR, [1, 1], indices=(0, 1)))
     moved = VertexConfig.build(
         STAIR,
         gen2,

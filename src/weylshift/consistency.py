@@ -11,8 +11,11 @@ each identity, and expands only the identities where they differ.  A
 shifted factor of degree 1, the only kind in the gl_n-type and linear
 staircase solutions, is compared by its integer key from `shifts`, its
 top form and its constant, so no Poly is built for it unless its
-identity fails.  Which directions move an entry is read from each
-factor's gradient, once per engine call (`shifts.moving_directions`).
+identity fails.  Which directions move an entry is read once per engine
+call, and only for an entry that has factors (`shifts.moving_directions`):
+from the gradient of each factor past degree 1, and from the top form of
+each degree-1 factor, which is its one gradient row, so no gradient is
+taken for it.
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
@@ -152,11 +155,11 @@ def _nonsym_ternary(halves, moving):
         yield "nonsym-ternary", (i, j, k), [(k, s), (k, (0,) * len(s))], [(k, ai), (k, aj)]
 
 
-def _movable(forms) -> list[Poly]:
-    """The factors of one entry whose moving sets make up the entry's: each
-    factor past degree 1, and one factor of each degree-1 top form, since
-    a translate is moved by the same directions."""
-    return list({form[0] if form else q: q for q, _, form in forms}.values())
+def _movable(forms) -> list:
+    """What moves one entry, for `moving_directions`: each factor past
+    degree 1, and each distinct top form of its degree-1 factors, since a
+    translate is moved by the same directions."""
+    return list({form[0] if form else q: None for q, _, form in forms})
 
 
 def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[CheckFailure]:
@@ -178,7 +181,8 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     the expanded left side minus the expanded right side, decides it.  A
     side's unit is the product of its entries' units.
 
-    Each factor is read once per entry.  A shifted factor of degree 1 is
+    Each factor is read once per entry, and a degree-1 factor's moving
+    set from its top form.  A shifted factor of degree 1 is
     keyed by integers, not built (`shifts.linear_key`), and two keys are
     equal exactly when the shifted factors are.  Any other factor's key is
     the shifted Poly itself.  Only an identity whose key multisets differ
@@ -187,7 +191,7 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
     """
     den = 2 * sys.den
     forms = [[(q, m, linear_form(q, den)) for q, m in e.factors] for e in entries]
-    moving = [set(moving_directions(sys, _movable(f))) for f in forms]
+    moving = [set(moving_directions(sys, _movable(f))) if f else set() for f in forms]
 
     def keys(side) -> dict[Poly | tuple, int]:
         return merge_factors(

@@ -18,7 +18,9 @@ tool writes holds such text, and expanded entries are long.  One regular
 expression tests the whole text for that form; on a match, the text is
 split on spaces and '*' into (numerator, denominator, packed key)
 monomials, one per term in text order, and they are summed with one
-poly.sum_terms call.  So both paths give the same Poly, down to the
+poly.sum_terms call.  A variable token u<i> is looked up in a table
+built once per nvars, and any other factor is read once per text.  So
+both paths give the same Poly, down to the
 order of its terms.  Where the descent would raise (a
 variable out of range, a degree past the bound, a zero denominator, a
 number too long to read), the short path steps aside and the descent
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 from typing import Sequence
 
@@ -316,7 +319,7 @@ def _canonical_terms(text: str, nvars: int) -> list[Monomial] | None:
         sign, text = -1, text[1:]
     pieces = text.split(" ")
     signs = [sign, *(-1 if op == "-" else 1 for op in pieces[1::2])]
-    powers: dict[str, tuple[int, int]] = {}  # "u<i>^<e>" -> (key, degree)
+    powers = dict(_variables(nvars))  # "u<i>" or "u<i>^<e>" -> (key, degree)
     monomials: list[Monomial] = []
     try:
         for sign, term in zip(signs, pieces[::2]):
@@ -344,6 +347,18 @@ def _canonical_terms(text: str, nvars: int) -> list[Monomial] | None:
     except ValueError:  # out of range (see _power) or past the limit on digits
         return None
     return monomials
+
+
+# Keys take 33 bits a variable, so a table of every variable would grow
+# with the square of nvars; tokens past it are read by _power.
+_TABLE_VARIABLES = 64
+
+
+@cache
+def _variables(nvars: int) -> dict[str, tuple[int, int]]:
+    """The key and degree of each token 'u<i>' for i up to nvars (at most
+    _TABLE_VARIABLES), as _power gives them."""
+    return {f"u{j + 1}": (variable_key(nvars, j), 1) for j in range(min(nvars, _TABLE_VARIABLES))}
 
 
 def _power(factor: str, nvars: int) -> tuple[int, int]:

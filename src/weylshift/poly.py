@@ -603,17 +603,16 @@ class FactoredPoly:
     def __post_init__(self):
         if not self.unit:
             raise ValueError("unit must be nonzero")
-        seen = set()
-        for q, mult in self.factors:
+        seen = {}
+        for k, (q, mult) in enumerate(self.factors):
             if q.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             if not q.is_monic or q.is_constant:
                 raise ValueError("factors must be monic and nonconstant")
-            if q in seen:
+            if seen.setdefault(q, k) != k:  # one hash per factor
                 raise ValueError("factors must be pairwise distinct")
-            seen.add(q)
 
     # internal fast path: caller guarantees monic, nonconstant, distinct factors
     @classmethod
@@ -624,7 +623,7 @@ class FactoredPoly:
 
     @classmethod
     def from_factors(cls, nvars, factors, unit=_ONE) -> "FactoredPoly":
-        return cls(nvars, Fraction(unit), tuple((q, int(m)) for q, m in factors))
+        return cls(nvars, unit if type(unit) is Fraction else Fraction(unit), tuple((q, int(m)) for q, m in factors))
 
     @property
     def is_one(self) -> bool:

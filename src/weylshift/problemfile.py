@@ -8,14 +8,21 @@ pairs are 1-based in files and 0-based in memory.
 Top-level keys: m, n, alpha, then optionally tuples, beta, configs, psi,
 pair_a, pair_b, each absent or null when not given.  See the README for a
 worked example.
+
+A document is usually what json.loads gives, so each type check tests
+json's exact types (dict, list, int, str) first and only then isinstance,
+and the Mapping ABC for objects: any Mapping loads as a dict does.  Integer
+rationals are built by Fraction's int fast path, and each expression
+string goes to parse_poly, the loader's one way into the parser.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .consistency import SolutionTuple, symmetrize
 from .equivalence import AutomorphismSpec
@@ -33,6 +40,8 @@ class ProblemFileError(ValueError):
 
 
 def _rational(value: Any, where: str) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool) or isinstance(value, float):
         raise ProblemFileError(f"{where}: rationals must be strings or integers")
     if isinstance(value, int):
@@ -46,13 +55,17 @@ def _rational(value: Any, where: str) -> Fraction:
 
 
 def _integer(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ProblemFileError(f"{where}: expected an integer")
     return value
 
 
+def _is_object(value: Any) -> bool:
+    return type(value) is dict or isinstance(value, Mapping)
+
+
 def _object(value: Any, where: str) -> Mapping:
-    if not isinstance(value, Mapping):
+    if not _is_object(value):
         raise ProblemFileError(f"{where}: expected an object")
     return value
 
@@ -149,7 +162,8 @@ def _load_alpha(obj: Any, m: int, n: int, where: str) -> ShiftSystem:
     for j, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise ProblemFileError(f"{where}: row {j + 1} must have {n} entries")
-        rows.append(tuple(_rational(x, f"{where} row {j + 1}") for x in row))
+        rw = f"{where} row {j + 1}"
+        rows.append(tuple([_rational(x, rw) for x in row]))
     return ShiftSystem(tuple(rows))
 
 
@@ -172,24 +186,25 @@ def _load_tuple(obj: Any, sys: ShiftSystem, where: str) -> TupleEntry:
         entries_obj = obj.get("entries")
         if not isinstance(entries_obj, list) or len(entries_obj) != sys.nshifts:
             raise ProblemFileError(f"{where}: need {sys.nshifts} factored entries")
+        m = sys.nvars
         entries = []
         for i, e in enumerate(entries_obj):
             ew = f"{where}.entries[{i + 1}]"
             e = _object(e, ew)
             unit = _rational(e.get("unit", 1), f"{ew}.unit")
-            factors = []
+            factors, degree = [], 0
             for k, item in enumerate(_list(e.get("factors", []), f"{ew}.factors")):
                 fw = f"{ew}.factors[{k + 1}]"
                 if not isinstance(item, list) or len(item) != 2:
                     raise ProblemFileError(f"{fw}: expected [expression, multiplicity]")
-                q = _poly(item[0], sys.nvars, fw)
+                q = _poly(item[0], m, fw)
                 mult = _integer(item[1], fw)
                 factors.append((q, mult))
-            degree = sum(mult * q.degree() for q, mult in factors)
+                degree += mult * q.degree()
             if degree > _MAX_DEGREE:
                 raise ProblemFileError(f"{ew}: degree {degree} passes the limit {_MAX_DEGREE}")
             try:
-                entries.append(FactoredPoly.from_factors(sys.nvars, factors, unit))
+                entries.append(FactoredPoly.from_factors(m, factors, unit))
             except ValueError as exc:
                 raise ProblemFileError(f"{ew}: {exc}") from None
         return TupleEntry(form, factored=FactoredSolution(sys, tuple(entries)))
@@ -229,7 +244,7 @@ def _load_config(obj: Any, sys: ShiftSystem, where: str) -> VertexConfig:
 
 
 def load_obj(doc: Any) -> ProblemFile:
-    if not isinstance(doc, Mapping):
+    if not _is_object(doc):
         raise ProblemFileError("top level must be an object")
     m = _integer(doc.get("m"), "m")
     n = _integer(doc.get("n"), "n")

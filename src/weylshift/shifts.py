@@ -94,12 +94,22 @@ def is_fixed_by_shift(q: Poly, beta: Sequence[Scalar]) -> bool:
     return not any(sum(map(mul, row, beta)) for row in q.gradient().values())
 
 
-def moving_directions(sys: ShiftSystem, polys: Sequence[Poly], exclude: Sequence[int] = ()) -> list[int]:
+def moving_directions(sys: ShiftSystem, polys: Sequence[Poly | _Top], exclude: Sequence[int] = ()) -> list[int]:
     """The directions outside `exclude` whose column moves some q of
     `polys`, in increasing order; every other direction fixes them all.
     Scaling a column keeps what it fixes, so the integer ones are tested,
-    each against the gradient rows of every q, taken once."""
-    rows = [row for q in polys for row in q.gradient().values()]
+    each against the gradient rows of every q, taken once.  A q of degree
+    1 may be given by the top form of its `linear_form`, whose numerators
+    are its one gradient row over a scale, so no gradient is taken."""
+    rows = []
+    for q in polys:
+        if isinstance(q, Poly):
+            rows.extend(q.gradient().values())
+        else:
+            row = [0] * sys.nvars
+            for j, v in q[0]:
+                row[j] = v
+            rows.append(row)
     return [
         i
         for i, col in enumerate(sys.columns)
@@ -277,7 +287,7 @@ def linear_form(q: Poly, den: int) -> tuple | None:
         return None
     d = q._den
     g = gcd(d, *[v for _, v in terms])
-    return (tuple(sorted((j, v // g) for j, v in terms)), d // g), terms, q._terms.get(0, 0) * den, d * den
+    return (tuple(sorted([(j, v // g) for j, v in terms])), d // g), terms, q._terms.get(0, 0) * den, d * den
 
 
 def linear_key(form: tuple, vec: Sequence[int]) -> tuple[_Top, int, int]:

@@ -14,7 +14,7 @@ from conftest import data_path
 from consistency_reference import reference_nonsymmetric, reference_symmetric
 from weylshift import consistency, shifts
 from weylshift.cli import main
-from weylshift.consistency import SolutionTuple, check_factored, check_nonsymmetric, unsymmetrize
+from weylshift.consistency import SolutionTuple, check_factored, check_nonsymmetric, check_symmetric, unsymmetrize
 from weylshift.multiquiver import symmetrized_solution
 from weylshift.orbital import FactoredPoly, FactoredSolution, decompose, verify_orbital
 from weylshift.parser import parse_poly
@@ -338,27 +338,45 @@ def test_nonsymmetric_identities_are_listed_on_the_tuple_as_given(monkeypatch, s
     assert not steps
 
 
-def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys):
-    # gl3_sym has three nonconstant entries; one engine call builds each
-    # moving set once, from one Poly.gradient call per entry paired with
-    # every direction, not once for binary and again for ternary
+def _count_moving_sets(monkeypatch) -> list[tuple[int, int]]:
+    """Per moving set the engine builds, the Poly.gradient calls it makes
+    and the degree-1 top forms it reads instead."""
     gradient, taken, per_set = Poly.gradient, [], []
 
     def counted(self):
         taken.append(self)
         return gradient(self)
 
-    def moving(*args):
+    def moving(sys, polys, *rest):
         before = len(taken)
-        out = shifts.moving_directions(*args)
-        per_set.append(len(taken) - before)
+        out = shifts.moving_directions(sys, polys, *rest)
+        per_set.append((len(taken) - before, sum(not isinstance(q, Poly) for q in polys)))
         return out
 
     monkeypatch.setattr(Poly, "gradient", counted)
     monkeypatch.setattr(consistency, "moving_directions", moving)
+    return per_set
+
+
+def test_verify_decides_an_expanded_tuple_in_one_engine_call(monkeypatch, capsys):
+    # gl3_sym has three nonconstant entries; one engine call builds each
+    # moving set once, not once for binary and again for ternary.  Each set
+    # reads each factor once: entry 2's gradient, and the top forms of the
+    # degree-1 entries 1 and 3, which take no gradient
+    per_set = _count_moving_sets(monkeypatch)
     assert main(["verify", data_path("gl3.json"), "--tuple", "gl3_sym"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert per_set == [1, 1, 1]
+    assert per_set == [(0, 1), (1, 0), (0, 1)]
+
+
+def test_verify_builds_moving_sets_only_for_nonconstant_factored_entries(monkeypatch, capsys):
+    # the factored main tuple of staircase.json: entries 1 and 2 hold two
+    # and three cubic factors, each read by one gradient in one set;
+    # entries 3 and 4 are constants and build no set
+    per_set = _count_moving_sets(monkeypatch)
+    assert main(["verify", data_path("staircase.json"), "--tuple", "main"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert per_set == [(2, 0), (3, 0)]
 
 
 def test_factored_engine_failure_text(gl3_file):
@@ -376,3 +394,44 @@ def test_factored_engine_failure_text(gl3_file):
 def test_verify_orbital_on_factors(gl3_file):
     for piece in decompose(gl3_file.tuples["gl3_sym"].as_factored()):
         assert verify_orbital(piece).passed
+
+
+@st.composite
+def mixed_tuples(draw):
+    """Tuples on random integer systems whose entries mix degree-1 factors,
+    at any scaling and with some coefficients zero, higher-degree factors
+    and constant entries; they need not be solutions."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    alpha = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    sys = ShiftSystem.from_rows(alpha)
+    coefficient = st.one_of(st.just(0), strategies.rationals)
+
+    def line(coeffs, c):
+        return Poly(m, {**{tuple(int(i == j) for i in range(m)): a for j, a in enumerate(coeffs)}, (0,) * m: c})
+
+    linear = st.builds(line, st.lists(coefficient, min_size=m, max_size=m).filter(any), coefficient)
+    higher = strategies.polys(m, max_terms=3, max_degree=2).filter(lambda p: p.degree() >= 2)
+    factor = st.one_of(linear, linear, higher).map(lambda p: p.make_monic()[1])
+    entries = []
+    for _ in range(n):
+        factors = draw(st.lists(st.tuples(factor, st.integers(1, 2)), max_size=3))
+        unit = draw(strategies.nonzero_rationals)
+        entries.append(FactoredPoly.from_factors(m, merge_factors(factors).items(), unit))
+    return FactoredSolution(sys, tuple(entries))
+
+
+@settings(max_examples=80)
+@given(fs=mixed_tuples())
+def test_moving_sets_follow_each_factors_gradient(fs):
+    # the engine's moving sets, read from top forms for degree-1 factors,
+    # are the ones the gradient of every factor gives, and a constant
+    # entry's is empty
+    seen = []
+
+    def record(halves, moving):
+        seen.append(moving)
+        return iter(())
+
+    consistency._decide(fs.sys, fs.entries, record)
+    assert seen == [[set(shifts.moving_directions(fs.sys, [q for q, _ in e.factors])) for e in fs.entries]]
+    assert check_factored(fs.sys, fs.entries) == check_symmetric(fs.expand())

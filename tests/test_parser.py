@@ -287,3 +287,14 @@ def test_parse_rational():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 64, 65, 200])
+def test_variable_table_agrees_with_power(nvars):
+    # the split path looks u<i> up in a table per nvars, holding up to
+    # _TABLE_VARIABLES variables; a variable past it is read by _power
+    table = parser._variables(nvars)
+    assert len(table) == min(nvars, parser._TABLE_VARIABLES)
+    assert all(table[f"u{i}"] == parser._power(f"u{i}", nvars) for i in range(1, len(table) + 1))
+    text = f"u{nvars} - u1 + 1"
+    assert parse_poly(text, nvars) == parser._Parser(text, nvars).parse()

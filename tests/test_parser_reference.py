@@ -156,6 +156,10 @@ def _descent(text, nvars):
 @example("u1 + u2^2*(u3)")
 @example("u1 + u2^2^3 - 1")
 @example("-u1 + 1/2 +(u4)")
+# variable tokens that the per-nvars table does not hold go to _power
+@example("u01 + 2*u1^1*u2^0 - u3^1*u02")
+@example("u1 - u0")
+@example("3*u1*u4 + 1")
 def test_parse_poly_matches_the_reference(text):
     assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
 
@@ -170,6 +174,9 @@ def test_parse_poly_matches_the_reference(text):
 @example("u1 - 2*(")
 @example("u1 + u2^2*(u3)")
 @example("-u1^2 - 3/4*u2 + (u1 + u2)^2 - u3")
+@example("u01 + 2*u1^1*u2^0 - u3^1*u02")
+@example("u1 - u0")
+@example("3*u1*u4 + 1")
 def test_parse_poly_matches_its_descent_on_formatted_text(text):
     # the list of terms pins their order too
     assert _outcome(parse_poly, text, list) == _outcome(_descent, text, list)

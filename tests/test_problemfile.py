@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -15,6 +16,7 @@ from weylshift.problemfile import (
     dumps,
     factored_obj,
     file_obj,
+    load_obj,
     load_path,
     loads,
     solution_obj,
@@ -162,6 +164,56 @@ def test_tuples_and_configs_must_be_objects(key, value):
     text = doc_text(**{"tuples": SOLO, key: value})
     with pytest.raises(ProblemFileError, match=f"^{key}: expected an object$"):
         loads(text)
+
+
+# load_obj's type checks test json's own types first; every other type
+# takes the isinstance and Mapping checks, with the same verdicts
+ENTRY = {"unit": "-3/2", "factors": [["u1 - 1", 2]]}
+
+
+def _factored_doc(wrap=dict, top=None, entry=None, unit=None, alpha=None):
+    """A one-tuple factored document, each object built by wrap; top,
+    entry, unit or alpha replaces what it names."""
+    first = wrap(ENTRY if unit is None else dict(ENTRY, unit=unit))
+    entries = [first if entry is None else entry, wrap({"unit": 1, "factors": []})]
+    tuple_obj = wrap({"form": "factored", "entries": entries})
+    doc = {"m": 1, "n": 2, "alpha": [[2, -2]] if alpha is None else alpha}
+    return wrap(dict(doc, tuples=wrap({"t": tuple_obj}) if top is None else top))
+
+
+def test_load_obj_accepts_any_mapping():
+    # a non-dict Mapping at the top level, in tuples, for a tuple and for
+    # an entry loads as the dict does
+    proxied = load_obj(_factored_doc(MappingProxyType))
+    assert proxied == load_obj(_factored_doc())
+    entries = proxied.tuples["t"].factored.entries
+    assert entries[0].unit == Fraction(-3, 2) and str(entries[0].factors[0][0]) == "u1 - 1"
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, [1]], ids=["true", "float", "list"])
+@pytest.mark.parametrize("place", ["top", "tuples", "tuple", "entry", "alpha", "unit"])
+def test_load_obj_rejects_wrong_types_with_the_same_messages(place, bad):
+    doc = {
+        "top": lambda: bad,
+        "tuples": lambda: _factored_doc(top=bad),
+        "tuple": lambda: _factored_doc(top={"t": bad}),
+        "entry": lambda: _factored_doc(entry=bad),
+        "alpha": lambda: _factored_doc(alpha=[[bad, 1]]),
+        "unit": lambda: _factored_doc(unit=bad),
+    }[place]()
+    message = {
+        "top": "top level must be an object",
+        "tuples": "tuples: expected an object",
+        "tuple": "tuples.t: expected an object",
+        "entry": "tuples.t.entries[1]: expected an object",
+        "alpha": "alpha row 1: ",
+        "unit": "tuples.t.entries[1].unit: ",
+    }[place]
+    if place in ("alpha", "unit"):
+        message += "expected a rational, got list" if bad == [1] else "rationals must be strings or integers"
+    with pytest.raises(ProblemFileError) as info:
+        load_obj(doc)
+    assert str(info.value) == message
 
 
 def test_null_tuples_and_configs_are_absent():

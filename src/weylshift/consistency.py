@@ -7,15 +7,16 @@ entry translates between the two.  Every check runs one engine on
 FactoredPoly entries, an expanded entry as its leading coefficient times
 its monic self, and lists each form's identities on the tuple as given.
 The engine compares the multisets of shifted factors on the two sides of
-each identity, and expands only the identities where they differ.  A
-shifted factor of degree 1, the only kind in the gl_n-type and linear
-staircase solutions, is compared by its integer key from `shifts`, its
-top form and its constant, so no Poly is built for it unless its
-identity fails.  Which directions move an entry is read once per engine
-call, and only for an entry that has factors (`shifts.moving_directions`):
-from the gradient of each factor past degree 1, and from the top form of
-each degree-1 factor, which is its one gradient row, so no gradient is
-taken for it.
+each identity.  Where they differ, it expands only what the two sides do
+not share, and multiplies the shared factors into the witness only when
+the identity fails.  A shifted factor of degree 1, the only kind in the
+gl_n-type and linear staircase solutions, is compared by its integer key
+from `shifts`, its top form and its constant, so no Poly is built for it
+unless the two sides of its identity differ.  Which directions move an
+entry is read once per engine call, and only for an entry that has
+factors (`shifts.moving_directions`): from the gradient of each factor
+past degree 1, and from the top form of each degree-1 factor, which is
+its one gradient row, so no gradient is taken for it.
 
 An expanded tuple is checked in the fewest variables its entries depend
 on.  Let V be the translations that fix every entry, and L the reduced
@@ -177,16 +178,21 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
       moves it and both sides are its square.
 
     Equal multisets of shifted factors on the two sides prove a listed
-    identity; factors need not be irreducible, so otherwise the witness,
-    the expanded left side minus the expanded right side, decides it.  A
-    side's unit is the product of its entries' units.
+    identity.  Factors need not be irreducible, so otherwise expansion
+    decides it.  Both sides hold the same entries, so they have one unit,
+    the product of the entries' units.  With S the factors both sides
+    share, each to the smaller of its two multiplicities, and L' and R' the
+    rest of each side, the identity holds exactly when
+    unit * (prod L' - prod R') is zero.  A failure alone multiplies that
+    by prod S, which gives the witness: the expanded left side minus the
+    expanded right side.
 
     Each factor is read once per entry, and a degree-1 factor's moving
     set from its top form.  A shifted factor of degree 1 is
     keyed by integers, not built (`shifts.linear_key`), and two keys are
     equal exactly when the shifted factors are.  Any other factor's key is
     the shifted Poly itself.  Only an identity whose key multisets differ
-    builds one Poly per distinct degree-1 key of its sides
+    builds one Poly per distinct degree-1 key of its two sides
     (`shifts.linear_poly`) to expand them.
     """
     den = 2 * sys.den
@@ -200,11 +206,11 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
             for q, m, form in forms[k]
         )
 
-    def expand(side, keyed) -> Poly:
-        polys = tuple((key if isinstance(key, Poly) else linear_poly(sys.nvars, key), m) for key, m in keyed.items())
-        unit = prod(entries[k].unit for k, _ in side)
+    def expand(keyed, polys, less, unit=1) -> Poly:
+        """unit times each key's Poly to its multiplicity in keyed less that in less."""
+        factors = ((polys[key], m - less.get(key, 0)) for key, m in keyed.items())
         # shifts of monic factors under distinct keys: monic, nonconstant and distinct
-        return FactoredPoly._raw(sys.nvars, polys, unit).expand()
+        return FactoredPoly._raw(sys.nvars, tuple((q, m) for q, m in factors if m), unit).expand()
 
     failures = []
     for kind in kinds:
@@ -212,9 +218,12 @@ def _decide(sys: ShiftSystem, entries: Sequence[FactoredPoly], *kinds) -> list[C
             left, right = keys(lhs), keys(rhs)
             if left == right:
                 continue
-            diff = expand(lhs, left) - expand(rhs, right)
+            polys = {key: key if isinstance(key, Poly) else linear_poly(sys.nvars, key) for key in {**left, **right}}
+            shared = {key: min(m, right[key]) for key, m in left.items() if key in right}
+            unit = prod(entries[k].unit for k, _ in lhs)  # both sides hold the same entries
+            diff = expand(left, polys, shared, unit) - expand(right, polys, shared, unit)
             if not diff.is_zero:
-                failures.append(CheckFailure(relation, indices, diff))
+                failures.append(CheckFailure(relation, indices, expand(shared, polys, {}) * diff if shared else diff))
     return failures
 
 

@@ -93,12 +93,6 @@ def _degree(key: int) -> int:
     return d
 
 
-@cache
-def _linear_keys(nvars: int) -> dict[int, int]:
-    """The key of each variable u_{j+1} of degree 1, mapped to j."""
-    return {variable_key(nvars, j): j for j in range(nvars)}
-
-
 def _slot_maxima(keys: Iterable[int], nvars: int) -> list[int]:
     """Per variable, the largest exponent among the keys."""
     return list(map(max, zip(*(_unpack(k, nvars) for k in keys))))
@@ -316,16 +310,16 @@ class Poly:
         """(j, numerator over den) for each term in u_{j+1} alone, when p has
         total degree at most 1; None otherwise, at once when p has more
         terms than such a polynomial can."""
-        if len(self._terms) > self.nvars + 1:
+        m = self.nvars
+        if len(self._terms) > m + 1:
             return None
-        slots = _linear_keys(self.nvars)
         out = []
         for k, v in self._terms.items():
-            if k:
-                j = slots.get(k)
-                if j is None:
+            if k:  # u_{j+1} alone is one set bit, the lowest of slot m-1-j
+                s, r = divmod(k.bit_length() - 1, _SLOT)
+                if r or k & (k - 1):
                     return None
-                out.append((j, v))
+                out.append((m - 1 - s, v))
         return out
 
     def shift(self, offsets: Sequence[Scalar], den: int = 1) -> "Poly":
@@ -422,8 +416,10 @@ def _reduced(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 
 def format_poly(p: Poly) -> str:
-    """Canonical text form: terms in descending lex order, explicit '*'.
-    The text is kept on p, so each polynomial is formatted once."""
+    """Canonical text form: terms in descending lex order, explicit '*',
+    each coefficient n/d or n in lowest terms, written from its integer
+    numerator and p's denominator.  The text is kept on p, so each
+    polynomial is formatted once."""
     text = getattr(p, "_text", None)  # unset until the first call
     if text is None:
         text = _format(p)
@@ -434,25 +430,26 @@ def format_poly(p: Poly) -> str:
 def _format(p: Poly) -> str:
     if p.is_zero:
         return "0"
-    pieces: list[str] = []
+    den, pieces = p._den, []
     for key in sorted(p._terms, reverse=True):
-        c = Fraction(p._terms[key], p._den)
+        num = p._terms[key]
         mono = "*".join(
             f"u{j + 1}^{e}" if e > 1 else f"u{j + 1}"
             for j, e in enumerate(_unpack(key, p.nvars))
             if e
         )
-        mag = abs(c)
+        mag, g = abs(num), gcd(num, den)
+        text = f"{mag // g}/{den // g}" if g != den else str(mag // g)
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = text
+        elif mag == den:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{text}*{mono}"
         if not pieces:
-            pieces.append(f"-{body}" if c < 0 else body)
+            pieces.append(f"-{body}" if num < 0 else body)
         else:
-            pieces.append(f"{' - ' if c < 0 else ' + '}{body}")
+            pieces.append(f"{' - ' if num < 0 else ' + '}{body}")
     return "".join(pieces)
 
 

@@ -306,7 +306,9 @@ def load_obj(doc: Any) -> ProblemFile:
 
 def loads(text: str) -> ProblemFile:
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        if text.startswith("\ufeff"):  # as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except ProblemFileError:  # a float literal
         raise
     except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
@@ -327,6 +329,9 @@ def load_path(path: str) -> ProblemFile:
 
 def _reject_float(text: str) -> None:
     raise ProblemFileError(f"float literal {text!r} is not allowed; write a fraction")
+
+
+_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 
 def _rational_str(x: Fraction) -> str | int:

@@ -665,6 +665,16 @@ def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert "is not UTF-8 text" in _exits_two_with_error(["verify", str(path)], capsys)
 
 
+def test_file_that_starts_with_a_byte_order_mark_exits_two(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    with open(GL3, encoding="utf-8") as handle:
+        path.write_text("\ufeff" + handle.read(), encoding="utf-8")
+    err = _exits_two_with_error(["verify", str(path)], capsys)
+    assert err == (
+        "error: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    )
+
+
 def test_integer_past_the_digit_limit_in_json_exits_two(tmp_path, capsys):
     path = tmp_path / "digits.json"
     with open(GL3, encoding="utf-8") as handle:

@@ -235,13 +235,14 @@ def test_degree_one_solutions_pass_without_shifting_a_factor(fs):
 def test_degree_one_factors_shift_only_for_failing_identities(fs):
     # degree-1 factors are irreducible, so exactly the failing identities
     # differ as multisets; no factor is shifted as a Poly, and each failing
-    # identity builds each distinct shifted factor of each side once
+    # identity builds each distinct shifted factor of its two sides once,
+    # a factor both sides share included
     with Counting() as counting:
         report = check_factored(fs.sys, fs.entries)
     den, halves = 2 * fs.sys.den, fs.sys.columns
 
-    def distinct(side):
-        return len({q.shift(vec, den) for k, vec in side for q, _ in fs.entries[k].factors})
+    def distinct(*sides):
+        return len({q.shift(vec, den) for side in sides for k, vec in side for q, _ in fs.entries[k].factors})
 
     built = 0
     for f in report.failures:
@@ -253,7 +254,7 @@ def test_degree_one_factors_shift_only_for_failing_identities(fs):
             plus = [a + b for a, b in zip(halves[i], halves[j])]
             minus = [a - b for a, b in zip(halves[i], halves[j])]
             sides = [[(k, v), (k, [-a for a in v])] for v in (plus, minus)]
-        built += sum(map(distinct, sides))
+        built += distinct(*sides)
     assert counting.shifts == 0
     assert counting.lines == built
 
@@ -309,6 +310,33 @@ def test_a_failing_identity_shifts_its_factors_once(staircase_config):
         report = check_factored(broken.sys, broken.entries)
     assert [f.indices for f in report.failures] == [(0, 1)]
     assert counting.shifts == 10
+
+
+def test_a_failing_identity_multiplies_out_only_what_its_sides_do_not_share(staircase_config):
+    # binary (1,2) of the broken figure holds 5 shifted factors a side, of
+    # which 3 are on both; each side multiplies its other 2 and its unit -1,
+    # and the failure multiplies the 3 shared ones and then the difference
+    fs = decode(staircase_config).solution
+    (q, mult), *rest = fs.entries[0].factors
+    broken = _replace(fs, 0, _entry(fs.entries[0], [(q + Fraction(1, 7), mult), *rest]))
+    with Counting() as counting:
+        report = check_factored(broken.sys, broken.entries)
+    assert report.describe() == reference_symmetric(broken.expand()).describe()
+    assert counting.products == 2 * (1 + 1) + 2 + 1
+
+
+def test_a_shared_factor_repeated_on_one_side_only():
+    # with a = (1, -1), p1 = u1 and p2 = u1 (u1 + 1), binary (1,2) reads
+    # (u1 + 1/2) * (u1 + 1/2)(u1 - 1/2) = (u1 - 1/2) * (u1 + 3/2)(u1 + 1/2):
+    # u1 + 1/2 twice on the left and once on the right, u1 - 1/2 once on
+    # each, so the witness is (u1 + 1/2)(u1 - 1/2) * ((u1 + 1/2) - (u1 + 3/2))
+    fs = _unit_entries(ShiftSystem.from_rows([[1, -1]]), [["u1"], ["u1", "u1 + 1"]])
+    with Counting() as counting:
+        report = check_factored(fs.sys, fs.entries)
+    assert report.failures == reference_symmetric(fs.expand()).failures
+    assert report.describe() == "binary fails at (1,2): -u1^2 + 1/4"
+    assert counting.lines == 3  # u1 + 1/2, u1 - 1/2 and u1 + 3/2, each built once
+    assert counting.products == 2
 
 
 def test_nonsymmetric_identities_are_listed_on_the_tuple_as_given(monkeypatch, staircase_file):

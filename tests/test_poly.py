@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given
 import strategies
 from orbit_reference import coefficient, content_exponent, directional, homogeneous_part
 from weylshift.parser import parse_poly
-from weylshift.poly import EXPONENT_LIMIT, Poly, exact_div, format_poly
+from weylshift.poly import EXPONENT_LIMIT, Poly, exact_div, format_poly, variable_key
 
 P2 = strategies.polys(2)
 P3 = strategies.polys(3, max_terms=4, max_degree=3)
@@ -262,3 +263,49 @@ def test_exact_div_needs_the_coefficients_to_divide():
     assert exact_div(p("3*u1^2 + 2*u1*u2"), p("3*u1 + 2*u2")) == p("u1")
     assert exact_div(p("u1^2 - 1/4"), p("2*u1 - 1")) == p("1/2*u1 + 1/4")
     assert exact_div(p("6*u1 + 4*u2"), p("3/2*u1 + u2")) == p("4")
+
+
+def _tabled_linear_terms(q):
+    """_linear_terms as read from a table of each variable's key."""
+    table = {variable_key(q.nvars, j): j for j in range(q.nvars)}
+    if len(q._terms) > q.nvars + 1:
+        return None
+    out = []
+    for k, v in q._terms.items():
+        if k:
+            if k not in table:
+                return None
+            out.append((table[k], v))
+    return out
+
+
+@st.composite
+def keyed_polys(draw):
+    """Polys in up to 200 variables whose keys are the constant, single
+    variables, powers of one and products of two."""
+    m = draw(st.integers(1, 200))
+    j = st.integers(0, m - 1).map(lambda j: variable_key(m, j))
+    key = st.one_of(
+        st.just(0),
+        j,
+        st.tuples(j, st.integers(2, 4)).map(lambda t: t[0] * t[1]),
+        st.tuples(j, j).map(sum),
+    )
+    keys = draw(st.lists(key, max_size=6, unique=True))
+    return Poly._raw(m, {k: draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])) for k in keys})
+
+
+@given(q=keyed_polys())
+def test_linear_terms_agree_with_a_table_of_variable_keys(q):
+    assert q._linear_terms() == _tabled_linear_terms(q)
+
+
+def test_linear_terms_of_many_variables_build_no_table():
+    q = parse_poly("u1 + 1", 3000)
+    tracemalloc.start()
+    try:
+        assert q._linear_terms() == [(0, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

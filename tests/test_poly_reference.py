@@ -9,9 +9,10 @@ from fractions import Fraction
 from math import comb
 
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import example, given
 
 import strategies
+from format_reference import reference_format
 from orbit_reference import coefficient, content_exponent, directional, homogeneous_part
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly, exact_div, format_poly, sum_terms, variable_key
@@ -93,22 +94,6 @@ def ref_homogeneous(a, d):
     return {e: c for e, c in a.items() if sum(e) == d}
 
 
-def ref_format(a):
-    if not a:
-        return "0"
-    pieces = []
-    for e in sorted(a, reverse=True):
-        c = a[e]
-        mono = "*".join(f"u{j + 1}^{k}" if k > 1 else f"u{j + 1}" for j, k in enumerate(e) if k)
-        mag = abs(c)
-        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
-        if pieces:
-            pieces.append(f"{' - ' if c < 0 else ' + '}{body}")
-        else:
-            pieces.append(f"-{body}" if c < 0 else body)
-    return "".join(pieces)
-
-
 def both(terms):
     return Poly(M, terms), ref_clean(terms)
 
@@ -119,7 +104,7 @@ def agrees(p, ref):
     rebuilt = Poly(M, ref)
     return (
         sorted(p.items()) == sorted(ref.items())
-        and format_poly(p) == ref_format(ref)
+        and format_poly(p) == reference_format(ref)
         and p == rebuilt
         and hash(p) == hash(rebuilt)
     )
@@ -147,6 +132,27 @@ def test_scalar_operations_match_reference(a, c):
     assert agrees(c * pa, scaled)
     assert agrees(pa + c, ref_add(ra, ref_clean({(0,) * M: c})))
     assert agrees(c - pa, ref_add(ref_clean({(0,) * M: c}), ra, -1))
+
+
+@st.composite
+def printable(draw):
+    """Polys in 1 to 5 variables for the text form: coefficients of either
+    sign, so leading terms may be negative, many of them 1 or -1, and
+    constants and zero among them."""
+    m = draw(st.integers(1, 5))
+    coefficient = st.one_of(st.sampled_from([1, -1]), strategies.rationals, st.integers(-(10**20), 10**20))
+    terms = draw(st.dictionaries(strategies.exponents(m, 3), coefficient, max_size=6))
+    if draw(st.integers(0, 4)) == 0:  # a constant
+        terms = {(0,) * m: terms.get((0,) * m, 1)}
+    return Poly(m, terms)
+
+
+@given(p=printable())
+@example(p=Poly.zero(4))
+@example(p=Poly.constant(5, Fraction(-7, 6)))
+@example(p=Poly(2, {(1, 0): -1, (0, 1): Fraction(-2, 4), (0, 0): 1}))
+def test_format_matches_reference(p):
+    assert format_poly(p) == reference_format(dict(p.items()))
 
 
 def key_of(exp):

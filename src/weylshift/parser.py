@@ -19,12 +19,12 @@ expression tests the whole text for that form; on a match, the text is
 split on spaces and '*' into (numerator, denominator, packed key)
 monomials, one per term in text order, and they are summed with one
 poly.sum_terms call.  A variable token u<i> is looked up in a table
-built once per nvars, and any other factor is read once per text.  So
-both paths give the same Poly, down to the
-order of its terms.  Where the descent would raise (a
-variable out of range, a degree past the bound, a zero denominator, a
-number too long to read), the short path steps aside and the descent
-raises its ParseError at its position.  Text that keeps that form only up
+built once per nvars, for up to 64 variables, and any other factor is
+read once per text.  So both paths give the same Poly, down to the order
+of its terms.  Where the descent would raise (a variable out of range, a
+degree past the bound, a zero denominator, a number too long to read),
+the short path steps aside and the descent raises its ParseError at its
+position.  Text that keeps that form only up
 to a point, say up to a parenthesized group, has its longest canonical
 prefix of whole terms split the same way.  The descent reads only the
 rest, going on from the prefix's monomials, with positions counted from
@@ -319,7 +319,8 @@ def _canonical_terms(text: str, nvars: int) -> list[Monomial] | None:
         sign, text = -1, text[1:]
     pieces = text.split(" ")
     signs = [sign, *(-1 if op == "-" else 1 for op in pieces[1::2])]
-    powers = dict(_variables(nvars))  # "u<i>" or "u<i>^<e>" -> (key, degree)
+    # "u<i>" or "u<i>^<e>" -> (key, degree)
+    powers = dict(_variables(nvars)) if nvars <= _TABLE_VARIABLES else {}
     monomials: list[Monomial] = []
     try:
         for sign, term in zip(signs, pieces[::2]):
@@ -349,16 +350,18 @@ def _canonical_terms(text: str, nvars: int) -> list[Monomial] | None:
     return monomials
 
 
-# Keys take 33 bits a variable, so a table of every variable would grow
-# with the square of nvars; tokens past it are read by _power.
+# Keys take 33 bits a variable, so a table of every variable grows with
+# the square of nvars.  Only rings of up to _TABLE_VARIABLES variables get
+# one, so the cache holds at most that many small tables; in a larger ring
+# every token is read by _power.
 _TABLE_VARIABLES = 64
 
 
 @cache
 def _variables(nvars: int) -> dict[str, tuple[int, int]]:
-    """The key and degree of each token 'u<i>' for i up to nvars (at most
-    _TABLE_VARIABLES), as _power gives them."""
-    return {f"u{j + 1}": (variable_key(nvars, j), 1) for j in range(min(nvars, _TABLE_VARIABLES))}
+    """The key and degree of each token 'u<i>' for i up to nvars, as _power
+    gives them; called for nvars up to _TABLE_VARIABLES only."""
+    return {f"u{j + 1}": (variable_key(nvars, j), 1) for j in range(nvars)}
 
 
 def _power(factor: str, nvars: int) -> tuple[int, int]:

@@ -24,6 +24,9 @@ compose and the parser all add their terms through it.
 Poly.gradient is the one derivative: every fixedness test, pairing
 matrix and change of coordinates reads its rows.
 
+Poly.shift builds each binomial row from its first entry by exact integer
+steps, after one pass over the keys has read every moved variable's top.
+
 The public interface speaks Fractions and exponent tuples.  The packed
 keys leave this module as monomial keys for the parser, which multiplies
 monomials by adding keys and sums them with sum_terms, as the keys of
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
@@ -325,8 +328,10 @@ class Poly:
     def shift(self, offsets: Sequence[Scalar], den: int = 1) -> "Poly":
         """Return p(u1 - t1, ..., um - tm) for t = offsets / den, offsets ints
         or Fractions and den a positive int, expanded exactly: p - <grad p, t>
-        when p has degree at most 1, so only the constant term moves, and
-        otherwise one pass of binomial rows per moved variable."""
+        when p has degree at most 1.  Otherwise one pass over the keys reads
+        each moved variable's top exponent, and the variables move one by one:
+        with t = -a/b in lowest terms, b^top (u - t)^e = sum_k r_k u^k, where
+        r_0 = a^e b^(top-e) and r_(k+1) = r_k (e-k) b / ((k+1) a) exactly."""
         m = self.nvars
         if len(offsets) != m:
             raise ValueError("offset length mismatch")
@@ -336,35 +341,36 @@ class Poly:
             num = sum(v * offsets[j].numerator * (scale // offsets[j].denominator) for j, v in linear)
             return sum_terms(m, ((-num, self._den * scale * den, 0),), ((1, self),)) if num else self
         terms, tden = self._terms, self._den
-        for j, t in enumerate(offsets):
-            if not t:
-                continue
-            s = _SLOT * (m - 1 - j)
-            top = max([(k >> s) & _MASK for k in terms], default=0)
+        moved = [[_SLOT * (m - 1 - j), t, 0] for j, t in enumerate(offsets) if t]
+        for key in terms:  # one pass: [slot offset, t, top] of each moved variable
+            for v in moved:
+                if (e := (key >> v[0]) & _MASK) > v[2]:
+                    v[2] = e
+        for s, t, top in moved:
             if not top:
                 continue
-            # with t = -a/b in lowest terms: b^top * (u - t)^e = sum_k C(e,k) a^(e-k) b^(top-e+k) u^k
             g = gcd(t.numerator, t.denominator * den)
             a, b = -t.numerator // g, t.denominator * den // g
-            pb = [b**i for i in range(top + 1)]
-            rows = {}
-            out = {}
+            btop, rows, out = b**top, {}, {}
             get = out.get
             for key, c in terms.items():
                 e = (key >> s) & _MASK
+                if not e:
+                    out[key] = get(key, 0) + c * btop
+                    continue
                 row = rows.get(e)
                 if row is None:
-                    row = rows[e] = [
-                        (k << s, comb(e, k) * a ** (e - k) * pb[top - e + k]) for k in range(e + 1)
-                    ]
+                    r = a**e * b ** (top - e)
+                    row = rows[e] = [(0, r)]
+                    for k in range(e):
+                        r = r * (e - k) * b // ((k + 1) * a)
+                        row.append(((k + 1) << s, r))
                 base = key - (e << s)
                 for step, r in row:
                     nk = base + step
                     out[nk] = get(nk, 0) + c * r
-            terms, tden = out, tden * pb[top]
-        if terms is self._terms:
-            return self
-        return Poly._normal(m, terms, tden)
+            terms, tden = out, tden * btop
+        return self if terms is self._terms else Poly._normal(m, terms, tden)
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute images[j] for u_{j+1}; images live in a common ring."""
@@ -440,16 +446,9 @@ def _format(p: Poly) -> str:
         )
         mag, g = abs(num), gcd(num, den)
         text = f"{mag // g}/{den // g}" if g != den else str(mag // g)
-        if not mono:
-            body = text
-        elif mag == den:
-            body = mono
-        else:
-            body = f"{text}*{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if num < 0 else body)
-        else:
-            pieces.append(f"{' - ' if num < 0 else ' + '}{body}")
+        body = text if not mono else mono if mag == den else f"{text}*{mono}"
+        sign = (" - " if num < 0 else " + ") if pieces else ("-" if num < 0 else "")
+        pieces.append(sign + body)
     return "".join(pieces)
 
 

@@ -561,6 +561,21 @@ def test_an_entry_with_a_huge_constant_exits_two_under_a_cpu_cap(tmp_path, verb)
     )
 
 
+def test_a_degree_400_nonsym_tuple_fails_under_a_cpu_cap(tmp_path, capsys):
+    # each shift builds 401 binomial rows of up to 401 entries by exact
+    # integer steps.  The cap is about three times this verify's CPU time,
+    # 0.2 s on a shared 2-CPU x86-64 host with Python 3.11; one math.comb
+    # and one power per row entry took 0.5 to 0.65 s there
+    path = tmp_path / "degree400.json"
+    tuples = {"t": {"form": "nonsym", "polys": ["(u1+1)^400", "(u1-1)^400"]}}
+    path.write_text(json.dumps({"m": 1, "n": 2, "alpha": [[1, -1]], "tuples": tuples}))
+    start = time.process_time()
+    assert main(["verify", str(path)]) == 1
+    elapsed = time.process_time() - start
+    assert "(nonsym form): FAIL" in capsys.readouterr().out
+    assert elapsed < 0.6
+
+
 def test_zero_entry_in_a_tuple_exits_two(tmp_path, capsys):
     path = _gl3_with(tmp_path, tuples={"z": {"form": "sym", "polys": ["0", "u1", "u2"]}})
     assert "tuples.z: entries must be nonzero" in _exits_two_with_error(["verify", path], capsys)

@@ -1,6 +1,7 @@
 import glob
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -291,10 +292,27 @@ def test_parse_rational():
 
 @pytest.mark.parametrize("nvars", [1, 3, 64, 65, 200])
 def test_variable_table_agrees_with_power(nvars):
-    # the split path looks u<i> up in a table per nvars, holding up to
-    # _TABLE_VARIABLES variables; a variable past it is read by _power
-    table = parser._variables(nvars)
-    assert len(table) == min(nvars, parser._TABLE_VARIABLES)
-    assert all(table[f"u{i}"] == parser._power(f"u{i}", nvars) for i in range(1, len(table) + 1))
+    # the split path looks u<i> up in a table per nvars up to
+    # _TABLE_VARIABLES; in a larger ring it builds no table and reads
+    # every variable with _power
     text = f"u{nvars} - u1 + 1"
+    tables = parser._variables.cache_info().currsize
     assert parse_poly(text, nvars) == parser._Parser(text, nvars).parse()
+    if nvars > parser._TABLE_VARIABLES:
+        assert parser._variables.cache_info().currsize == tables
+        return
+    table = parser._variables(nvars)
+    assert len(table) == nvars
+    assert all(table[f"u{i}"] == parser._power(f"u{i}", nvars) for i in range(1, nvars + 1))
+
+
+def test_parsing_in_many_variables_keeps_no_table():
+    # a table of 64 keys of 33 * 3000 bits each took 818 KiB of this parse
+    tracemalloc.start()
+    try:
+        q = parse_poly("u1 + 1", 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+    assert q == Poly.variable(3000, 0) + 1

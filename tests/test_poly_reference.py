@@ -9,11 +9,12 @@ from fractions import Fraction
 from math import comb
 
 import hypothesis.strategies as st
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 import strategies
 from format_reference import reference_format
 from orbit_reference import coefficient, content_exponent, directional, homogeneous_part
+from shift_reference import reference_shift
 from weylshift.parser import parse_poly
 from weylshift.poly import Poly, exact_div, format_poly, sum_terms, variable_key
 from weylshift.shifts import is_fixed_by_shift
@@ -277,6 +278,55 @@ def test_shift_and_directional_over_a_denominator_match_fractions(a, ints, fracs
         assert agrees(pa.shift(vec, den), ref_shift(ra, quotients))
         assert directional(pa, vec, den) == directional(pa, quotients)
         assert agrees(directional(pa, vec, den), ref_directional(ra, quotients))
+
+
+@st.composite
+def shift_cases(draw):
+    """A polynomial in 1 to 4 variables and a shift vector with zero entries:
+    the engine's integers over a positive den, or Fractions over one."""
+    m = draw(st.integers(1, 4))
+    p = draw(strategies.polys(m, max_terms=8, max_degree=5))
+    entry = st.integers(-12, 12) if draw(st.booleans()) else st.one_of(st.just(Fraction(0)), strategies.rationals)
+    return p, draw(st.lists(entry, min_size=m, max_size=m)), draw(st.integers(1, 12))
+
+
+@given(case=shift_cases())
+def test_shift_gives_the_reference_rows_in_the_same_order(case):
+    # the row recurrence and the one pass over the keys for every top
+    # exponent give what one binomial coefficient per row entry gave,
+    # down to the insertion order of the terms
+    p, vec, den = case
+    got, want = p.shift(vec, den), reference_shift(p, vec, den)
+    assert got._den == want._den
+    assert list(got._terms.items()) == list(want._terms.items())
+
+
+@st.composite
+def high_degree_cases(draw):
+    """One to three terms in 1 to 3 variables: one variable of degree up
+    to 300, the others up to 2, so that the reference stays quick, and a
+    shift vector over a positive den."""
+    m = draw(st.integers(1, 3))
+    j, d = draw(st.integers(0, m - 1)), draw(st.integers(2, 300))
+
+    def exponent(ej):
+        e = [draw(st.integers(0, 2)) for _ in range(m)]
+        e[j] = ej
+        return tuple(e)
+
+    terms = {exponent(d): draw(strategies.nonzero_rationals)}
+    for _ in range(draw(st.integers(0, 2))):
+        terms[exponent(draw(st.integers(0, d)))] = draw(strategies.nonzero_rationals)
+    return m, terms, draw(strategies.shift_vectors(m)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=20)
+@given(case=high_degree_cases())
+@example(case=(3, {(2, 300, 1): Fraction(-7, 3), (0, 151, 2): Fraction(5)}, [Fraction(-5, 2), Fraction(3, 7), 2], 3))
+def test_shift_at_high_degree_matches_reference(case):
+    m, terms, vec, den = case
+    got = Poly(m, terms).shift(vec, den)
+    assert sorted(got.items()) == sorted(ref_shift(ref_clean(terms), [Fraction(t) / den for t in vec]).items())
 
 
 @st.composite
